@@ -33,78 +33,65 @@ class DiagnosticError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians
+# Hamiltonian and its gradient
+
+
+def _coefficients(g: float, params: ParticleParams):
+    """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E), and their g-derivatives.
+
+    a carries the magnetic torque, b the longitudinal-polarization
+    correction (proportional to gamma_m - e/mc, vanishing at g = 2) and d
+    the spin-orbit term with its Thomas-precession weight.
+    """
+    gm, e, mc = params.gamma_m, params.e, params.mc
+    kb = (gm - e / mc) / mc ** 2
+    weights = (
+        gm - e / mc + e / (mc * g),
+        kb / (g * (g + 1.0)),
+        gm / (mc * g) - e / (mc ** 2 * (g + 1.0)),
+    )
+    slopes = (
+        -e / (mc * g * g),
+        -kb * (2.0 * g + 1.0) / (g * (g + 1.0)) ** 2,
+        -gm / (mc * g * g) + e / (mc ** 2 * (g + 1.0) ** 2),
+    )
+    return weights, slopes
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
-    """Instantaneous precession angular velocity F_pi(pi, E, B).
-
-    Three terms: magnetic torque, longitudinal-polarization correction
-    (coefficient gamma_m - e/mc, vanishing at g = 2), and the spin-orbit
-    term with its Thomas-precession weight.
-    """
+    """Instantaneous precession angular velocity F_pi(pi, E, B)."""
     pi = np.asarray(pi, dtype=float)
-    g = gamma_pi(pi, params)
-    gm, e, mc = params.gamma_m, params.e, params.mc
-    a = gm - e / mc + e / (mc * g)
-    b = (gm - e / mc) / (g * (g + 1.0) * mc ** 2)
-    d = gm / (mc * g) - e / (mc ** 2 * (g + 1.0))
+    (a, b, d), _ = _coefficients(gamma_pi(pi, params), params)
     return a * np.asarray(B, float) - b * (pi @ B) * pi - d * np.cross(pi, np.asarray(E, float))
 
 
-def low_speed_precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
-    """Leading small-velocity form of F_pi; differs at relative O(beta^2)."""
-    beta = v_pi(pi, params) / params.c
-    gm, e, mc = params.gamma_m, params.e, params.mc
-    return (
-        gm * np.asarray(B, float)
-        - 0.5 * (gm - e / mc) * (beta @ B) * beta
-        - (gm - e / (2.0 * mc)) * np.cross(beta, np.asarray(E, float))
-    )
-
-
-def h_orbit(state: PhaseState, model, params: ParticleParams) -> float:
-    sample = sample_field(model, state.x)
-    pi = kinematic_momentum(state.p, sample.A, params)
-    return gamma_pi(pi, params) * params.mc2 + params.e * sample.phi
-
-
-def h_spin(state: PhaseState, model, params: ParticleParams) -> float:
-    sample = sample_field(model, state.x)
-    pi = kinematic_momentum(state.p, sample.A, params)
-    return -float(state.s @ precession_vector(pi, sample.E, sample.B, params))
+def _h_total_arrays(x, p, s, model, params):
+    sample = sample_field(model, x)
+    pi = kinematic_momentum(p, sample.A, params)
+    orbital = gamma_pi(pi, params) * params.mc2 + params.e * sample.phi
+    return orbital - float(s @ precession_vector(pi, sample.E, sample.B, params))
 
 
 def h_total(state: PhaseState, model, params: ParticleParams) -> float:
-    return h_orbit(state, model, params) + h_spin(state, model, params)
+    """gamma_pi mc^2 + e phi - s.F_pi at the state's phase-space point."""
+    return _h_total_arrays(state.x, state.p, state.s, model, params)
 
 
-# ---------------------------------------------------------------------------
-# Analytic gradients
-
-def _spin_grad(pi, s, sample: FieldSample, params):
+def _spin_grad(pi, g, s, sample: FieldSample, params):
     """d(H_spin)/d(pi) and the explicit-x gradient d(H_spin)/dx at fixed pi.
 
     H_spin = -a(g) s.B + b(g)(pi.B)(s.pi) + d(g) s.(pi x E) with
     g = gamma_pi; chain rule uses dg/dpi_k = pi_k/(g (mc)^2).
     """
     E, B = sample.E, sample.B
-    g = gamma_pi(pi, params)
-    gm, e, mc = params.gamma_m, params.e, params.mc
-    a = gm - e / mc + e / (mc * g)
-    da = -e / (mc * g * g)
-    kb = (gm - e / mc) / mc ** 2
-    b = kb / (g * (g + 1.0))
-    db = -kb * (2.0 * g + 1.0) / (g * (g + 1.0)) ** 2
-    d = gm / (mc * g) - e / (mc ** 2 * (g + 1.0))
-    dd = -gm / (mc * g * g) + e / (mc ** 2 * (g + 1.0) ** 2)
+    (a, b, d), (da, db, dd) = _coefficients(g, params)
 
     sB = float(s @ B)
     piB = float(pi @ B)
     spi = float(s @ pi)
     pixE = float(s @ np.cross(pi, E))
 
-    dg_dpi = pi / (g * mc ** 2)
+    dg_dpi = pi / (g * params.mc ** 2)
     dH_dpi = (
         (-da * sB + db * piB * spi + dd * pixE) * dg_dpi
         + b * (B * spi + piB * s)
@@ -119,10 +106,10 @@ def _spin_grad(pi, s, sample: FieldSample, params):
     return dH_dpi, dH_dx
 
 
-def _grad_h_arrays(x, p, s, model, params):
+def _eom_arrays(x, p, s, model, params):
     sample = sample_field(model, x)
     pi = kinematic_momentum(p, sample.A, params)
-    dHs_dpi, dHs_dx = _spin_grad(pi, s, sample, params)
+    dHs_dpi, dHs_dx = _spin_grad(pi, gamma_pi(pi, params), s, sample, params)
     dH_dpi = v_pi(pi, params) + dHs_dpi
     # canonical x-gradient: scalar potential, explicit field gradients,
     # and the chain through pi(x) = p - (e/c)A(x)
@@ -131,19 +118,8 @@ def _grad_h_arrays(x, p, s, model, params):
         + dHs_dx
         - (params.e / params.c) * (sample.jac_A.T @ dH_dpi)
     )
-    return dH_dx, dH_dpi, sample, pi
-
-
-def grad_h(state: PhaseState, model, params: ParticleParams):
-    """Analytic (dH/dx, dH/dp) of the total Hamiltonian."""
-    dH_dx, dH_dp, _, _ = _grad_h_arrays(state.x, state.p, state.s, model, params)
-    return dH_dx, dH_dp
-
-
-def _eom_arrays(x, p, s, model, params):
-    dH_dx, dH_dp, sample, pi = _grad_h_arrays(x, p, s, model, params)
     ds = np.cross(s, precession_vector(pi, sample.E, sample.B, params))
-    return dH_dp, -dH_dx, ds
+    return dH_dpi, -dH_dx, ds
 
 
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
@@ -159,24 +135,33 @@ def stern_gerlach_force(x, p, s, model, params: ParticleParams) -> np.ndarray:
     """
     sample = sample_field(model, x)
     pi = kinematic_momentum(p, sample.A, params)
-    _, dHs_dx = _spin_grad(pi, s, sample, params)
-    return -dHs_dx
-
-
-def darwin_classical_hd(state: PhaseState, model, params: ParticleParams, A_D: float) -> float:
-    """Candidate velocity-dependent density coupling c A_D (div E - v.curl B / c).
-
-    A diagnostic only: the quantum Darwin term carries an extra inverse
-    gamma weighting that this expression cannot reproduce.
-    """
-    sample = sample_field(model, state.x)
-    pi = kinematic_momentum(state.p, sample.A, params)
-    v = v_pi(pi, params)
-    return params.c * A_D * (sample.div_E - float(v @ sample.curl_B) / params.c)
+    return -_spin_grad(pi, gamma_pi(pi, params), s, sample, params)[1]
 
 
 # ---------------------------------------------------------------------------
 # Integration
+
+# Butcher tableaux: (stage matrix rows, solution weights, error weights).
+# Error weights are the 5th- minus 4th-order weights of an embedded pair;
+# None marks a fixed-step method.
+_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+TABLEAUX = {
+    "rk4": (((), (0.5,), (0.0, 0.5), (0.0, 0.0, 1.0)), (1 / 6, 1 / 3, 1 / 3, 1 / 6), None),
+    # Fehlberg 4(5), advancing with the 5th-order solution
+    "rkf45": (
+        (
+            (),
+            (1 / 4,),
+            (3 / 32, 9 / 32),
+            (1932 / 2197, -7200 / 2197, 7296 / 2197),
+            (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+            (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+        ),
+        _RKF_B5,
+        tuple(b5 - b4 for b5, b4 in zip(_RKF_B5, _RKF_B4)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -187,8 +172,8 @@ class IntegratorSpec:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rkf45"):
-            raise ValueError("method must be 'rk4' or 'rkf45'")
+        if self.method not in TABLEAUX:
+            raise ValueError("method must be one of " + ", ".join(map(repr, TABLEAUX)))
         if not (self.step > 0 and self.tol > 0 and self.max_steps > 0):
             raise ValueError("step, tol and max_steps must be positive")
 
@@ -215,11 +200,9 @@ class Trajectory:
 SPIN_RENORM_THRESHOLD = 1e-12
 
 
-def _h_total_arrays(x, p, s, model, params):
-    sample = sample_field(model, x)
-    pi = kinematic_momentum(p, sample.A, params)
-    orbital = gamma_pi(pi, params) * params.mc2 + params.e * sample.phi
-    return orbital - float(s @ precession_vector(pi, sample.E, sample.B, params))
+def _increment(h, weights, ks):
+    """h * sum_j w_j k_j over the nonzero weights."""
+    return h * sum(w * k for w, k in zip(weights, ks) if w)
 
 
 def integrate(
@@ -229,122 +212,75 @@ def integrate(
     spec: IntegratorSpec,
     T: float,
 ) -> Trajectory:
-    """Integrate Hamilton's flow for duration T, recording conservation data."""
+    """Integrate Hamilton's flow for duration T, recording conservation data.
+
+    One explicit Runge-Kutta stepper serves every method in TABLEAUX. A
+    method without error weights takes round(T/step) equal steps; one
+    with them adapts the step to keep the embedded error estimate below
+    tol (relative to max(1, |y|)) and raises IntegrationError, carrying
+    the trajectory so far, when it exceeds max_steps or the step
+    underflows.
+    """
     if T <= 0:
         raise ValueError("duration must be positive")
-    if spec.method == "rk4":
-        return _integrate_rk4(state0, model, params, spec, T)
-    return _integrate_rkf45(state0, model, params, spec, T)
-
-
-def _integrate_rk4(state0, model, params, spec, T):
+    stages, weights, err_weights = TABLEAUX[spec.method]
+    fixed = err_weights is None
     n = max(1, int(round(T / spec.step)))
-    if n > spec.max_steps:
+    if fixed and n > spec.max_steps:
         raise ValueError("step count exceeds max_steps")
-    dt = T / n
-    x, p, s = state0.x.copy(), state0.p.copy(), state0.s.copy()
-    t = state0.t
-    s0_mag = float(np.linalg.norm(s))
+    h = T / n if fixed else min(spec.step, T)
 
-    ts = np.empty(n + 1)
-    xs = np.empty((n + 1, 3))
-    ps = np.empty((n + 1, 3))
-    ss = np.empty((n + 1, 3))
-    hs = np.empty(n + 1)
-    smags = np.empty(n + 1)
-    drifts = np.empty(n + 1)
-
-    def record(i, drift):
-        ts[i] = t
-        xs[i], ps[i], ss[i] = x, p, s
-        hs[i] = _h_total_arrays(x, p, s, model, params)
-        smags[i] = np.linalg.norm(s)
-        drifts[i] = drift
-
-    drift_cum = 0.0
-    record(0, 0.0)
-    for i in range(1, n + 1):
-        mag_before = float(np.linalg.norm(s))
-        kx1, kp1, ks1 = _eom_arrays(x, p, s, model, params)
-        kx2, kp2, ks2 = _eom_arrays(x + 0.5 * dt * kx1, p + 0.5 * dt * kp1, s + 0.5 * dt * ks1, model, params)
-        kx3, kp3, ks3 = _eom_arrays(x + 0.5 * dt * kx2, p + 0.5 * dt * kp2, s + 0.5 * dt * ks2, model, params)
-        kx4, kp4, ks4 = _eom_arrays(x + dt * kx3, p + dt * kp3, s + dt * ks3, model, params)
-        x = x + (dt / 6.0) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        p = p + (dt / 6.0) * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
-        s = s + (dt / 6.0) * (ks1 + 2 * ks2 + 2 * ks3 + ks4)
-        t = state0.t + i * dt
-
-        raw = float(np.linalg.norm(s))
-        drift_cum += (raw - mag_before) / s0_mag
-        if abs(raw - s0_mag) / s0_mag > SPIN_RENORM_THRESHOLD:
-            s = s * (s0_mag / raw)
-        record(i, drift_cum)
-
-    return Trajectory(ts, xs, ps, ss, hs, smags, drifts)
-
-
-# Fehlberg 4(5) tableau
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-
-
-def _integrate_rkf45(state0, model, params, spec, T):
     def rhs(y):
-        dx, dp, ds = _eom_arrays(y[0:3], y[3:6], y[6:9], model, params)
-        return np.concatenate([dx, dp, ds])
+        return np.concatenate(_eom_arrays(y[0:3], y[3:6], y[6:9], model, params))
 
+    # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
+    # accepts at most max_steps steps, and doubles the buffers if it needs
+    # more rows than its initial step suggests
+    size = min(n, spec.max_steps) + 1
+    ts, ys, drifts = np.empty(size), np.empty((size, 9)), np.empty(size)
     y = np.concatenate([state0.x, state0.p, state0.s])
-    t = 0.0
-    h = min(spec.step, T)
+    ts[0], ys[0], drifts[0] = state0.t, y, 0.0
+    rows, t, drift_cum, attempts = 1, 0.0, 0.0, 0
     s0_mag = float(np.linalg.norm(state0.s))
 
-    rows = [(state0.t, y.copy(), 0.0)]
-    drift_cum = 0.0
-    steps = 0
-    while t < T * (1.0 - 1e-12):
-        if steps >= spec.max_steps:
-            raise IntegrationError("max step count exceeded", _rows_to_traj(rows, model, params))
-        h = min(h, T - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow", _rows_to_traj(rows, model, params))
+    def trajectory():
+        hs = np.empty(rows)
+        for i in range(rows):
+            hs[i] = _h_total_arrays(ys[i, 0:3], ys[i, 3:6], ys[i, 6:9], model, params)
+        s = ys[:rows, 6:9]
+        return Trajectory(ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows])
+
+    while (rows <= n) if fixed else (t < T * (1.0 - 1e-12)):
+        if not fixed:
+            if attempts >= spec.max_steps:
+                raise IntegrationError("max step count exceeded", trajectory())
+            h = min(h, T - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise IntegrationError("step size underflow", trajectory())
         ks = []
-        for row in _RKF_A:
-            yk = y + h * sum(a * k for a, k in zip(row, ks)) if row else y
-            ks.append(rhs(yk))
-        y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-        y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-        err = float(np.abs(y5 - y4).max())
-        scale = spec.tol * max(1.0, float(np.abs(y).max()))
-        if err <= scale:
+        for row in stages:
+            ks.append(rhs(y + _increment(h, row, ks)))
+        accept, factor = True, 1.0
+        if not fixed:
+            err = float(np.abs(_increment(h, err_weights, ks)).max())
+            scale = spec.tol * max(1.0, float(np.abs(y).max()))
+            accept = err <= scale
+            factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
+        if accept:
             mag_before = float(np.linalg.norm(y[6:9]))
-            t += h
-            y = y5
+            y = y + _increment(h, weights, ks)
+            t = rows * h if fixed else t + h
             raw = float(np.linalg.norm(y[6:9]))
             drift_cum += (raw - mag_before) / s0_mag
             if abs(raw - s0_mag) / s0_mag > SPIN_RENORM_THRESHOLD:
                 y[6:9] *= s0_mag / raw
-            rows.append((state0.t + t, y.copy(), drift_cum))
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        steps += 1
-    return _rows_to_traj(rows, model, params)
-
-
-def _rows_to_traj(rows, model, params):
-    ts = np.array([r[0] for r in rows])
-    ys = np.stack([r[1] for r in rows])
-    drifts = np.array([r[2] for r in rows])
-    hs = np.array([_h_total_arrays(y[0:3], y[3:6], y[6:9], model, params) for y in ys])
-    smags = np.linalg.norm(ys[:, 6:9], axis=1)
-    return Trajectory(ts, ys[:, 0:3], ys[:, 3:6], ys[:, 6:9], hs, smags, drifts)
+            if rows == len(ts):
+                ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
+            ts[rows], ys[rows], drifts[rows] = state0.t + t, y, drift_cum
+            rows += 1
+        h *= factor
+        attempts += 1
+    return trajectory()
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +313,15 @@ def bmt_consistency_residual(
     rhs = np.empty((n, 4))
     gammas = np.empty(n)
     for i in range(n):
-        x, p, s = traj.x[i], traj.p[i], traj.s[i]
-        sample = sample_field(model, x)
-        pi = kinematic_momentum(p, sample.A, params)
+        s = traj.s[i]
+        sample = sample_field(model, traj.x[i])
+        pi = kinematic_momentum(traj.p[i], sample.A, params)
         g = gamma_pi(pi, params)
         gammas[i] = g
         S[i] = spin_four_vector_lab(s, pi, params)
         U = four_velocity(pi, params)
         if include_gradient_force:
-            f3 = gamma_pi(pi, params) * stern_gerlach_force(x, p, s, model, params)
+            f3 = -g * _spin_grad(pi, g, s, sample, params)[1]
             f = np.concatenate([[f3 @ v_pi(pi, params) / params.c], f3])
         else:
             f = np.zeros(4)

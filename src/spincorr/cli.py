@@ -8,9 +8,11 @@ transform checks, and report re-renders a previous run's JSON.
 Exit codes: 0 all checks pass, 1 a check failed (artifacts are still
 written), 2 configuration problem, 3 internal error.
 
-Result files are deterministic for a given config and seed: results.json
-is byte-identical across reruns; the timestamp and wall time live in a
-separate meta.json so they cannot perturb the record.
+Result files are deterministic for the same config, seed and BLAS thread
+count: results.json is byte-identical across such reruns (the lattice
+checks' eigensolver values move in the last digits with the thread
+count); the timestamp and wall time live in a separate meta.json so they
+cannot perturb the record.
 """
 
 from __future__ import annotations

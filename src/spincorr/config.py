@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import IntegratorSpec
+from .classical import TABLEAUX, IntegratorSpec
 from .fields import (
     SinusoidalElectrostatic,
     SinusoidalMagnetostatic,
@@ -24,7 +24,6 @@ from .fields import (
 )
 from .kinematics import PhaseState
 from .params import ParticleParams
-from .qfw import CASE_I, LatticeSpec
 
 MODES = ("simulate", "boost", "verify-algebra", "verify-fw", "report")
 PROFILES = ("default", "negative-result")
@@ -46,12 +45,9 @@ SCHEMA = {
     "state.p": ("vec3", (0.0, 0.0, 0.0)),
     "state.s": ("vec3", (1.0, 0.0, 0.5)),
     "duration": ("float", 5.0),
-    "integrator.method": ("choice:rk4|rkf45", "rk4"),
+    "integrator.method": ("choice:" + "|".join(TABLEAUX), "rk4"),
     "integrator.step": ("float", 1e-3),
     "integrator.tol": ("float", 1e-10),
-    "lattice.rho": ("float", 0.5),
-    "lattice.case_i_sites": ("int", 12),
-    "lattice.case_ii_sites": ("int", 64),
     "amplitudes": ("floats", (1e-2, 1e-3, 1e-4)),
     "boost.beta_max": ("float", 0.5),
     "seed": ("int", 20260814),
@@ -158,19 +154,6 @@ class RunConfig:
             np.array(self.values["state.s"]),
         )
 
-    def lattice_for(self, case: str) -> LatticeSpec:
-        if case == CASE_I:
-            return LatticeSpec(
-                dimension=2,
-                n_sites=self.values["lattice.case_i_sites"],
-                rho=self.values["lattice.rho"],
-            )
-        return LatticeSpec(
-            dimension=1,
-            n_sites=self.values["lattice.case_ii_sites"],
-            rho=self.values["lattice.rho"],
-        )
-
     def canonical_text(self) -> str:
         # the artifact directory is plumbing, not physics: leaving it out
         # keeps the config hash (and results.json) identical across reruns
@@ -208,12 +191,6 @@ def _range_errors(values: dict, anchors: dict) -> list:
         errs.append(f"{at('integrator.tol')}integrator.tol: must be positive")
     if values["field.period"] <= 0:
         errs.append(f"{at('field.period')}field.period: must be positive")
-    for key in ("lattice.case_i_sites", "lattice.case_ii_sites"):
-        n = values[key]
-        if n < 8 or n % 2:
-            errs.append(f"{at(key)}{key}: lattice sites must be even and at least 8")
-    if not 0.0 < values["lattice.rho"] <= 0.9:
-        errs.append(f"{at('lattice.rho')}lattice.rho: must lie in (0, 0.9]")
     amps = values["amplitudes"]
     if len(amps) < 3:
         errs.append(f"{at('amplitudes')}amplitudes: need at least three values")

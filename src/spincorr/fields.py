@@ -44,18 +44,6 @@ class FieldSample:
         g = self.grad_B
         return np.array([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
 
-    def f_tensor(self, c: float) -> np.ndarray:
-        """Field-strength matrix F^{alpha beta}: F^{0i} = -E_i, F^{ij} = -eps_ijk B_k."""
-        E, B = self.E, self.B
-        return np.array(
-            [
-                [0.0, -E[0], -E[1], -E[2]],
-                [E[0], 0.0, -B[2], B[1]],
-                [E[1], B[2], 0.0, -B[0]],
-                [E[2], -B[1], B[0], 0.0],
-            ]
-        )
-
     @staticmethod
     def zero() -> "FieldSample":
         return FieldSample(0.0, _ZERO3, _ZERO3, _ZERO3, _ZERO3, _ZERO33, _ZERO33, _ZERO33)

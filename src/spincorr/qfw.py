@@ -562,7 +562,7 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
     """
     from .opalg.core import PI
 
-    asm = _assemble(CASE_I, lattice, lam, params)
+    _check_cutoff(lattice, params)
     N = lattice.n_sites
     _, F, Q, p1, x = _axis_operators(lattice, params.hbar)
     I_N = np.eye(N)

@@ -8,6 +8,7 @@ from spincorr import (
     PhaseState,
     SinusoidalElectrostatic,
     SternGerlach,
+    Superposition,
     Uniform,
     gamma_pi,
     kinematic_momentum,
@@ -21,14 +22,9 @@ from spincorr.classical import (
     bmt_consistency_residual,
     boosted_precession_pair,
     covariance_scaling,
-    darwin_classical_hd,
     eom_rhs,
-    grad_h,
-    h_orbit,
-    h_spin,
     h_total,
     integrate,
-    low_speed_precession_vector,
     precession_vector,
     rest_frame_covariance_residual,
     stern_gerlach_force,
@@ -43,15 +39,22 @@ def random_state(scale_p=1.0):
     return PhaseState(RNG.normal(size=3), RNG.normal(scale=scale_p, size=3), RNG.normal(size=3))
 
 
+def flip_spin(st):
+    return PhaseState(st.x, st.p, -st.s)
+
+
 class TestHamiltonians:
+    # H is linear in s, so H(s) + H(-s) isolates the orbital energy and
+    # H(s) - H(-s) the spin coupling -2 s.F_pi
+
     def test_rest_energy(self):
         st = PhaseState(np.zeros(3), np.zeros(3), np.array([0, 0, 0.5]))
-        assert h_orbit(st, NO_FIELD, PARAMS) == pytest.approx(PARAMS.mc2)
+        assert h_total(st, NO_FIELD, PARAMS) == pytest.approx(PARAMS.mc2)
 
     def test_gamma_two_energy(self):
         p = np.array([np.sqrt(3.0) * PARAMS.mc, 0, 0])
         st = PhaseState(np.zeros(3), p, np.array([0, 0, 0.5]))
-        assert h_orbit(st, NO_FIELD, PARAMS) == pytest.approx(2 * PARAMS.mc2, rel=1e-14)
+        assert h_total(st, NO_FIELD, PARAMS) == pytest.approx(2 * PARAMS.mc2, rel=1e-14)
 
     def test_orbit_equals_gamma_mc2_plus_potential(self):
         model = SinusoidalElectrostatic(lam=0.4, L=2.0)
@@ -60,7 +63,8 @@ class TestHamiltonians:
             sample = sample_field(model, st.x)
             pi = kinematic_momentum(st.p, sample.A, PARAMS)
             want = gamma_pi(pi, PARAMS) * PARAMS.mc2 + PARAMS.e * sample.phi
-            assert h_orbit(st, model, PARAMS) == pytest.approx(want, rel=1e-14)
+            orbital = 0.5 * (h_total(st, model, PARAMS) + h_total(flip_spin(st), model, PARAMS))
+            assert orbital == pytest.approx(want, rel=1e-14)
 
     def test_h_spin_is_projection(self):
         model = SternGerlach(B0=1.0, b=0.2)
@@ -69,27 +73,39 @@ class TestHamiltonians:
             sample = sample_field(model, st.x)
             pi = kinematic_momentum(st.p, sample.A, PARAMS)
             want = -st.s @ precession_vector(pi, sample.E, sample.B, PARAMS)
-            assert h_spin(st, model, PARAMS) == pytest.approx(want, rel=1e-14, abs=1e-16)
+            # the difference of two O(1) energies rounds to half an ulp of H
+            spin = 0.5 * (h_total(st, model, PARAMS) - h_total(flip_spin(st), model, PARAMS))
+            assert spin == pytest.approx(want, rel=1e-14, abs=1e-15)
 
     def test_h_spin_orthogonal_spin(self):
         st = PhaseState(np.zeros(3), np.zeros(3), np.array([1.0, 0, 0]))
-        assert h_spin(st, Uniform(B0=np.array([0, 0, 2.0])), PARAMS) == 0.0
+        assert h_total(st, Uniform(B0=np.array([0, 0, 2.0])), PARAMS) == PARAMS.mc2
 
     def test_larmor_energy(self):
         B0 = 1.7
         st = PhaseState(np.zeros(3), np.zeros(3), np.array([0, 0, PARAMS.hbar / 2]))
-        want = -PARAMS.gamma_m * PARAMS.hbar * B0 / 2
-        assert h_spin(st, Uniform(B0=np.array([0, 0, B0])), PARAMS) == pytest.approx(want, rel=1e-14)
+        want = PARAMS.mc2 - PARAMS.gamma_m * PARAMS.hbar * B0 / 2
+        assert h_total(st, Uniform(B0=np.array([0, 0, B0])), PARAMS) == pytest.approx(want, rel=1e-14)
 
     def test_total_is_sum(self):
-        model = SternGerlach(B0=1.0, b=0.2)
-        st = random_state()
-        total = h_total(st, model, PARAMS)
-        assert total == pytest.approx(h_orbit(st, model, PARAMS) + h_spin(st, model, PARAMS), rel=1e-15)
+        # gamma_pi mc^2 + e phi - s.F_pi, with potential, E and B all present
+        model = Superposition(SternGerlach(B0=1.0, b=0.2), SinusoidalElectrostatic(lam=0.4, L=2.0))
+        for _ in range(50):
+            st = random_state()
+            sample = sample_field(model, st.x)
+            pi = kinematic_momentum(st.p, sample.A, PARAMS)
+            want = (
+                gamma_pi(pi, PARAMS) * PARAMS.mc2
+                + PARAMS.e * sample.phi
+                - st.s @ precession_vector(pi, sample.E, sample.B, PARAMS)
+            )
+            assert h_total(st, model, PARAMS) == pytest.approx(want, rel=1e-15)
 
     def test_field_free_total(self):
-        st = PhaseState(np.zeros(3), np.zeros(3), np.array([0, 0, 0.5]))
-        assert h_total(st, NO_FIELD, PARAMS) == pytest.approx(PARAMS.mc2)
+        # no field: neither the potential nor the spin contributes
+        for _ in range(20):
+            st = random_state()
+            assert h_total(st, NO_FIELD, PARAMS) == pytest.approx(gamma_pi(st.p, PARAMS) * PARAMS.mc2, rel=1e-15)
 
 
 class TestPrecessionVector:
@@ -113,7 +129,11 @@ class TestPrecessionVector:
         betas = [1e-2, 1e-3]
         for b in betas:
             pi = np.array([0, 0, b]) * PARAMS.mc  # beta ~ b to leading order
-            d = precession_vector(pi, E, B, PARAMS) - low_speed_precession_vector(pi, E, B, PARAMS)
+            # leading small-velocity form of F_pi
+            beta = v_pi(pi, PARAMS) / PARAMS.c
+            gm, e, mc = PARAMS.gamma_m, PARAMS.e, PARAMS.mc
+            low = gm * B - 0.5 * (gm - e / mc) * (beta @ B) * beta - (gm - e / (2 * mc)) * np.cross(beta, E)
+            d = precession_vector(pi, E, B, PARAMS) - low
             diffs.append(np.abs(d).max())
         slope = np.polyfit(np.log(betas), np.log(diffs), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
@@ -129,16 +149,18 @@ class TestGradients:
     def test_orbital_momentum_gradient_is_velocity(self):
         for _ in range(20):
             st = random_state()
-            _, dHp = grad_h(st, NO_FIELD, PARAMS)
-            assert np.allclose(dHp, v_pi(st.p, PARAMS), rtol=1e-14)
+            dx, _, _ = eom_rhs(st, NO_FIELD, PARAMS)
+            assert np.allclose(dx, v_pi(st.p, PARAMS), rtol=1e-14)
 
     def test_finite_difference_oracle(self):
-        # 1000 random states against central differences of h_total
+        # 1000 random states: (dH/dx, dH/dp) = (-dp/dt, dx/dt) against
+        # central differences of h_total
         model = SternGerlach(B0=1.0, b=0.3)
         h = 1e-6
         for _ in range(1000):
             st = random_state()
-            dHx, dHp = grad_h(st, model, PARAMS)
+            dHp, dp, _ = eom_rhs(st, model, PARAMS)
+            dHx = -dp
             j = RNG.integers(3)
             dx = np.zeros(3)
             dx[j] = h
@@ -231,9 +253,11 @@ class TestIntegrate:
         model = SternGerlach(B0=1.0, b=0.2)
         st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
         a = integrate(st, model, PARAMS, IntegratorSpec(step=1e-4), 1.0)
-        b = integrate(st, model, PARAMS, IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12), 1.0)
-        assert np.abs(a.x[-1] - b.x[-1]).max() < 1e-8
-        assert np.abs(a.s[-1] - b.s[-1]).max() < 1e-8
+        # an initial step of 0.5 is rejected before the step size settles
+        for step0 in (1e-3, 0.5):
+            b = integrate(st, model, PARAMS, IntegratorSpec(method="rkf45", step=step0, tol=1e-12), 1.0)
+            assert np.abs(a.x[-1] - b.x[-1]).max() < 1e-8
+            assert np.abs(a.s[-1] - b.s[-1]).max() < 1e-8
 
     def test_max_steps_carries_partial(self):
         model = SternGerlach(B0=1.0, b=0.2)
@@ -298,27 +322,6 @@ class TestBmtConsistency:
         traj = self.make_traj(NO_FIELD, 3, 1.0, p0=np.zeros(3))
         with pytest.raises(DiagnosticError):
             bmt_consistency_residual(traj, NO_FIELD, self.NEUTRAL)
-
-
-class TestDarwinCandidate:
-    def test_static_density_term(self):
-        model = SinusoidalElectrostatic(lam=0.7, L=2.0)
-        st = PhaseState(np.array([0.5, 0, 0]), np.zeros(3), np.array([0, 0, 0.5]))
-        sample = sample_field(model, st.x)
-        want = PARAMS.c * 0.3 * sample.div_E
-        assert darwin_classical_hd(st, model, PARAMS, 0.3) == pytest.approx(want, rel=1e-14)
-
-    def test_uniform_b_any_velocity(self):
-        model = Uniform(B0=np.array([0, 0, 1.0]))
-        st = PhaseState(np.zeros(3), np.array([0.7, -0.2, 0.1]), np.array([0, 0, 0.5]))
-        assert darwin_classical_hd(st, model, PARAMS, 0.3) == 0.0
-
-    def test_sinusoidal_at_origin(self):
-        lam, L = 0.9, 3.0
-        model = SinusoidalElectrostatic(lam=lam, L=L)
-        st = PhaseState(np.zeros(3), np.zeros(3), np.array([0, 0, 0.5]))
-        want = PARAMS.c * 0.25 * lam * 2 * np.pi / L
-        assert darwin_classical_hd(st, model, PARAMS, 0.25) == pytest.approx(want, rel=1e-12)
 
 
 class TestBoostCovariance:

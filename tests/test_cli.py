@@ -21,8 +21,7 @@ class TestConfigParsing:
 
     def test_no_file_pure_defaults(self):
         cfg = load_config("verify-fw")
-        assert cfg["lattice.case_i_sites"] == 12
-        assert cfg["lattice.case_ii_sites"] == 64
+        assert cfg.values == {key: default for key, (_, default) in SCHEMA.items()}
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -40,13 +39,6 @@ class TestConfigParsing:
         assert "boost.beta_max" in str(err.value)
         assert "|beta| must be < 1" in str(err.value)
         assert "line 2" in str(err.value)
-
-    def test_odd_lattice_cites_invariant(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("lattice.case_ii_sites = 63\n")
-        with pytest.raises(ConfigError) as err:
-            load_config("verify-fw", p)
-        assert "even" in str(err.value)
 
     def test_all_errors_reported_together(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -107,8 +99,6 @@ class TestConfigParsing:
         cfg.field_model()
         cfg.integrator()
         cfg.state0()
-        cfg.lattice_for("I")
-        cfg.lattice_for("II")
 
 
 class TestCliDispatch:
