@@ -6,6 +6,10 @@ from the kinematic momentum. Hamilton's equations pick up the
 field-gradient (Stern-Gerlach) force from the spin term, and the spin
 itself precesses as ds/dt = s x F_pi. Quadratic-in-field remainders are
 deliberately dropped; their size is measured, not modeled.
+
+The kernels take x, p and s in the component form of fields, so one code
+path serves one particle and an ensemble; each evaluation computes
+gamma_pi and the weights of F_pi once.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldSample, sample_field
-from .kinematics import PhaseState, gamma_pi, kinematic_momentum, v_pi
+from .fields import ZERO3, ZERO33, math_of, to_array
+from .kinematics import PhaseState, gamma_pi, v_pi
 from .lorentz import bmt_rhs, boost_fields, field_tensor, four_velocity, spin_four_vector_lab
 from .params import ParticleParams
 
@@ -36,95 +40,110 @@ class DiagnosticError(RuntimeError):
 # Hamiltonian and its gradient
 
 
-def _coefficients(g: float, params: ParticleParams):
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _comb(c1, u, c2, v, c3=0.0, w=ZERO3):
+    """c1 u + c2 v + c3 w, componentwise."""
+    return (
+        c1 * u[0] + c2 * v[0] + c3 * w[0],
+        c1 * u[1] + c2 * v[1] + c3 * w[1],
+        c1 * u[2] + c2 * v[2] + c3 * w[2],
+    )
+
+
+def _vecmat(u, M):
+    """u @ M for a 3x3 Jacobian given as rows: sum_i u_i d(component i)/dx_j."""
+    return ZERO3 if M is ZERO33 else _comb(u[0], M[0], u[1], M[1], u[2], M[2])
+
+
+def _coefficients(g, params: ParticleParams):
     """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E), and their g-derivatives.
 
     a carries the magnetic torque, b the longitudinal-polarization
     correction (proportional to gamma_m - e/mc, vanishing at g = 2) and d
     the spin-orbit term with its Thomas-precession weight.
     """
-    gm, e, mc = params.gamma_m, params.e, params.mc
-    kb = (gm - e / mc) / mc ** 2
-    weights = (
-        gm - e / mc + e / (mc * g),
-        kb / (g * (g + 1.0)),
-        gm / (mc * g) - e / (mc ** 2 * (g + 1.0)),
-    )
-    slopes = (
-        -e / (mc * g * g),
-        -kb * (2.0 * g + 1.0) / (g * (g + 1.0)) ** 2,
-        -gm / (mc * g * g) + e / (mc ** 2 * (g + 1.0) ** 2),
-    )
-    return weights, slopes
+    gm, em, mc = params.gamma_m, params.e / params.mc, params.mc
+    u, w, kb = 1.0 / g, 1.0 / (g + 1.0), (gm - em) / mc ** 2
+    weights = (gm - em + em * u, kb * u * w, (gm * u - em * w) / mc)
+    return weights, (-em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc)
+
+
+def _local(x, p, model, params):
+    """Field components, kinematic momentum pi and gamma_pi at (x, p)."""
+    f = model.components(*x)
+    ec, A = params.e / params.c, f.A
+    pi = (p[0] - ec * A[0], p[1] - ec * A[1], p[2] - ec * A[2])
+    g2 = 1.0 + _dot(pi, pi) / params.mc ** 2
+    return f, pi, math_of(g2).sqrt(g2)
+
+
+def _precession(pi, E, B, weights):
+    a, b, d = weights
+    return _comb(a, B, -b * _dot(pi, B), pi, -d, _cross(pi, E))
+
+
+def _explicit_gradient(f, pi, s, weights):
+    """d(H_spin)/dx at fixed pi: the field-gradient (Stern-Gerlach) term.
+
+    H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E), and s.(pi x dE) =
+    (s x pi).dE.
+    """
+    a, b, d = weights
+    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
+    return _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
     """Instantaneous precession angular velocity F_pi(pi, E, B)."""
     pi = np.asarray(pi, dtype=float)
-    (a, b, d), _ = _coefficients(gamma_pi(pi, params), params)
-    return a * np.asarray(B, float) - b * (pi @ B) * pi - d * np.cross(pi, np.asarray(E, float))
+    return np.array(_precession(pi, E, B, _coefficients(gamma_pi(pi, params), params)[0]))
 
 
 def _h_total_arrays(x, p, s, model, params):
-    sample = sample_field(model, x)
-    pi = kinematic_momentum(p, sample.A, params)
-    orbital = gamma_pi(pi, params) * params.mc2 + params.e * sample.phi
-    return orbital - float(s @ precession_vector(pi, sample.E, sample.B, params))
+    f, pi, g = _local(x, p, model, params)
+    F = _precession(pi, f.E, f.B, _coefficients(g, params)[0])
+    return g * params.mc2 + params.e * f.phi - _dot(s, F)
 
 
 def h_total(state: PhaseState, model, params: ParticleParams) -> float:
     """gamma_pi mc^2 + e phi - s.F_pi at the state's phase-space point."""
-    return _h_total_arrays(state.x, state.p, state.s, model, params)
+    return _h_total_arrays(state.x.tolist(), state.p.tolist(), state.s.tolist(), model, params)
 
 
-def _spin_grad(pi, g, s, sample: FieldSample, params):
-    """d(H_spin)/d(pi) and the explicit-x gradient d(H_spin)/dx at fixed pi.
-
-    H_spin = -a(g) s.B + b(g)(pi.B)(s.pi) + d(g) s.(pi x E) with
-    g = gamma_pi; chain rule uses dg/dpi_k = pi_k/(g (mc)^2).
-    """
-    E, B = sample.E, sample.B
-    (a, b, d), (da, db, dd) = _coefficients(g, params)
-
-    sB = float(s @ B)
-    piB = float(pi @ B)
-    spi = float(s @ pi)
-    pixE = float(s @ np.cross(pi, E))
-
-    dg_dpi = pi / (g * params.mc ** 2)
-    dH_dpi = (
-        (-da * sB + db * piB * spi + dd * pixE) * dg_dpi
-        + b * (B * spi + piB * s)
-        + d * np.cross(E, s)
-    )
-    # explicit field gradients, columns grad[:, j] = d(field)/dx_j
-    dH_dx = (
-        -a * (s @ sample.grad_B)
-        + b * spi * (pi @ sample.grad_B)
-        + d * (np.cross(pi, sample.grad_E.T) @ s)
-    )
-    return dH_dpi, dH_dx
+def h_total_rows(x, p, s, model, params: ParticleParams) -> np.ndarray:
+    """H at each row of (N, 3) arrays x, p and s, in one array evaluation."""
+    return _h_total_arrays(x.T, p.T, s.T, model, params)
 
 
 def _eom_arrays(x, p, s, model, params):
-    sample = sample_field(model, x)
-    pi = kinematic_momentum(p, sample.A, params)
-    dHs_dpi, dHs_dx = _spin_grad(pi, gamma_pi(pi, params), s, sample, params)
-    dH_dpi = v_pi(pi, params) + dHs_dpi
+    """(dx/dt, dp/dt, ds/dt) in component form."""
+    f, pi, g = _local(x, p, model, params)
+    E, B = f.E, f.B
+    weights, (da, db, dd) = _coefficients(g, params)
+    _, b, d = weights
+    spi, piB = _dot(s, pi), _dot(pi, B)
+    # dH/dpi: the velocity v_pi plus the spin term, whose weights depend
+    # on pi through dg/dpi = pi/(g (mc)^2)
+    dHs_dg = -da * _dot(s, B) + db * piB * spi + dd * _dot(E, _cross(s, pi))
+    dH_dpi = _comb((1.0 / params.m + dHs_dg / params.mc ** 2) / g, pi, b * spi, B, b * piB, s)
+    dH_dpi = _comb(1.0, dH_dpi, d, _cross(E, s))
     # canonical x-gradient: scalar potential, explicit field gradients,
     # and the chain through pi(x) = p - (e/c)A(x)
-    dH_dx = (
-        params.e * sample.grad_phi
-        + dHs_dx
-        - (params.e / params.c) * (sample.jac_A.T @ dH_dpi)
-    )
-    ds = np.cross(s, precession_vector(pi, sample.E, sample.B, params))
-    return dH_dpi, -dH_dx, ds
+    chain = _vecmat(dH_dpi, f.jac_A)
+    dp = _comb(-params.e, f.grad_phi, -1.0, _explicit_gradient(f, pi, s, weights), params.e / params.c, chain)
+    return dH_dpi, dp, _cross(s, _precession(pi, E, B, weights))
 
 
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
     """(dx/dt, dp/dt, ds/dt) of the full Hamilton flow with precession."""
-    return _eom_arrays(state.x, state.p, state.s, model, params)
+    return tuple(map(np.array, _eom_arrays(state.x.tolist(), state.p.tolist(), state.s.tolist(), model, params)))
 
 
 def stern_gerlach_force(x, p, s, model, params: ParticleParams) -> np.ndarray:
@@ -133,9 +152,8 @@ def stern_gerlach_force(x, p, s, model, params: ParticleParams) -> np.ndarray:
     This is the linear-in-field piece; the chain through A(x) inside pi
     is quadratic in the field strength and excluded.
     """
-    sample = sample_field(model, x)
-    pi = kinematic_momentum(p, sample.A, params)
-    return -_spin_grad(pi, gamma_pi(pi, params), s, sample, params)[1]
+    f, pi, g = _local(x, p, model, params)
+    return -np.array(_explicit_gradient(f, pi, s, _coefficients(g, params)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +217,17 @@ class Trajectory:
 # is still accumulated in spin_drift so the integrator stays honest
 SPIN_RENORM_THRESHOLD = 1e-12
 
+# rows per array evaluation of H when a Trajectory is built: one call per
+# block, not per row, with temporaries bounded to the block's size
+H_BLOCK = 1024
+
 
 def _increment(h, weights, ks):
     """h * sum_j w_j k_j over the nonzero weights."""
     return h * sum(w * k for w, k in zip(weights, ks) if w)
 
 
-def integrate(
-    state0: PhaseState,
-    model,
-    params: ParticleParams,
-    spec: IntegratorSpec,
-    T: float,
-) -> Trajectory:
+def integrate(state0: PhaseState, model, params: ParticleParams, spec: IntegratorSpec, T: float) -> Trajectory:
     """Integrate Hamilton's flow for duration T, recording conservation data.
 
     One explicit Runge-Kutta stepper serves every method in TABLEAUX. A
@@ -231,7 +247,9 @@ def integrate(
     h = T / n if fixed else min(spec.step, T)
 
     def rhs(y):
-        return np.concatenate(_eom_arrays(y[0:3], y[3:6], y[6:9], model, params))
+        v = y.tolist()
+        dx, dp, ds = _eom_arrays(v[0:3], v[3:6], v[6:9], model, params)
+        return np.array(dx + dp + ds)
 
     # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
     # accepts at most max_steps steps, and doubles the buffers if it needs
@@ -244,9 +262,8 @@ def integrate(
     s0_mag = float(np.linalg.norm(state0.s))
 
     def trajectory():
-        hs = np.empty(rows)
-        for i in range(rows):
-            hs[i] = _h_total_arrays(ys[i, 0:3], ys[i, 3:6], ys[i, 6:9], model, params)
+        blocks = (ys[i : min(i + H_BLOCK, rows)] for i in range(0, rows, H_BLOCK))
+        hs = np.concatenate([h_total_rows(b[:, 0:3], b[:, 3:6], b[:, 6:9], model, params) for b in blocks])
         s = ys[:rows, 6:9]
         return Trajectory(ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows])
 
@@ -288,10 +305,7 @@ def integrate(
 
 
 def bmt_consistency_residual(
-    traj: Trajectory,
-    model,
-    params: ParticleParams,
-    include_gradient_force: bool = True,
+    traj: Trajectory, model, params: ParticleParams, include_gradient_force: bool = True
 ) -> float:
     """Max deviation between the numerical dS/dtau and the covariant RHS.
 
@@ -309,23 +323,18 @@ def bmt_consistency_residual(
     if np.abs(dts - dt).max() > 1e-9 * abs(dt):
         raise DiagnosticError("stencil differentiation needs a uniform time grid")
 
-    S = np.empty((n, 4))
-    rhs = np.empty((n, 4))
-    gammas = np.empty(n)
-    for i in range(n):
-        s = traj.s[i]
-        sample = sample_field(model, traj.x[i])
-        pi = kinematic_momentum(traj.p[i], sample.A, params)
-        g = gamma_pi(pi, params)
-        gammas[i] = g
-        S[i] = spin_four_vector_lab(s, pi, params)
-        U = four_velocity(pi, params)
-        if include_gradient_force:
-            f3 = -g * _spin_grad(pi, g, s, sample, params)[1]
-            f = np.concatenate([[f3 @ v_pi(pi, params) / params.c], f3])
-        else:
-            f = np.zeros(4)
-        rhs[i] = bmt_rhs(S[i], U, field_tensor(sample.E, sample.B), f, params)
+    # fields, pi, gamma_pi and the gradient 4-force at every row at once
+    f, pi_c, gammas = _local(traj.x.T, traj.p.T, model, params)
+    E, B, pi = (to_array(v, (n,)) for v in (f.E, f.B, pi_c))
+    f4 = np.zeros((n, 4))
+    if include_gradient_force:
+        grad = _explicit_gradient(f, pi_c, traj.s.T, _coefficients(gammas, params)[0])
+        f4[:, 1:] = -gammas[:, None] * to_array(grad, (n,))
+        f4[:, 0] = np.einsum("ij,ij->i", f4[:, 1:], pi) / (gammas * params.m * params.c)
+    S = np.array([spin_four_vector_lab(s, p, params) for s, p in zip(traj.s, pi)])
+    rhs = np.array(
+        [bmt_rhs(S[i], four_velocity(pi[i], params), field_tensor(E[i], B[i]), f4[i], params) for i in range(n)]
+    )
 
     # five-point interior stencil, then dS/dtau = gamma * dS/dt
     idx = np.arange(2, n - 2)
@@ -335,18 +344,10 @@ def bmt_consistency_residual(
 
 
 # ---------------------------------------------------------------------------
-# Boost covariance of the precession vector
+# Boost covariance of the precession vector; pi, s, E, B and beta are 3-vectors
 
 
-def boosted_precession_pair(
-    pi: np.ndarray,
-    s: np.ndarray,
-    E: np.ndarray,
-    B: np.ndarray,
-    beta: np.ndarray,
-    params: ParticleParams,
-    drop_spin_energy: bool = True,
-):
+def boosted_precession_pair(pi, s, E, B, beta, params: ParticleParams, drop_spin_energy: bool = True):
     """(gamma * F_pi(pi, E, B), F_pi(pi', E', B')) under the boost rules.
 
     The momentum rule boosts (kinetic energy / c, pi) as a 4-vector. With
@@ -371,14 +372,7 @@ def boosted_precession_pair(
     return g * precession_vector(pi, E, B, params), precession_vector(pip, Ep, Bp, params)
 
 
-def rest_frame_covariance_residual(
-    pi: np.ndarray,
-    s: np.ndarray,
-    E: np.ndarray,
-    B: np.ndarray,
-    params: ParticleParams,
-    drop_spin_energy: bool = False,
-) -> float:
+def rest_frame_covariance_residual(pi, s, E, B, params: ParticleParams, drop_spin_energy: bool = False) -> float:
     """Covariance defect for the boost into the instantaneous rest frame.
 
     For a chargeless particle the boosted precession vector matches
@@ -390,15 +384,7 @@ def rest_frame_covariance_residual(
     return float(np.abs(lhs - rhs).max())
 
 
-def covariance_scaling(
-    pi: np.ndarray,
-    s: np.ndarray,
-    E: np.ndarray,
-    B: np.ndarray,
-    params: ParticleParams,
-    lambdas,
-    drop_spin_energy: bool = False,
-):
+def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas, drop_spin_energy: bool = False):
     """Residual-vs-amplitude scan of the rest-frame covariance defect.
 
     Returns (residuals, slope) with slope fit on log-log axes. Keeping

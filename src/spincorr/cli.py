@@ -12,7 +12,9 @@ Result files are deterministic for the same config, seed and BLAS thread
 count: results.json is byte-identical across such reruns (the lattice
 checks' eigensolver values move in the last digits with the thread
 count); the timestamp and wall time live in a separate meta.json so they
-cannot perturb the record.
+cannot perturb the record. meta.json also records the numpy version and
+the BLAS/OpenMP thread-count variables ("unset" where a variable is not
+set), so a run can be matched with the thread count it ran under.
 """
 
 from __future__ import annotations
@@ -21,10 +23,13 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .checks import CHECK_INFO, run_checks
 from .classical import integrate
@@ -34,6 +39,10 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+
+# BLAS/OpenMP thread-count variables; the lattice checks' eigensolver
+# values move in the last digits with the thread count
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +177,8 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
+        "numpy": np.__version__,
+        "threads": {var: os.environ.get(var, "unset") for var in THREAD_VARS},
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (out_dir / "report.txt").write_text(render_report(record))

@@ -3,23 +3,39 @@
 Every model returns potentials, fields and all first spatial derivatives
 in closed form; nothing is differentiated numerically. Jacobians use the
 convention jac[i, j] = d(component i)/d(x_j).
+
+A model has one implementation, `components(x, y, z)`. It returns a
+FieldSample in component form: a vector is a 3-tuple and a Jacobian a
+3-tuple of rows. Each component is a float at one point, or an array of
+shape (N,) when x, y, z are arrays of N points, so the same arithmetic
+serves one particle and an ensemble. `sample_field` packs it into arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-_ZERO3 = np.zeros(3)
-_ZERO33 = np.zeros((3, 3))
+# the zero vector and Jacobian; Superposition skips adding them
+ZERO3 = (0.0, 0.0, 0.0)
+ZERO33 = (ZERO3, ZERO3, ZERO3)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Potentials, fields and first derivatives at one point.
+def math_of(u):
+    """The module whose sqrt/sin/cos fit u: numpy for an array, math for a float."""
+    return np if isinstance(u, np.ndarray) else math
 
-    Static fields only, so E = -grad(phi) and B = curl(A) exactly.
+
+class FieldSample(NamedTuple):
+    """Potentials, fields and first derivatives.
+
+    Static fields only, so E = -grad(phi) and B = curl(A) exactly. From
+    `sample_field` the vectors are arrays of shape (3,) and Jacobians
+    (3, 3) at one point, with a leading axis of length N at N points;
+    from a model's `components` they are tuples of components.
     """
 
     phi: float
@@ -32,33 +48,34 @@ class FieldSample:
     grad_B: np.ndarray
 
     @property
-    def div_E(self) -> float:
-        return float(np.trace(self.grad_E))
+    def div_E(self):
+        return np.trace(self.grad_E, axis1=-2, axis2=-1)
 
     @property
-    def div_B(self) -> float:
-        return float(np.trace(self.grad_B))
+    def div_B(self):
+        return np.trace(self.grad_B, axis1=-2, axis2=-1)
 
     @property
     def curl_B(self) -> np.ndarray:
         g = self.grad_B
-        return np.array([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
+        return np.stack([g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]], axis=-1)
 
     @staticmethod
     def zero() -> "FieldSample":
-        return FieldSample(0.0, _ZERO3, _ZERO3, _ZERO3, _ZERO3, _ZERO33, _ZERO33, _ZERO33)
+        return FieldSample(0.0, ZERO3, ZERO3, ZERO3, ZERO3, ZERO33, ZERO33, ZERO33)
 
     def __add__(self, other: "FieldSample") -> "FieldSample":
-        return FieldSample(
-            self.phi + other.phi,
-            self.A + other.A,
-            self.E + other.E,
-            self.B + other.B,
-            self.grad_phi + other.grad_phi,
-            self.jac_A + other.jac_A,
-            self.grad_E + other.grad_E,
-            self.grad_B + other.grad_B,
-        )
+        """Field-by-field sum (not tuple concatenation)."""
+        return FieldSample(*map(_add, self, other))
+
+
+def _add(u, v):
+    """u + v for numbers, arrays or nested tuples of them; adding zero is skipped."""
+    if u is ZERO3 or u is ZERO33:
+        return v
+    if v is ZERO3 or v is ZERO33:
+        return u
+    return tuple(map(_add, u, v)) if isinstance(u, tuple) else u + v
 
 
 @dataclass(frozen=True)
@@ -72,19 +89,16 @@ class Uniform:
     E0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     B0: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    def sample(self, x: np.ndarray) -> FieldSample:
-        E0 = np.asarray(self.E0, dtype=float)
-        B0 = np.asarray(self.B0, dtype=float)
-        phi = -float(E0 @ x)
-        A = np.array([B0[1] * x[2] - B0[2] * x[1], 0.0, B0[0] * x[1]])
-        jac_A = np.array(
-            [
-                [0.0, -B0[2], B0[1]],
-                [0.0, 0.0, 0.0],
-                [0.0, B0[0], 0.0],
-            ]
-        )
-        return FieldSample(phi, A, E0.copy(), B0.copy(), -E0, jac_A, _ZERO33, _ZERO33)
+    def __post_init__(self):
+        object.__setattr__(self, "_E", tuple(np.asarray(self.E0, dtype=float).tolist()))
+        object.__setattr__(self, "_B", tuple(np.asarray(self.B0, dtype=float).tolist()))
+
+    def components(self, x, y, z) -> FieldSample:
+        (Ex, Ey, Ez), (Bx, By, Bz) = E, B = self._E, self._B
+        phi = -(Ex * x + Ey * y + Ez * z)
+        A = (By * z - Bz * y, 0.0, Bx * y)
+        jac_A = ((0.0, -Bz, By), ZERO3, (0.0, Bx, 0.0))
+        return FieldSample(phi, A, E, B, (-Ex, -Ey, -Ez), jac_A, ZERO33, ZERO33)
 
 
 @dataclass(frozen=True)
@@ -99,26 +113,14 @@ class SternGerlach:
     B0: float = 1.0
     b: float = 0.1
 
-    def sample(self, x: np.ndarray) -> FieldSample:
-        B0, b = self.B0, self.b
-        Bz = B0 + b * x[2]
-        B = np.array([-0.5 * b * x[0], -0.5 * b * x[1], Bz])
-        grad_B = np.array(
-            [
-                [-0.5 * b, 0.0, 0.0],
-                [0.0, -0.5 * b, 0.0],
-                [0.0, 0.0, b],
-            ]
-        )
-        A = np.array([-0.5 * x[1] * Bz, 0.5 * x[0] * Bz, 0.0])
-        jac_A = np.array(
-            [
-                [0.0, -0.5 * Bz, -0.5 * x[1] * b],
-                [0.5 * Bz, 0.0, 0.5 * x[0] * b],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-        return FieldSample(0.0, A, _ZERO3, B, _ZERO3, jac_A, _ZERO33, grad_B)
+    def components(self, x, y, z) -> FieldSample:
+        b = self.b
+        Bz = self.B0 + b * z
+        B = (-0.5 * b * x, -0.5 * b * y, Bz)
+        grad_B = ((-0.5 * b, 0.0, 0.0), (0.0, -0.5 * b, 0.0), (0.0, 0.0, b))
+        A = (-0.5 * y * Bz, 0.5 * x * Bz, 0.0)
+        jac_A = ((0.0, -0.5 * Bz, -0.5 * y * b), (0.5 * Bz, 0.0, 0.5 * x * b), ZERO3)
+        return FieldSample(0.0, A, ZERO3, B, ZERO3, jac_A, ZERO33, grad_B)
 
 
 @dataclass(frozen=True)
@@ -128,15 +130,12 @@ class SinusoidalElectrostatic:
     lam: float = 1.0
     L: float = 1.0
 
-    def sample(self, x: np.ndarray) -> FieldSample:
-        k = 2.0 * np.pi / self.L
-        s, c = np.sin(k * x[0]), np.cos(k * x[0])
-        phi = self.lam / k * c
-        E = np.array([self.lam * s, 0.0, 0.0])
-        grad_phi = np.array([-self.lam * s, 0.0, 0.0])
-        grad_E = np.zeros((3, 3))
-        grad_E[0, 0] = self.lam * k * c
-        return FieldSample(phi, _ZERO3, E, _ZERO3, grad_phi, _ZERO33, grad_E, _ZERO33)
+    def components(self, x, y, z) -> FieldSample:
+        k, lam = 2.0 * math.pi / self.L, self.lam
+        lib = math_of(x)
+        s, c = lib.sin(k * x), lib.cos(k * x)
+        grad_E = ((lam * k * c, 0.0, 0.0), ZERO3, ZERO3)
+        return FieldSample(lam / k * c, ZERO3, (lam * s, 0.0, 0.0), ZERO3, (-lam * s, 0.0, 0.0), ZERO33, grad_E, ZERO33)
 
 
 @dataclass(frozen=True)
@@ -146,16 +145,13 @@ class SinusoidalMagnetostatic:
     lam: float = 1.0
     L: float = 1.0
 
-    def sample(self, x: np.ndarray) -> FieldSample:
-        k = 2.0 * np.pi / self.L
-        s, c = np.sin(k * x[0]), np.cos(k * x[0])
-        A = np.array([0.0, self.lam / k * s, 0.0])
-        jac_A = np.zeros((3, 3))
-        jac_A[1, 0] = self.lam * c
-        B = np.array([0.0, 0.0, self.lam * c])
-        grad_B = np.zeros((3, 3))
-        grad_B[2, 0] = -self.lam * k * s
-        return FieldSample(0.0, A, _ZERO3, B, _ZERO3, jac_A, _ZERO33, grad_B)
+    def components(self, x, y, z) -> FieldSample:
+        k, lam = 2.0 * math.pi / self.L, self.lam
+        lib = math_of(x)
+        s, c = lib.sin(k * x), lib.cos(k * x)
+        jac_A = (ZERO3, (lam * c, 0.0, 0.0), ZERO3)
+        grad_B = (ZERO3, ZERO3, (-lam * k * s, 0.0, 0.0))
+        return FieldSample(0.0, (0.0, lam / k * s, 0.0), ZERO3, (0.0, 0.0, lam * c), ZERO3, jac_A, ZERO33, grad_B)
 
 
 @dataclass(frozen=True)
@@ -165,13 +161,31 @@ class Superposition:
     def __init__(self, *models):
         object.__setattr__(self, "models", tuple(models))
 
-    def sample(self, x: np.ndarray) -> FieldSample:
-        total = FieldSample.zero()
-        for model in self.models:
-            total = total + model.sample(x)
-        return total
+    def components(self, x, y, z) -> FieldSample:
+        return sum((model.components(x, y, z) for model in self.models), FieldSample.zero())
+
+
+def to_array(v, shape=()) -> np.ndarray:
+    """Components (a number, an array or nested tuples of them) as one array.
+
+    Each component is broadcast to `shape`; the tuple axes follow it, so
+    a vector at N points has shape (N, 3) and a Jacobian (N, 3, 3).
+    """
+    if not shape:
+        return np.array(v, dtype=float)
+    if isinstance(v, tuple):
+        return np.stack([to_array(c, shape) for c in v], axis=len(shape))
+    return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
 def sample_field(model, x: np.ndarray) -> FieldSample:
-    """Evaluate a field model at position x (all derivatives analytic)."""
-    return model.sample(np.asarray(x, dtype=float))
+    """Evaluate a field model at position x (all derivatives analytic).
+
+    x of shape (3,) gives (3,) vectors and (3, 3) Jacobians; x of shape
+    (N, 3) samples each row and gives (N, 3) and (N, 3, 3).
+    """
+    x = np.asarray(x, dtype=float)
+    f = model.components(*(x.tolist() if x.ndim == 1 else x.T))
+    shape = x.shape[:-1]
+    phi = to_array(f.phi, shape).copy() if shape else float(f.phi)
+    return FieldSample(phi, *(to_array(v, shape) for v in f[1:]))

@@ -115,6 +115,20 @@ class TestCliDispatch:
         assert record["pass"] is True
         assert [c["name"] for c in record["checks"]] == ["boost_covariance"]
 
+    def test_meta_records_numpy_and_thread_variables(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from spincorr.cli import THREAD_VARS
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert main(["boost", "--out", str(tmp_path), "--seed", "11"]) == 0
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["numpy"] == np.__version__
+        assert set(meta["threads"]) == set(THREAD_VARS)
+        assert meta["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert meta["threads"]["OMP_NUM_THREADS"] == "unset"
+
     def test_config_error_exit_code(self, capsys):
         assert main(["simulate", "--config", "/no/such/file"]) == 2
         assert "config error" in capsys.readouterr().err
