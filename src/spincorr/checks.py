@@ -29,6 +29,8 @@ from . import qfw
 
 DEFAULT_SEED = 20260814
 DEFAULT_LAMBDAS = (1e-2, 1e-3, 1e-4)
+# leading terms of a nonzero exact residual written to a failing check's detail
+RESIDUAL_TERMS_SHOWN = 5
 
 # canonical particle: anomalous charged dipole used by the orbit checks
 CANONICAL = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
@@ -220,18 +222,27 @@ def check_gradient_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_case_equality(order: int = 8) -> CheckResult:
+    """Series equals closed form in both cases; detail holds each case's work counters.
+
+    A failing case also gets its leading residual terms as text.
+    """
     from .opalg.identities import case_algebra, verify_case
+    from .opalg.printing import expr_to_text, leading_terms
 
     residual_terms = {}
+    detail = {"order": order}
     ok_all = True
     for case in ("I", "II"):
         alg = case_algebra(case)
         ok, residual = verify_case(case, order, alg)
         ok_all = ok_all and ok
-        residual_terms[f"case_{case.lower()}_residual_terms"] = len(residual.terms)
-    return CheckResult(
-        "case_equality", residual_terms, 0, ok_all, detail={"order": order}
-    )
+        tag = f"case_{case.lower()}"
+        residual_terms[f"{tag}_residual_terms"] = len(residual.terms)
+        detail[f"{tag}_dropped_derivatives"] = alg.dropped_derivatives
+        detail[f"{tag}_memo_words"] = alg.memo_words
+        if not ok:
+            detail[f"{tag}_leading_residual"] = expr_to_text(leading_terms(residual, RESIDUAL_TERMS_SHOWN))
+    return CheckResult("case_equality", residual_terms, 0, ok_all, detail=detail)
 
 
 def check_ordering_identity(seed: int = DEFAULT_SEED) -> CheckResult:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import ZERO3, ZERO33, math_of, to_array
 from .kinematics import PhaseState, gamma_pi, v_pi
-from .lorentz import bmt_rhs, boost_fields, field_tensor, four_velocity, spin_four_vector_lab
+from .lorentz import bmt_rhs, boost_fields, field_tensor
 from .params import ParticleParams
 
 
@@ -304,6 +304,20 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
 # Covariant consistency diagnostic
 
 
+def _four_vectors(pi, gammas, s, params: ParticleParams):
+    """Lab spin 4-vectors S and 4-velocities U of N rows, from (N, 3) pi and s and (N,) gamma_pi.
+
+    Row by row the same as lorentz.spin_four_vector_lab and four_velocity,
+    which evaluate gamma_pi again for every row.
+    """
+    g = gammas[:, None]
+    beta = pi / (g * params.m) / params.c
+    bs = np.einsum("ij,ij->i", beta, s)[:, None]
+    S = np.concatenate([g * bs, s + (g ** 2 / (g + 1.0)) * bs * beta], axis=1)
+    U = np.concatenate([g * params.c, pi / params.m], axis=1)
+    return S, U
+
+
 def bmt_consistency_residual(
     traj: Trajectory, model, params: ParticleParams, include_gradient_force: bool = True
 ) -> float:
@@ -331,10 +345,9 @@ def bmt_consistency_residual(
         grad = _explicit_gradient(f, pi_c, traj.s.T, _coefficients(gammas, params)[0])
         f4[:, 1:] = -gammas[:, None] * to_array(grad, (n,))
         f4[:, 0] = np.einsum("ij,ij->i", f4[:, 1:], pi) / (gammas * params.m * params.c)
-    S = np.array([spin_four_vector_lab(s, p, params) for s, p in zip(traj.s, pi)])
-    rhs = np.array(
-        [bmt_rhs(S[i], four_velocity(pi[i], params), field_tensor(E[i], B[i]), f4[i], params) for i in range(n)]
-    )
+    S, U = _four_vectors(pi, gammas, traj.s, params)
+    # per row, because bmt_rhs enforces the constraint U.S = 0 on each state
+    rhs = np.array([bmt_rhs(S[i], U[i], field_tensor(E[i], B[i]), f4[i], params) for i in range(n)])
 
     # five-point interior stencil, then dS/dtau = gamma * dS/dt
     idx = np.arange(2, n - 2)

@@ -30,7 +30,7 @@ from .identities import (
     verify_matchup,
     weyl_order,
 )
-from .printing import expr_to_records, expr_to_text
+from .printing import expr_to_records, expr_to_text, leading_terms
 from .shadow import ShadowRep, shadow_equal, shadow_is_zero
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "expr_sum",
     "expr_to_records",
     "expr_to_text",
+    "leading_terms",
     "matchup_report",
     "omega_base",
     "omega_power",

@@ -15,13 +15,18 @@ Pauli triples: beta = rho_3, the block-off-diagonal vector alpha_i =
 rho_1 sigma_i, and the block-diagonal spin vector rho_0 sigma_i. It
 commutes with every word symbol.
 
-All coefficients are Fraction; no floating point enters anywhere.
+Expression coefficients are Fraction. Normal ordering is direct: the
+multiset Leibniz rule moves a field symbol to the front in one step, and
+field-free words are sorted with their magnetic commutator words summed
+in closed form. The word tables and products work on integer numerators.
+No floating point enters anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterable, Mapping
 
 Units = tuple[int, int, int, int, int]  # powers of (hbar, c, m, e, mu')
@@ -102,8 +107,27 @@ def _trace_b_replacements(sym: tuple) -> tuple:
     return tuple(("B", c, tuple(sorted(rest + [c]))) for c in (1, 2))
 
 
+def _front(sym: tuple, tail: tuple) -> tuple:
+    """Word-table entries of the field sym in front of a sorted momentum tail."""
+    if _is_trace_b(sym):
+        # div B = 0 identically: the Jacobi identity of the pi's
+        # demands it, and associativity of the rewriting with it.
+        # The redundant component d3(..)B3 is eliminated.
+        return tuple(((rep,) + tail, -1, 0, ZERO_UNITS) for rep in _trace_b_replacements(sym))
+    return (((sym,) + tail, 1, 0, ZERO_UNITS),)
+
+
 def word_field_count(word: tuple) -> int:
-    return sum(1 for sym in word if is_field(sym))
+    return sum(1 for sym in word if sym[0] != PI)
+
+
+def _pi_run(counts) -> tuple:
+    """The sorted momentum word pi_1^n1 pi_2^n2 pi_3^n3."""
+    return ((PI, 1),) * counts[1] + ((PI, 2),) * counts[2] + ((PI, 3),) * counts[3]
+
+
+def _add_units(u: Units, v: Units) -> Units:
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3], u[4] + v[4])
 
 
 Key = tuple  # (word, spin, units, ipow)
@@ -118,14 +142,7 @@ class OpExpr:
         self.terms = dict(terms) if terms else {}
 
     def __add__(self, other: "OpExpr") -> "OpExpr":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return OpExpr(out)
+        return expr_sum((self, other))
 
     def __sub__(self, other: "OpExpr") -> "OpExpr":
         return self + other.scale(Fraction(-1))
@@ -134,14 +151,13 @@ class OpExpr:
         return self.scale(Fraction(-1))
 
     def scale(self, q: Fraction, units: Units = ZERO_UNITS, ipow: int = 0) -> "OpExpr":
-        if not q:
-            return OpExpr()
+        q = Fraction(q)
+        den, terms = _integer_terms(self)
         out = {}
-        for (word, spin, u, ip), c in self.terms.items():
-            ip2, sg = _fold_i(ip + ipow)
-            u2 = tuple(x + y for x, y in zip(u, units))
-            out[(word, spin, u2, ip2)] = c * q * sg
-        return OpExpr(out)
+        for (word, spin, u, ip), n in terms:
+            p = ip + ipow
+            out[(word, spin, _add_units(u, units), p & 1)] = (-n if p & 2 else n) * q.numerator
+        return _fraction_expr(out, den * q.denominator)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -171,16 +187,34 @@ class OpExpr:
         return OpExpr(out)
 
 
-def expr_sum(exprs: Iterable[OpExpr]) -> OpExpr:
+def _integer_terms(expr: OpExpr) -> tuple[int, list]:
+    """(common denominator d, [(key, numerator)]) with coefficient = numerator / d."""
+    den = lcm(*(c.denominator for c in expr.terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in expr.terms.items()]
+
+
+def _fraction_expr(numerators: dict, den: int) -> OpExpr:
+    """numerator / den per key, one Fraction per distinct numerator."""
+    coeffs: dict = {}
     out = {}
-    for e in exprs:
-        for k, v in e.terms.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+    for k, n in numerators.items():
+        if n:
+            c = coeffs.get(n)
+            if c is None:
+                c = coeffs[n] = Fraction(n, den)
+            out[k] = c
     return OpExpr(out)
+
+
+def expr_sum(exprs: Iterable[OpExpr]) -> OpExpr:
+    """Sum on integer numerators over the common denominator of all terms."""
+    exprs = list(exprs)
+    den = lcm(*(c.denominator for e in exprs for c in e.terms.values()))
+    out: dict = {}
+    for e in exprs:
+        for k, c in e.terms.items():
+            out[k] = out.get(k, 0) + c.numerator * (den // c.denominator)
+    return _fraction_expr(out, den)
 
 
 @dataclass
@@ -200,6 +234,11 @@ class Algebra:
     dropped_derivatives: int = 0
     _word_memo: dict = dc_field(default_factory=dict)
     _pi_even_memo: dict = dc_field(default_factory=dict)
+
+    @property
+    def memo_words(self) -> int:
+        """Words in the normal-form memo: the canonicalizer's work count."""
+        return len(self._word_memo)
 
     # -- expression constructors -------------------------------------------
 
@@ -249,14 +288,24 @@ class Algebra:
 
     # -- canonicalization ---------------------------------------------------
 
-    def _canon_word(self, word: tuple) -> dict:
+    def _canon_word(self, word: tuple) -> tuple:
         """Normal form of a single word.
 
-        Returns {word': (coeff, ipow, units-delta)} with the field symbol
-        (if any) leftmost and the momentum tail sorted by component. The
-        memo stores the number of derivative truncations incurred so the
+        Returns a tuple of (word', coeff, ipow, units-delta) entries with
+        an integer coeff and ipow in {0, 1}: the field symbol (if any)
+        leftmost and the momentum tail sorted by component. The memo
+        stores the number of derivative truncations incurred so the
         counter stays honest on cache hits.
         """
+        if word and word[0][0] != PI:
+            # Field in front: the momenta behind it commute (a commutator
+            # would add a second field), so sorting them is the whole normal
+            # form and the word is not memoised. Field symbols ('B', 'E')
+            # sort before momenta ('pi'), so a second field would come first.
+            tail = tuple(sorted(word[1:]))
+            if tail and tail[0][0] != PI:
+                return ()  # quadratic in the field: truncated away
+            return _front(word[0], tail)
         cached = self._word_memo.get(word)
         if cached is not None:
             result, drops = cached
@@ -267,111 +316,135 @@ class Algebra:
         self._word_memo[word] = (result, self.dropped_derivatives - before)
         return result
 
-    def _merge(self, acc: dict, word: tuple, coeff: Fraction, ipow: int, units: Units):
-        ip, sg = _fold_i(ipow)
-        key = (word, ip, units)
-        s = acc.get(key, Fraction(0)) + coeff * sg
-        if s:
-            acc[key] = s
+    def _canon_word_uncached(self, word: tuple) -> tuple:
+        """Normal form of a field-free word, or of one with a momentum left of its field."""
+        counts = [0, 0, 0, 0]  # pi_1..pi_3 at indices 1..3
+        field = left = None
+        for sym in word:
+            if sym[0] == PI:
+                counts[sym[1]] += 1
+            elif field is None:
+                field, left = sym, counts[:]
+            else:
+                return ()  # quadratic in the field: truncated away
+        if field is None:
+            if self.charged and not self.loose:
+                return self._sort_charged(word, counts)
+            # momenta commute: the normal form is the sorted word
+            return ((_pi_run(counts), 1, 0, ZERO_UNITS),)
+        return tuple(
+            (w, c, g & 1, (g, 0, 0, 0, 0)) for w, c, g in self._leibniz(left, field, counts)
+        )
+
+    def _leibniz(self, left: list, sym: tuple, total: list) -> list:
+        """Normal form of (momenta `left`) F (the other momenta of `total`).
+
+        left and total count pi_1..pi_3 at indices 1..3. Pulling F through
+        the left momenta, pi_j F = F pi_j - i hbar d_j F, gives the multiset
+        Leibniz rule
+
+            sum_g prod_j C(k_j, g_j) (-i hbar)^|g| (d^g F) pi^(total - g)
+
+        truncated at |g| <= room, the derivative slots F has left. Returns
+        (word, coeff, |g|) with the i-power and sign of (-i)^|g| folded
+        into coeff. The truncated terms are the C(k, room + 1) single-step
+        drops that one-swap-at-a-time rewriting counts, k = |left|.
+        """
+        base, comp, derivs = sym
+        k1, k2, k3 = left[1], left[2], left[3]
+        if self.loose:
+            room = 0
         else:
-            acc.pop(key, None)
-
-    def _canon_word_uncached(self, word: tuple) -> dict:
-        nf = word_field_count(word)
-        if nf > 1:
-            return {}
-        if nf == 1:
-            pos = next(k for k, sym in enumerate(word) if is_field(sym))
-            if pos > 0:
-                # move the field one slot left: pi_i F = F pi_i - i hbar dF/dx_i
-                i = word[pos - 1][1]
-                base, comp, derivs = word[pos]
-                swapped = word[: pos - 1] + (word[pos], word[pos - 1]) + word[pos + 1 :]
-                acc: dict = {}
-                for w, (c, ip, u) in self._canon_word(swapped).items():
-                    self._merge(acc, w, c, ip, u)
-                if not self.loose:
-                    if len(derivs) < self.max_derivs:
-                        dsym = (base, comp, tuple(sorted(derivs + (i,))))
-                        corr = word[: pos - 1] + (dsym,) + word[pos + 1 :]
-                        for w, (c, ip, u) in self._canon_word(corr).items():
-                            u2 = (u[0] + 1, u[1], u[2], u[3], u[4])
-                            self._merge(acc, w, -c, ip + 1, u2)
+            room = max(self.max_derivs - len(derivs), 0)
+            self.dropped_derivatives += comb(k1 + k2 + k3, room + 1)
+        out = []
+        for g1 in range(min(k1, room) + 1):
+            c1 = comb(k1, g1)
+            for g2 in range(min(k2, room - g1) + 1):
+                c2 = c1 * comb(k2, g2)
+                for g3 in range(min(k3, room - g1 - g2) + 1):
+                    g = g1 + g2 + g3
+                    # (-i)^g = (-1)^g i^g and i^g = (-1)^(g // 2) i^(g % 2)
+                    c = -c2 * comb(k3, g3) if (g + g // 2) & 1 else c2 * comb(k3, g3)
+                    if g:
+                        sym_g = (base, comp, tuple(sorted(derivs + (1,) * g1 + (2,) * g2 + (3,) * g3)))
                     else:
-                        self.dropped_derivatives += 1
-                return {w: (c, ip, u) for (w, ip, u), c in acc.items()}
-            # field at front: momentum tail commutes freely past itself here
-            tail = tuple(sorted(word[1:], key=lambda s: s[1]))
-            sym = word[0]
-            if _is_trace_b(sym):
-                # div B = 0 identically: the Jacobi identity of the pi's
-                # demands it, and associativity of the rewriting with it.
-                # The redundant component d3(..)B3 is eliminated.
-                return {
-                    (rep,) + tail: (Fraction(-1), 0, ZERO_UNITS)
-                    for rep in _trace_b_replacements(sym)
-                }
-            return {(sym,) + tail: (Fraction(1), 0, ZERO_UNITS)}
+                        sym_g = sym
+                    tail = _pi_run((0, total[1] - g1, total[2] - g2, total[3] - g3))
+                    for w, sg, _, _ in _front(sym_g, tail):
+                        out.append((w, c * sg, g))
+        return out
 
-        # field-free word: sort; transpositions cost a field term when charged
-        for k in range(len(word) - 1):
-            i, j = word[k][1], word[k + 1][1]
-            if i > j:
-                swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
-                acc = {}
-                for w, (c, ip, u) in self._canon_word(swapped).items():
-                    self._merge(acc, w, c, ip, u)
-                if self.charged and not self.loose:
-                    # pi_i pi_j = pi_j pi_i + i (hbar e / c) eps_ijk B_k
-                    l = 6 - i - j
-                    corr = word[:k] + (("B", l, ()),) + word[k + 2 :]
-                    sign = eps(i, j, l)
-                    for w, (c, ip, u) in self._canon_word(corr).items():
-                        u2 = (u[0] + 1, u[1] - 1, u[2], u[3] + 1, u[4])
-                        self._merge(acc, w, c * sign, ip + 1, u2)
-                return {w: (c, ip, u) for (w, ip, u), c in acc.items()}
-        return {word: (Fraction(1), 0, ZERO_UNITS)}
+    def _sort_charged(self, word: tuple, total: list) -> tuple:
+        """Normal form of a field-free word with pi_i pi_j = pi_j pi_i + i (hbar e / c) eps_ijk B_k.
+
+        Insertion sort, as rewriting the leftmost descent first does: each
+        momentum pi_j passes the larger ones already placed, rightmost
+        first, and each transposition adds its magnetic word, which the
+        Leibniz rule normalizes. Passing the t-th pi_i from the right
+        leaves left of B the placed momenta below i and all but t of the
+        placed pi_i.
+        """
+        acc: dict = {(_pi_run(total), 0, ZERO_UNITS): 1}
+        placed = [0, 0, 0, 0]
+        for _, j in word:
+            for i in range(3, j, -1):
+                l = 6 - i - j
+                sign = eps(i, j, l)
+                rest = list(total)
+                rest[i] -= 1
+                rest[j] -= 1
+                field = ("B", l, ())
+                left = list(placed)
+                left[i + 1 :] = [0] * (3 - i)
+                for t in range(1, placed[i] + 1):
+                    left[i] = placed[i] - t
+                    for w, c, g in self._leibniz(left, field, rest):
+                        # times i: i^(g % 2 + 1) folds to a sign when g is odd
+                        key = (w, (g + 1) & 1, (g + 1, -1, 0, 1, 0))
+                        acc[key] = acc.get(key, 0) + (-c * sign if g & 1 else c * sign)
+            placed[j] += 1
+        return tuple((w, c, ip, u) for (w, ip, u), c in acc.items() if c)
 
     def canonicalize(self, expr: OpExpr) -> OpExpr:
+        den, terms = _integer_terms(expr)
         out: dict = {}
-        for (word, spin, units, ipow), coeff in expr.terms.items():
-            for w, (c, ip, du) in self._canon_word(word).items():
-                ip2, sg = _fold_i(ipow + ip)
-                u2 = tuple(a + b for a, b in zip(units, du))
-                key = (w, spin, u2, ip2)
-                s = out.get(key, Fraction(0)) + coeff * c * sg
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return OpExpr(out)
+        for (word, spin, units, ipow), n in terms:
+            for w, c, ip, du in self._canon_word(word):
+                p = ipow + ip
+                key = (w, spin, _add_units(units, du), p & 1)
+                out[key] = out.get(key, 0) + (-n * c if p & 2 else n * c)
+        return _fraction_expr(out, den)
 
     # -- products -----------------------------------------------------------
 
     def multiply(self, a: OpExpr, b: OpExpr) -> OpExpr:
+        """Canonical a b, on integer numerators over each operand's common denominator."""
+        den_a, terms_a = _integer_terms(a)
+        den_b, terms_b = _integer_terms(b)
+        # a field word of a pairs only with the field-free words of b:
+        # quadratic terms in the field are truncated away
+        free_b = [(key, n) for key, n in terms_b if not word_field_count(key[0])]
         out: dict = {}
-        for (w1, s1, u1, i1), c1 in a.terms.items():
-            f1 = word_field_count(w1)
-            for (w2, s2, u2, i2), c2 in b.terms.items():
-                if f1 and word_field_count(w2):
-                    continue  # quadratic in the field: truncated away
-                s3, ip_s, sg_s = SPIN_MUL[s1][s2]
-                base_units = tuple(x + y for x, y in zip(u1, u2))
-                cc = c1 * c2 * sg_s
-                for w, (c, ip, du) in self._canon_word(w1 + w2).items():
-                    ip2, sg = _fold_i(i1 + i2 + ip_s + ip)
-                    u = tuple(x + y for x, y in zip(base_units, du))
-                    key = (w, s3, u, ip2)
-                    s = out.get(key, Fraction(0)) + cc * c * sg
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return OpExpr(out)
+        canon = self._canon_word
+        for (w1, s1, u1, i1), n1 in terms_a:
+            spin_row = SPIN_MUL[s1]
+            for (w2, s2, u2, i2), n2 in free_b if word_field_count(w1) else terms_b:
+                s3, ip_s, sg_s = spin_row[s2]
+                base_units = _add_units(u1, u2)
+                base_ip = i1 + i2 + ip_s
+                cc = n1 * n2 * sg_s
+                for w, c, ip, du in canon(w1 + w2):
+                    p = base_ip + ip
+                    key = (w, s3, _add_units(base_units, du), p & 1)
+                    out[key] = out.get(key, 0) + (-cc * c if p & 2 else cc * c)
+        return _fraction_expr(out, den_a * den_b)
 
     def product(self, *factors: OpExpr) -> OpExpr:
-        result = self.one()
-        for f in factors:
+        if len(factors) < 2:
+            return self.canonicalize(factors[0]) if factors else self.one()
+        result = factors[0]
+        for f in factors[1:]:
             result = self.multiply(result, f)
         return result
 

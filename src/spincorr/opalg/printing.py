@@ -42,6 +42,12 @@ def term_sort_key(key: tuple):
     return (len(word), [symbol_name(s) for s in word], spin, units, ipow)
 
 
+def leading_terms(expr: OpExpr, k: int) -> OpExpr:
+    """The first k terms of expr in printing order."""
+    keys = sorted(expr.terms, key=term_sort_key)[:k]
+    return OpExpr({key: expr.terms[key] for key in keys})
+
+
 def expr_to_records(expr: OpExpr) -> list[dict]:
     """Stable list-of-dicts form used by the JSON reports."""
     records = []

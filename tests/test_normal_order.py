@@ -1,0 +1,213 @@
+"""Direct normal ordering against the one-swap-at-a-time rewriting it replaced.
+
+`SwapRewriting` is the earlier canonicalizer of `Algebra`, kept here as the
+slow independent oracle: it moves a field symbol left one momentum at a
+time (pi_i F = F pi_i - i hbar d_i F) and sorts field-free words by single
+transpositions (pi_i pi_j = pi_j pi_i + i (hbar e / c) eps_ijk B_k),
+recursing into and memoising every intermediate word.
+"""
+
+from fractions import Fraction
+from math import comb
+from random import Random
+
+import pytest
+
+from spincorr.opalg import CASE_I, CASE_II, Algebra, case_algebra, verify_case
+from spincorr.opalg.core import (
+    ZERO_UNITS,
+    _fold_i,
+    _is_trace_b,
+    _trace_b_replacements,
+    eps,
+    is_field,
+    word_field_count,
+)
+
+ALGEBRAS = {
+    "charged": lambda: Algebra(charged=True),
+    "neutral": lambda: Algebra(charged=False),
+    "loose": lambda: Algebra(charged=True, loose=True),
+}
+
+
+class SwapRewriting:
+    """Reference normal form {word: (coeff, ipow, units-delta)} by single rewrite steps."""
+
+    def __init__(self, charged: bool, loose: bool, max_derivs: int = 2):
+        self.charged, self.loose, self.max_derivs = charged, loose, max_derivs
+        self.dropped_derivatives = 0
+        self.memo = {}
+
+    def canon(self, word: tuple) -> dict:
+        cached = self.memo.get(word)
+        if cached is not None:
+            result, drops = cached
+            self.dropped_derivatives += drops
+            return result
+        before = self.dropped_derivatives
+        result = self._uncached(word)
+        self.memo[word] = (result, self.dropped_derivatives - before)
+        return result
+
+    @staticmethod
+    def _merge(acc, word, coeff, ipow, units):
+        ip, sg = _fold_i(ipow)
+        key = (word, ip, units)
+        s = acc.get(key, Fraction(0)) + coeff * sg
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+    def _uncached(self, word: tuple) -> dict:
+        nf = word_field_count(word)
+        if nf > 1:
+            return {}
+        if nf == 1:
+            pos = next(k for k, sym in enumerate(word) if is_field(sym))
+            if pos > 0:
+                i = word[pos - 1][1]
+                base, comp, derivs = word[pos]
+                swapped = word[: pos - 1] + (word[pos], word[pos - 1]) + word[pos + 1 :]
+                acc = {}
+                for w, (c, ip, u) in self.canon(swapped).items():
+                    self._merge(acc, w, c, ip, u)
+                if not self.loose:
+                    if len(derivs) < self.max_derivs:
+                        dsym = (base, comp, tuple(sorted(derivs + (i,))))
+                        corr = word[: pos - 1] + (dsym,) + word[pos + 1 :]
+                        for w, (c, ip, u) in self.canon(corr).items():
+                            u2 = (u[0] + 1, u[1], u[2], u[3], u[4])
+                            self._merge(acc, w, -c, ip + 1, u2)
+                    else:
+                        self.dropped_derivatives += 1
+                return {w: (c, ip, u) for (w, ip, u), c in acc.items()}
+            tail = tuple(sorted(word[1:], key=lambda s: s[1]))
+            sym = word[0]
+            if _is_trace_b(sym):
+                return {
+                    (rep,) + tail: (Fraction(-1), 0, ZERO_UNITS)
+                    for rep in _trace_b_replacements(sym)
+                }
+            return {(sym,) + tail: (Fraction(1), 0, ZERO_UNITS)}
+
+        for k in range(len(word) - 1):
+            i, j = word[k][1], word[k + 1][1]
+            if i > j:
+                swapped = word[:k] + (word[k + 1], word[k]) + word[k + 2 :]
+                acc = {}
+                for w, (c, ip, u) in self.canon(swapped).items():
+                    self._merge(acc, w, c, ip, u)
+                if self.charged and not self.loose:
+                    l = 6 - i - j
+                    corr = word[:k] + (("B", l, ()),) + word[k + 2 :]
+                    sign = eps(i, j, l)
+                    for w, (c, ip, u) in self.canon(corr).items():
+                        u2 = (u[0] + 1, u[1] - 1, u[2], u[3] + 1, u[4])
+                        self._merge(acc, w, c * sign, ip + 1, u2)
+                return {w: (c, ip, u) for (w, ip, u), c in acc.items()}
+        return {word: (Fraction(1), 0, ZERO_UNITS)}
+
+
+def as_table(entries: tuple) -> dict:
+    """The word-table entries of Algebra in the reference's dict form."""
+    out = {}
+    for w, c, ip, du in entries:
+        assert isinstance(c, int) and ip in (0, 1)
+        assert w not in out
+        out[w] = (c, ip, du)
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, case",
+    [("charged", CASE_I), ("neutral", CASE_II), ("loose", CASE_I), ("loose", CASE_II)],
+)
+def test_memo_matches_swap_rewriting(kind, case):
+    """Every word normal-ordered at order 4 has the reference's normal form and drop count.
+
+    That covers the memo and the field-in-front words that bypass it.
+    """
+    alg = ALGEBRAS[kind]()
+    seen = {}
+    canon = alg._canon_word
+
+    def recording(word):
+        before = alg.dropped_derivatives
+        entries = canon(word)
+        seen[word] = (entries, alg.dropped_derivatives - before)
+        return entries
+
+    alg._canon_word = recording
+    verify_case(case, 4, alg)
+    assert alg._word_memo and len(seen) > len(alg._word_memo)
+    for word, (entries, drops) in alg._word_memo.items():
+        assert seen[word] == (entries, drops)
+    ref = SwapRewriting(alg.charged, alg.loose)
+    for word, (entries, drops) in seen.items():
+        before = ref.dropped_derivatives
+        assert as_table(entries) == ref.canon(word), word
+        assert drops == ref.dropped_derivatives - before, word
+
+
+def random_one_field_word(rng: Random):
+    """Up to 8 momenta on either side of one E or B symbol with 0-2 derivatives."""
+    left = [("pi", rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+    right = [("pi", rng.randint(1, 3)) for _ in range(rng.randint(0, 8))]
+    derivs = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.4:
+        # d3-carrying B3: the div B replacement applies at once
+        base, comp, derivs = "B", 3, ([3] + derivs)[:2]
+    else:
+        base, comp = rng.choice(["B", "E"]), rng.randint(1, 3)
+    return tuple(left) + ((base, comp, tuple(sorted(derivs))),) + tuple(right), len(left)
+
+
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+def test_one_field_words_leibniz(kind):
+    """canonicalize equals randomly ordered rewriting; C(k, room + 1) truncations are counted."""
+    rng = Random(4242)
+    trace_b_hits = 0
+    for _ in range(60):
+        word, k = random_one_field_word(rng)
+        trace_b_hits += _is_trace_b(word[k])
+        room = ALGEBRAS[kind]().max_derivs - len(word[k][2])
+        want_drops = 0 if kind == "loose" else comb(k, room + 1)
+        raw = ALGEBRAS[kind]().term(
+            word,
+            spin=rng.randrange(16),
+            coeff=Fraction(rng.randint(1, 5), rng.randint(1, 4)),
+            ipow=rng.randint(0, 3),
+        )
+        direct, rewritten = ALGEBRAS[kind](), ALGEBRAS[kind]()
+        got = direct.canonicalize(raw)
+        assert got == rewritten.normalize_random(raw, Random(rng.random())), word
+        assert direct.dropped_derivatives == want_drops, word
+        assert rewritten.dropped_derivatives == want_drops, word
+    assert trace_b_hits >= 10
+
+
+@pytest.mark.parametrize(
+    "case, order, drops",
+    [(CASE_I, 4, 2952), (CASE_II, 4, 6612), (CASE_I, 6, 69984), (CASE_II, 6, 86412)],
+)
+def test_dropped_derivatives_pinned(case, order, drops):
+    """The truncation count of the one-swap rewriting, kept exactly."""
+    alg = case_algebra(case)
+    ok, _ = verify_case(case, order, alg)
+    assert ok
+    assert alg.dropped_derivatives == drops
+
+
+def test_product_folds_from_first_factor():
+    """Same result as folding from the identity, one multiply pass fewer."""
+    alg = Algebra(charged=True)
+    factors = (alg.pi(2), alg.field("B", 3, (1,)), alg.pi(1), alg.pi(3))
+    from_one = alg.one()
+    for f in factors:
+        from_one = alg.multiply(from_one, f)
+    assert alg.product(*factors) == from_one
+    assert alg.product() == alg.one()
+    raw = alg.term((("pi", 2), ("pi", 1)))
+    assert alg.product(raw) == alg.canonicalize(raw) != raw

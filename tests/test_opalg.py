@@ -33,7 +33,10 @@ from spincorr.opalg import (
     verify_matchup,
     weyl_order,
 )
+from spincorr.checks import check_case_equality
+from spincorr.opalg import identities
 from spincorr.opalg.core import SPIN_MUL, _fold_i
+from spincorr.opalg.printing import leading_terms, term_sort_key
 from spincorr.opalg.shadow import G_ZERO, g_add, g_mul, spin_matrices
 
 HBAR_E_C = (1, -1, 0, 1, 0)  # units tuple of hbar e / c
@@ -485,3 +488,38 @@ class TestPrinting:
         recs = expr_to_records(alg.multiply(alg.pi(1), alg.field("B", 2)))
         assert all(set(r) == {"coeff", "i_power", "units", "word", "spin"} for r in recs)
         assert recs == expr_to_records(alg.multiply(alg.pi(1), alg.field("B", 2)))
+
+
+class TestCaseEqualityReport:
+    def test_work_counters_in_detail(self):
+        r = check_case_equality(order=3)
+        assert r.passed
+        for case in (CASE_I, CASE_II):
+            alg = case_algebra(case)
+            verify_case(case, 3, alg)
+            tag = f"case_{case.lower()}"
+            assert r.detail[f"{tag}_dropped_derivatives"] == alg.dropped_derivatives
+            assert r.detail[f"{tag}_memo_words"] == alg.memo_words == len(alg._word_memo)
+            assert f"{tag}_leading_residual" not in r.detail
+
+    def test_failing_case_reports_leading_residual(self, monkeypatch):
+        """One changed coefficient (case I) and a doubled closed form (case II)."""
+        claimed = identities.claimed_expansion
+        key = min(claimed(CASE_I, 2).terms, key=term_sort_key)
+
+        def wrong_claim(case, N, alg=None):
+            good = claimed(case, N, alg)
+            if case == CASE_II:
+                return good.scale(Fraction(2))
+            return good + OpExpr({key: Fraction(1, 3)})
+
+        monkeypatch.setattr(identities, "claimed_expansion", wrong_claim)
+        r = check_case_equality(order=2)
+        assert not r.passed
+        assert r.value["case_i_residual_terms"] == 1
+        assert r.detail["case_i_leading_residual"] == expr_to_text(OpExpr({key: Fraction(-1, 3)}))
+        text_ii = r.detail["case_ii_leading_residual"]
+        assert r.value["case_ii_residual_terms"] > 5
+        assert text_ii.count("  +  ") == 4
+        residual_ii = claimed(CASE_II, 2).scale(Fraction(-1))
+        assert text_ii == expr_to_text(leading_terms(residual_ii, 5))
