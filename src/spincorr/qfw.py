@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,15 +142,20 @@ class LatticeHamiltonian:
         return self.matrix[:half, :half]
 
 
+def _dagger(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(M: np.ndarray) -> float:
-    return float(np.abs(M - M.conj().T).max())
+    return float(np.abs(M - _dagger(M)).max())
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
     defect = hermiticity_defect(M)
     if defect > HERMITICITY_TOL:
         raise ConfigurationError(f"constructed matrix is not Hermitian ({defect:.2e})")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _dagger(M))
 
 
 def _fourier_matrix(N: int) -> np.ndarray:
@@ -184,15 +190,23 @@ def _check_cutoff(lattice: LatticeSpec, params: ParticleParams):
 
 
 @dataclass
-class _Assembly:
-    H: np.ndarray
-    beta: np.ndarray
-    P2: np.ndarray  # orbital c^2 pi^2 matrix
-    coupling: np.ndarray  # orbital B_z or div E operator
-    field_profile: np.ndarray  # orbital multiplication operator of the raw field
+class _Orbital:
+    """The orbital operators of one case, lattice and amplitude.
+
+    H and its classical image are both built on these: H adds the 4x4
+    Dirac layer (`_dirac_layer`), the image takes functions of P2 and the
+    coupling. Every operator conserves the block label: case I keeps k_y
+    (orbital index i_x N + i_y, label i_y), case II is one block.
+    """
+
+    momenta: tuple  # kinetic momentum operator of each lattice axis
+    P2: np.ndarray  # c^2 pi^2
+    coupling: np.ndarray  # B_z or div E operator
+    field_profile: np.ndarray  # multiplication operator of the raw field
+    blocks: np.ndarray  # block label of each orbital index
 
 
-def _assemble(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Assembly:
+def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Orbital:
     _check_cutoff(lattice, params)
     hbar, c = params.hbar, params.c
     mc2 = params.mc2
@@ -206,18 +220,13 @@ def _assemble(case: str, lattice: LatticeSpec, lam: float, params: ParticleParam
         I_N = np.eye(N)
         A0 = lam * mc2 / abs(params.e)
         q = 2.0 * math.pi / lattice.length
-        Ay = _mul_op(A0 * np.sin(q * x), F, Q)
+        Ay = np.kron(_mul_op(A0 * np.sin(q * x), F, Q), I_N)
         Px = np.kron(p1, I_N)
-        Py = np.kron(I_N, p1) - (params.e / c) * np.kron(Ay, I_N)
-        I_orb = np.eye(N * N)
-        H = mc2 * np.kron(BETA4, I_orb) + c * (
-            np.kron(ALPHA4[0], Px) + np.kron(ALPHA4[1], Py)
-        )
+        Py = np.kron(I_N, p1) - (params.e / c) * Ay
         # B_z from the same momenta that enter H: exact lattice commutator
         B = (c / (1j * hbar * params.e)) * (Px @ Py - Py @ Px)
         P2 = c ** 2 * (Px @ Px + Py @ Py)
-        beta = np.kron(BETA4, I_orb)
-        return _Assembly(_hermitize(H), beta, _hermitize(P2), _hermitize(B), np.kron(Ay, I_N))
+        return _Orbital((Px, Py), _hermitize(P2), _hermitize(B), Ay, np.tile(np.arange(N), N))
     if case == CASE_II:
         if lattice.dimension != 1:
             raise ConfigurationError("case II requires a 1D lattice")
@@ -228,17 +237,20 @@ def _assemble(case: str, lattice: LatticeSpec, lam: float, params: ParticleParam
         E0 = lam * mc2 / abs(params.mu_prime)
         q = 2.0 * math.pi / lattice.length
         Ex = _mul_op(E0 * np.sin(q * x), F, Q)
-        I_orb = np.eye(N)
-        H = (
-            mc2 * np.kron(BETA4, I_orb)
-            + c * np.kron(ALPHA4[0], p1)
-            + 1j * params.mu_prime * np.kron(BETA4 @ ALPHA4[0], Ex)
-        )
         divE = (1j / hbar) * (p1 @ Ex - Ex @ p1)
         P2 = c ** 2 * (p1 @ p1)
-        beta = np.kron(BETA4, I_orb)
-        return _Assembly(_hermitize(H), beta, _hermitize(P2), _hermitize(divE), Ex)
+        return _Orbital((p1,), _hermitize(P2), _hermitize(divE), Ex, np.zeros(N, dtype=int))
     raise ConfigurationError(f"unknown case {case!r}")
+
+
+def _dirac_layer(case: str, orb: _Orbital, params: ParticleParams) -> tuple[np.ndarray, np.ndarray]:
+    """H = beta mc^2 + c alpha.pi (+ i mu' beta alpha_1 E_x in case II), and beta."""
+    beta = np.kron(BETA4, np.eye(orb.P2.shape[0]))
+    kinetic = sum(np.kron(ALPHA4[i], p) for i, p in enumerate(orb.momenta))
+    H = params.mc2 * beta + params.c * kinetic
+    if case == CASE_II:
+        H = H + 1j * params.mu_prime * np.kron(BETA4 @ ALPHA4[0], orb.field_profile)
+    return _hermitize(H), beta
 
 
 def build_hamiltonian(
@@ -249,53 +261,115 @@ def build_hamiltonian(
 ) -> LatticeHamiltonian:
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
-    asm = _assemble(case, lattice, lam, params)
+    orb = _orbital(case, lattice, lam, params)
+    H, beta = _dirac_layer(case, orb, params)
     return LatticeHamiltonian(
-        matrix=asm.H,
+        matrix=H,
         case=case,
         lam=lam,
         lattice=lattice,
         params=params,
         aux={
-            "beta": asm.beta,
-            "P2": asm.P2,
-            "coupling": asm.coupling,
-            "field_profile": asm.field_profile,
+            "beta": beta,
+            "P2": orb.P2,
+            "coupling": orb.coupling,
+            "field_profile": orb.field_profile,
+            # block label of each matrix index s * orbital_dim + orbital index
+            "blocks": np.tile(orb.blocks, 4),
         },
     )
 
 
+def _beta_signs(beta: np.ndarray) -> np.ndarray:
+    """The +-1 diagonal of the diagonal matrix beta."""
+    return np.diag(beta).real
+
+
 def oddness_defect(H: LatticeHamiltonian) -> float:
-    """max |beta O beta + O| for the interaction O = H - beta mc^2."""
+    """max |beta O beta + O| for the interaction O = H - beta mc^2.
+
+    beta is diagonal with entries +-1, so beta O beta + O is O times the
+    sign mask 1 + b_i b_j in {0, 2}: the dense product's value, bit for bit.
+    """
     beta = H.aux["beta"]
+    b = _beta_signs(beta)
     O = H.matrix - H.params.mc2 * beta
-    return float(np.abs(beta @ O @ beta + O).max())
+    return float(np.abs(O * (1.0 + np.outer(b, b))).max())
+
+
+def block_diagonality_defect(H: LatticeHamiltonian) -> float:
+    """max |beta H beta - H|, by the sign mask b_i b_j - 1 in {-2, 0}."""
+    b = _beta_signs(H.aux["beta"])
+    return float(np.abs(H.matrix * (np.outer(b, b) - 1.0)).max())
+
+
+def _block_halves(labels: np.ndarray, signs: np.ndarray) -> list:
+    """(beta = +1 indices, beta = -1 indices) of every block, as index stacks.
+
+    Blocks whose halves have the same sizes share one stack, so each half
+    of a stack is one batched eigh.
+    """
+    groups = {}
+    for label in np.unique(labels):
+        plus = np.flatnonzero((labels == label) & (signs > 0))
+        minus = np.flatnonzero((labels == label) & (signs < 0))
+        groups.setdefault((plus.size, minus.size), []).append((plus, minus))
+    return [tuple(np.array(half) for half in zip(*g)) for g in groups.values()]
+
+
+def _shifted_sqrt(G: np.ndarray, m4: float) -> np.ndarray:
+    """sqrt(m4 + G) for a stack of Hermitian G, by spectral calculus."""
+    w, U = np.linalg.eigh(G + m4 * np.eye(G.shape[-1]))
+    if np.min(w, initial=np.inf) < -1e-9 * m4:
+        raise RuntimeError("m^2c^4 + O^2 produced a negative eigenvalue")
+    return _hermitize((U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _dagger(U))
 
 
 def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
-    """Exact transform H' = beta sqrt(m^2c^4 + O^2) by spectral calculus."""
+    """Exact transform H' = beta sqrt(m^2c^4 + O^2), block by block.
+
+    O keeps the block label and anticommutes with beta, so on the beta = +1
+    and beta = -1 halves of a block O = [[0, A], [A^+, 0]] and
+    O^2 = diag(A A^+, A^+ A). H' is sqrt(m^2c^4 + A A^+) on the first half
+    and -sqrt(m^2c^4 + A^+ A) on the second. Both guards run first: O must
+    not couple two blocks, and it must be odd.
+    """
+    beta = H.aux["beta"]
+    labels = H.aux["blocks"]
+    mc2 = H.params.mc2
+    O = H.matrix - mc2 * beta
+    leak = np.where(labels[:, None] != labels[None, :], np.abs(O), 0.0)
+    i, j = np.unravel_index(np.argmax(leak), leak.shape)
+    if leak[i, j] > ODDNESS_TOL:
+        raise OddnessError(
+            f"interaction couples blocks {labels[i]} and {labels[j]}: "
+            f"|O[{i}, {j}]| = {leak[i, j]:.2e}"
+        )
     defect = oddness_defect(H)
     if defect > ODDNESS_TOL:
         raise OddnessError(f"interaction is not odd (defect {defect:.2e})")
-    beta = H.aux["beta"]
-    O = H.matrix - H.params.mc2 * beta
-    M2 = H.params.mc2 ** 2 * np.eye(O.shape[0]) + O @ O
-    w, U = np.linalg.eigh(M2)
-    if w.min() < -1e-9 * H.params.mc2 ** 2:
-        raise RuntimeError("m^2c^4 + O^2 produced a negative eigenvalue")
-    Hp = beta @ ((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
+    Hp = np.zeros_like(O)
+    dims = {}
+    for plus, minus in _block_halves(labels, _beta_signs(beta)):
+        A = O[plus[:, :, None], minus[:, None, :]]
+        Ah = _dagger(A)
+        for rows, gram, sign in ((plus, A @ Ah, 1.0), (minus, Ah @ A, -1.0)):
+            Hp[rows[:, :, None], rows[:, None, :]] = sign * _shifted_sqrt(gram, mc2 ** 2)
+            dims[rows.shape[1]] = dims.get(rows.shape[1], 0) + rows.shape[0]
     return LatticeHamiltonian(
-        matrix=_hermitize(Hp),
+        matrix=Hp,  # Hermitian: every block is
         case=H.case,
         lam=H.lam,
         lattice=H.lattice,
         params=H.params,
-        aux=dict(H.aux, transformed=True),
+        # [number of blocks, dimension] of each eigh'd size
+        aux=dict(H.aux, transformed=True, fw_blocks=[[n, d] for d, n in sorted(dims.items())]),
     )
 
 
 def _weyl_series(
-    P2: np.ndarray,
+    w: np.ndarray,
+    V: np.ndarray,
     X: np.ndarray,
     mc2: float,
     coeffs,
@@ -303,10 +377,10 @@ def _weyl_series(
 ) -> tuple[np.ndarray, float]:
     """sum_n coeffs[n] (X pi^{2n})_Weyl / (mc)^{2n} with a tail bound.
 
-    Built in the eigenbasis of the Hermitian pi^2 matrix; the Weyl average
-    over placements becomes the symmetric kernel sum_l u_a^l u_b^{n-l}/(n+1).
+    Built in the eigenbasis (w, V) of the Hermitian c^2 pi^2 matrix; the
+    Weyl average over placements becomes the symmetric kernel
+    sum_l u_a^l u_b^{n-l}/(n+1).
     """
-    w, V = np.linalg.eigh(P2)
     u = w / mc2 ** 2
     umax = float(u.max())
     if umax >= 1.0:
@@ -355,21 +429,21 @@ def build_correspondence(
     """
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
-    asm = _assemble(case, lattice, lam, params)
+    orb = _orbital(case, lattice, lam, params)
     mc2 = params.mc2
-    w, V = np.linalg.eigh(asm.P2)
+    w, V = np.linalg.eigh(orb.P2)
     S0 = (V * np.sqrt(mc2 ** 2 + w)) @ V.conj().T
     I_orb = np.eye(lattice.orbital_dim)
     Hc = np.kron(BETA4, S0.astype(complex))
     tail_total = 0.0
     if case == CASE_I:
-        Wm, tail = _weyl_series(asm.P2, asm.coupling, mc2, binom_minus_half_float, nmax)
+        Wm, tail = _weyl_series(w, V, orb.coupling, mc2, binom_minus_half_float, nmax)
         pref = params.e * params.hbar / (2.0 * params.m * params.c)
         Hc = Hc - pref * np.kron(BETA4 @ SIGMA4[2], Wm)
         tail_total += abs(pref) * tail
     else:
         if include_darwin:
-            Wd, tail = _weyl_series(asm.P2, asm.coupling, mc2, binom_minus_half_float, nmax)
+            Wd, tail = _weyl_series(w, V, orb.coupling, mc2, binom_minus_half_float, nmax)
             pref = darwin_coefficient(params)
             Hc = Hc + pref * np.kron(np.eye(4), Wd)
             tail_total += abs(pref) * tail
@@ -384,10 +458,11 @@ def build_correspondence(
         lam=lam,
         lattice=lattice,
         params=params,
-        aux={"beta": np.kron(BETA4, I_orb), "P2": asm.P2, "coupling": asm.coupling},
+        aux={"beta": np.kron(BETA4, I_orb), "P2": orb.P2, "coupling": orb.coupling},
     )
 
 
+@lru_cache(maxsize=None)
 def binom_minus_half_float(n: int) -> float:
     return float(binom_minus_half(n))
 
@@ -561,21 +636,18 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
     Kronecker matrices. Unit symbols evaluate from params.
     """
     from .opalg.core import PI
+    from .opalg.shadow import spin_matrices  # exact 4x4 spin basis
 
-    _check_cutoff(lattice, params)
+    Px, Py = _orbital(CASE_I, lattice, lam, params).momenta
     N = lattice.n_sites
-    _, F, Q, p1, x = _axis_operators(lattice, params.hbar)
+    _, F, Q, _, x = _axis_operators(lattice, params.hbar)
     I_N = np.eye(N)
     q = 2.0 * math.pi / lattice.length
     A0 = lam * params.mc2 / abs(params.e)
-    hbar, c = params.hbar, params.c
-    Px = np.kron(p1, I_N)
-    Py = np.kron(I_N, p1) - (params.e / c) * np.kron(
-        _mul_op(A0 * np.sin(q * x), F, Q), I_N
-    )
     orb_dim = N * N
     zeros = np.zeros((orb_dim, orb_dim), dtype=complex)
 
+    @lru_cache(maxsize=None)
     def b_profile(n_derivs: int) -> np.ndarray:
         # d^n/dx^n of B_z = A0 q cos(qx)
         amp = A0 * q ** (n_derivs + 1)
@@ -587,9 +659,9 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
         M = np.eye(orb_dim, dtype=complex)
         for sym in word:
             if sym[0] == PI:
-                M = M @ (Px if sym[1] == 1 else Py if sym[1] == 2 else zeros)
                 if sym[1] == 3:
                     return zeros
+                M = M @ (Px if sym[1] == 1 else Py)
             else:
                 base, comp, derivs = sym
                 if base != "B" or comp != 3 or any(d != 1 for d in derivs):
@@ -597,14 +669,9 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
                 M = M @ b_profile(len(derivs))
         return M
 
-    units_vals = (hbar, c, params.m, params.e, params.mu_prime)
-    from .opalg.shadow import spin_matrices  # exact 4x4 spin basis
-
-    spin_complex = [
-        np.array([[float(g[0]) + 1j * float(g[1]) for g in row] for row in m])
-        for m in spin_matrices()
-    ]
-    out = np.zeros((4 * orb_dim, 4 * orb_dim), dtype=complex)
+    units_vals = (params.hbar, params.c, params.m, params.e, params.mu_prime)
+    # orbital part of each spin component, summed before the Kronecker product
+    per_spin = {}
     for (word, spin, units, ipow), coeff in expr.terms.items():
         scalar = float(coeff) * (1j ** ipow)
         for v, kexp in zip(units_vals, units):
@@ -612,7 +679,12 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
                 scalar *= v ** kexp
         if scalar == 0.0:
             continue
-        out += scalar * np.kron(spin_complex[spin], word_matrix(word))
+        per_spin[spin] = per_spin.get(spin, zeros) + scalar * word_matrix(word)
+    spins = spin_matrices()
+    out = np.zeros((4 * orb_dim, 4 * orb_dim), dtype=complex)
+    for spin, M in per_spin.items():
+        S = np.array([[float(g[0]) + 1j * float(g[1]) for g in row] for row in spins[spin]])
+        out += np.kron(S, M)
     return out
 
 
@@ -639,8 +711,8 @@ def opalg_cross_check(
     M = instantiate_case_i(expr, lattice, lam, params)
     Hfw = eriksen_fw(build_hamiltonian(CASE_I, lattice, lam, params))
     diff = float(np.abs(M - Hfw.matrix).max())
-    asm = _assemble(CASE_I, lattice, lam, params)
-    umax = float(np.linalg.eigvalsh(asm.P2).max()) / params.mc2 ** 2
+    orb = _orbital(CASE_I, lattice, lam, params)
+    umax = float(np.linalg.eigvalsh(orb.P2).max()) / params.mc2 ** 2
     tail = params.mc2 * abs(float(binom_half(order + 1))) * umax ** (order + 1) / (1.0 - umax)
     return {
         "order": order,

@@ -15,6 +15,7 @@ from spincorr.qfw import (
     LatticeSpec,
     OddnessError,
     TruncationError,
+    block_diagonality_defect,
     build_correspondence,
     build_hamiltonian,
     darwin_coefficient,
@@ -35,6 +36,15 @@ LAT_I = default_lattice(CASE_I)
 PAR_I = default_params(CASE_I, LAT_I)
 LAT_II = default_lattice(CASE_II)
 PAR_II = default_params(CASE_II, LAT_II)
+
+
+def dense_eriksen_fw(H):
+    """The transform on the full matrix: one eigh of m^2c^4 + O^2 (the oracle)."""
+    beta = H.aux["beta"]
+    O = H.matrix - H.params.mc2 * beta
+    w, U = np.linalg.eigh(H.params.mc2 ** 2 * np.eye(O.shape[0]) + O @ O)
+    Hp = beta @ ((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
+    return 0.5 * (Hp + Hp.conj().T)
 
 
 def free_energies(lattice, params):
@@ -147,6 +157,70 @@ class TestEriksen:
         # an even perturbation breaks the closed-form construction
         H.matrix = H.matrix + 1e-3 * H.aux["beta"]
         with pytest.raises(OddnessError):
+            eriksen_fw(H)
+
+
+class TestBlockedEriksen:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_matches_dense_transform(self, case, lam):
+        lat = default_lattice(case)
+        H = build_hamiltonian(case, lat, lam, default_params(case, lat))
+        assert np.abs(eriksen_fw(H).matrix - dense_eriksen_fw(H)).max() <= 1e-12
+
+    def test_block_labels(self):
+        labels = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I).aux["blocks"]
+        N = LAT_I.n_sites
+        # index s N^2 + i_x N + i_y carries the label i_y
+        assert np.array_equal(labels, np.arange(4 * N * N) % N)
+        assert set(build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II).aux["blocks"]) == {0}
+
+    def test_records_block_shapes(self):
+        Hi = eriksen_fw(build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I))
+        Hii = eriksen_fw(build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II))
+        assert Hi.aux["fw_blocks"] == [[24, 24]]
+        assert Hii.aux["fw_blocks"] == [[2, 128]]
+
+    def test_unequal_blocks_match_dense_transform(self):
+        # merging k_y = 0 and 1 leaves one block of 96 beside ten of 48:
+        # coarser labels are still conserved, and two stacks are solved
+        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        H.aux["blocks"] = np.where(H.aux["blocks"] == 1, 0, H.aux["blocks"])
+        Hfw = eriksen_fw(H)
+        assert Hfw.aux["fw_blocks"] == [[20, 24], [2, 48]]
+        assert np.abs(Hfw.matrix - dense_eriksen_fw(H)).max() <= 1e-12
+
+    def test_oddness_defect_equals_dense_formula(self):
+        for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
+            H = build_hamiltonian(case, lat, 1e-2, par)
+            rng = np.random.default_rng(5)
+            X = rng.normal(size=H.matrix.shape) + 1j * rng.normal(size=H.matrix.shape)
+            H.matrix = H.matrix + 1e-3 * (X + X.conj().T)
+            beta = H.aux["beta"]
+            O = H.matrix - par.mc2 * beta
+            dense = float(np.abs(beta @ O @ beta + O).max())
+            assert dense > 0.0
+            assert oddness_defect(H) == dense
+
+    def test_block_diagonality_equals_dense_formula(self):
+        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        beta = H.aux["beta"]
+        for M in (eriksen_fw(H).matrix, H.matrix):
+            H.matrix = M
+            dense = float(np.abs(beta @ M @ beta - M).max())
+            assert block_diagonality_defect(H) == dense
+        assert dense > 0.0  # H itself is not block-diagonal
+
+    def test_rejects_coupling_between_blocks(self):
+        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        labels, b = H.aux["blocks"], np.diag(H.aux["beta"]).real
+        i = np.flatnonzero((labels == 2) & (b > 0))[0]
+        j = np.flatnonzero((labels == 5) & (b < 0))[0]
+        # a Hermitian, odd perturbation between k_y blocks 2 and 5
+        H.matrix[i, j] += 1e-3
+        H.matrix[j, i] += 1e-3
+        assert oddness_defect(H) < 1e-12
+        with pytest.raises(OddnessError, match=r"couples blocks 2 and 5"):
             eriksen_fw(H)
 
 
