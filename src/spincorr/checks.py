@@ -9,6 +9,7 @@ experiment that owns them.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -60,6 +61,8 @@ class CheckResult:
     passed: bool
     expected_fail: bool = False
     detail: dict = dc_field(default_factory=dict)
+    # wall time of the check; meta.json records it, results.json does not
+    wall_s: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -318,9 +321,9 @@ def check_correspondence_scaling(
 ) -> CheckResult:
     lat1, par1 = _qfw_defaults(qfw.CASE_I)
     lat2, par2 = _qfw_defaults(qfw.CASE_II)
-    _, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas)
+    res_i, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas)
     drop_darwin = profile == "negative-result"
-    _, slope_ii = qfw.residual_scaling(
+    res_ii, slope_ii = qfw.residual_scaling(
         qfw.CASE_II, lat2, par2, lambdas, include_darwin=not drop_darwin
     )
     value = {"case_i_slope": slope_i, "case_ii_slope": slope_ii}
@@ -333,7 +336,17 @@ def check_correspondence_scaling(
         tol,
         passed,
         expected_fail=drop_darwin,
-        detail={"lambdas": list(lambdas), "darwin_included": not drop_darwin},
+        detail={
+            "lambdas": list(lambdas),
+            "darwin_included": not drop_darwin,
+            # particle-half residual at each amplitude, in lambdas order
+            "residuals": {"case_i": res_i, "case_ii": res_ii},
+            # [number of blocks, width] of the per-block H, transform and image
+            "blocks": {
+                "case_i": qfw.block_shapes(qfw.CASE_I, lat1),
+                "case_ii": qfw.block_shapes(qfw.CASE_II, lat2),
+            },
+        },
     )
 
 
@@ -415,18 +428,21 @@ def run_checks(
     """Execute the checks a mode owns, in their declared order."""
     out = []
     for name in MODE_CHECKS[mode]:
+        t0 = time.perf_counter()
         if name == "gradient_oracle":
-            out.append(check_gradient_oracle(seed))
+            r = check_gradient_oracle(seed)
         elif name == "case_equality":
-            out.append(check_case_equality(order))
+            r = check_case_equality(order)
         elif name == "ordering_identity":
-            out.append(check_ordering_identity(seed))
+            r = check_ordering_identity(seed)
         elif name == "correspondence_scaling":
-            out.append(check_correspondence_scaling(lambdas, profile))
+            r = check_correspondence_scaling(lambdas, profile)
         elif name == "negative_result":
-            out.append(check_negative_result(lambdas))
+            r = check_negative_result(lambdas)
         elif name == "boost_covariance":
-            out.append(check_boost_covariance(seed, lambdas, beta_max))
+            r = check_boost_covariance(seed, lambdas, beta_max)
         else:
-            out.append(globals()[f"check_{name}"]())
+            r = globals()[f"check_{name}"]()
+        r.wall_s = time.perf_counter() - t0
+        out.append(r)
     return out

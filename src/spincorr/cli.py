@@ -14,7 +14,8 @@ checks' eigensolver values move in the last digits with the thread
 count); the timestamp and wall time live in a separate meta.json so they
 cannot perturb the record. meta.json also records the numpy version and
 the BLAS/OpenMP thread-count variables ("unset" where a variable is not
-set), so a run can be matched with the thread count it ran under.
+set), so a run can be matched with the thread count it ran under, and
+each check's wall time by name.
 """
 
 from __future__ import annotations
@@ -179,6 +180,7 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
         "wall_time_s": time.perf_counter() - t0,
         "numpy": np.__version__,
         "threads": {var: os.environ.get(var, "unset") for var in THREAD_VARS},
+        "check_wall_s": {r.name: r.wall_s for r in results},
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     (out_dir / "report.txt").write_text(render_report(record))

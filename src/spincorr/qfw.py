@@ -10,11 +10,15 @@ faithful +k partner for it). Field-strength operators are realized by
 commutators of the very operators appearing in H, which makes every
 algebraic identity the correspondence relies on exact on the lattice.
 
-The exact transform diagonalizes beta sqrt(m^2c^4 + O^2) spectrally; the
-conjectured classical image assembles the same square root plus the
-Weyl-ordered moment couplings as truncated operator Taylor series with a
-certified tail bound. Their difference on the particle block, swept over
-field amplitudes, measures what the weak-field claim neglects.
+Every operator conserves a block label, so the layer works on (blocks, n, n)
+stacks: case I has one block per k_y, case II is one block. The exact
+transform is beta sqrt(m^2c^4 + O^2) on the beta halves of each block. The
+conjectured classical image is the kinetic root plus the Weyl-ordered moment
+couplings, whose operator Taylor series has an exact closed form: the kernel
+2/(sqrt(1+u_a) + sqrt(1+u_b)) in the eigenbasis of u = c^2 pi^2/m^2c^4. Their
+difference on the particle half, swept over field amplitudes, measures what
+the weak-field claim neglects. Dense matrices are built only for callers
+that read them.
 """
 
 from __future__ import annotations
@@ -27,16 +31,16 @@ from functools import lru_cache
 import numpy as np
 
 from .classical import DiagnosticError
-from .opalg.identities import binom_minus_half
 from .params import ParticleParams
 
 CASE_I = "I"
 CASE_II = "II"
+# lattice dimension and particle of each case
+_CASES = {CASE_I: (2, "a charged particle with mu' = 0"), CASE_II: (1, "a neutral particle with mu' != 0")}
 
+# largest anti-Hermitian part tolerated, relative to the largest entry
 HERMITICITY_TOL = 1e-12
 ODDNESS_TOL = 1e-10
-TAIL_TOL = 1e-12
-DEFAULT_SERIES_ORDER = 30
 
 
 class ConfigurationError(ValueError):
@@ -45,10 +49,6 @@ class ConfigurationError(ValueError):
 
 class OddnessError(ValueError):
     """Interaction is not purely odd, so the closed-form transform fails."""
-
-
-class TruncationError(RuntimeError):
-    """Operator Taylor series cannot meet the tail bound at this cutoff."""
 
 
 _s0 = np.eye(2, dtype=complex)
@@ -136,11 +136,6 @@ class LatticeHamiltonian:
     params: ParticleParams
     aux: dict = field(default_factory=dict)
 
-    @property
-    def upper_block(self) -> np.ndarray:
-        half = self.matrix.shape[0] // 2
-        return self.matrix[:half, :half]
-
 
 def _dagger(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
@@ -152,9 +147,17 @@ def hermiticity_defect(M: np.ndarray) -> float:
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
-    defect = hermiticity_defect(M)
-    if defect > HERMITICITY_TOL:
-        raise ConfigurationError(f"constructed matrix is not Hermitian ({defect:.2e})")
+    """Hermitian part of a matrix, or of each matrix in a stack.
+
+    Each matrix's anti-Hermitian part must be roundoff: at most
+    HERMITICITY_TOL times that matrix's largest entry.
+    """
+    defect = np.abs(M - _dagger(M)).max(axis=(-2, -1))
+    scale = np.abs(M).max(axis=(-2, -1))
+    bad = defect > HERMITICITY_TOL * scale
+    if np.any(bad):
+        worst = np.max(defect[bad] / scale[bad])
+        raise ConfigurationError(f"constructed matrix is not Hermitian ({worst:.2e} of its largest entry)")
     return 0.5 * (M + _dagger(M))
 
 
@@ -189,68 +192,94 @@ def _check_cutoff(lattice: LatticeSpec, params: ParticleParams):
         )
 
 
+def _block_index(case: str, lattice: LatticeSpec) -> np.ndarray:
+    """(blocks, n) orbital indices: block i_y of case I holds i_x N + i_y for each i_x."""
+    N = lattice.n_sites
+    if case == CASE_I:
+        return np.arange(N)[None, :] * N + np.arange(N)[:, None]
+    return np.arange(N)[None, :]
+
+
+def block_shapes(case: str, lattice: LatticeSpec) -> list:
+    """[number of blocks, width] of the per-block H, transform and image."""
+    blocks, n = _block_index(case, lattice).shape
+    return [[blocks, 4 * n]]
+
+
 @dataclass
 class _Orbital:
-    """The orbital operators of one case, lattice and amplitude.
+    """(blocks, n, n) orbital operators of one case, lattice and amplitude.
 
-    H and its classical image are both built on these: H adds the 4x4
-    Dirac layer (`_dirac_layer`), the image takes functions of P2 and the
-    coupling. Every operator conserves the block label: case I keeps k_y
-    (orbital index i_x N + i_y, label i_y), case II is one block.
+    H adds the 4x4 Dirac layer (`_dirac_blocks`); its image takes functions
+    of P2 and the coupling.
     """
 
     momenta: tuple  # kinetic momentum operator of each lattice axis
     P2: np.ndarray  # c^2 pi^2
     coupling: np.ndarray  # B_z or div E operator
     field_profile: np.ndarray  # multiplication operator of the raw field
-    blocks: np.ndarray  # block label of each orbital index
+    index: np.ndarray  # (blocks, n) orbital index of each block row
 
 
 def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Orbital:
     _check_cutoff(lattice, params)
     hbar, c = params.hbar, params.c
-    mc2 = params.mc2
+    if case not in _CASES:
+        raise ConfigurationError(f"unknown case {case!r}")
+    dimension, particle = _CASES[case]
+    if lattice.dimension != dimension:
+        raise ConfigurationError(f"case {case} requires a {dimension}D lattice")
+    if (params.e != 0.0, params.mu_prime != 0.0) != (case == CASE_I, case == CASE_II):
+        raise ConfigurationError(f"case {case} is {particle}")
+    k, F, Q, p1, x = _axis_operators(lattice, hbar)
+    # A_y(x) in case I, E_x(x) in case II; both act on the x axis
+    charge = abs(params.e) if case == CASE_I else abs(params.mu_prime)
+    profile = _mul_op(lam * params.mc2 / charge * np.sin(2.0 * math.pi / lattice.length * x), F, Q)
+    index = _block_index(case, lattice)
+    blocks, N = index.shape
     if case == CASE_I:
-        if lattice.dimension != 2:
-            raise ConfigurationError("case I requires a 2D lattice")
-        if params.e == 0.0 or params.mu_prime != 0.0:
-            raise ConfigurationError("case I is a charged particle with mu' = 0")
-        N = lattice.n_sites
-        k, F, Q, p1, x = _axis_operators(lattice, hbar)
-        I_N = np.eye(N)
-        A0 = lam * mc2 / abs(params.e)
-        q = 2.0 * math.pi / lattice.length
-        Ay = np.kron(_mul_op(A0 * np.sin(q * x), F, Q), I_N)
-        Px = np.kron(p1, I_N)
-        Py = np.kron(I_N, p1) - (params.e / c) * Ay
+        Px = np.broadcast_to(p1, (blocks, N, N))
+        Py = (hbar * k)[:, None, None] * np.eye(N) - (params.e / c) * profile
         # B_z from the same momenta that enter H: exact lattice commutator
-        B = (c / (1j * hbar * params.e)) * (Px @ Py - Py @ Px)
-        P2 = c ** 2 * (Px @ Px + Py @ Py)
-        return _Orbital((Px, Py), _hermitize(P2), _hermitize(B), Ay, np.tile(np.arange(N), N))
-    if case == CASE_II:
-        if lattice.dimension != 1:
-            raise ConfigurationError("case II requires a 1D lattice")
-        if params.e != 0.0 or params.mu_prime == 0.0:
-            raise ConfigurationError("case II is a neutral particle with mu' != 0")
-        N = lattice.n_sites
-        k, F, Q, p1, x = _axis_operators(lattice, hbar)
-        E0 = lam * mc2 / abs(params.mu_prime)
-        q = 2.0 * math.pi / lattice.length
-        Ex = _mul_op(E0 * np.sin(q * x), F, Q)
-        divE = (1j / hbar) * (p1 @ Ex - Ex @ p1)
-        P2 = c ** 2 * (p1 @ p1)
-        return _Orbital((p1,), _hermitize(P2), _hermitize(divE), Ex, np.zeros(N, dtype=int))
-    raise ConfigurationError(f"unknown case {case!r}")
+        momenta, coupling = (Px, Py), (c / (1j * hbar * params.e)) * (Px @ Py - Py @ Px)
+    else:
+        momenta, coupling = (p1[None],), (1j / hbar) * (p1 @ profile - profile @ p1)[None]
+    P2 = c ** 2 * sum(p @ p for p in momenta)
+    profile = np.broadcast_to(profile, (blocks, N, N))
+    return _Orbital(momenta, _hermitize(P2), _hermitize(coupling), profile, index)
 
 
-def _dirac_layer(case: str, orb: _Orbital, params: ParticleParams) -> tuple[np.ndarray, np.ndarray]:
-    """H = beta mc^2 + c alpha.pi (+ i mu' beta alpha_1 E_x in case II), and beta."""
-    beta = np.kron(BETA4, np.eye(orb.P2.shape[0]))
-    kinetic = sum(np.kron(ALPHA4[i], p) for i, p in enumerate(orb.momenta))
+def _kron_blocks(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """S (x) M_b for a small matrix S and each matrix M_b of a stack."""
+    w = S.shape[0] * M.shape[-1]
+    return (S[None, :, None, :, None] * M[:, None, :, None, :]).reshape(M.shape[0], w, w)
+
+
+def _dirac_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
+    """(blocks, 4n, 4n) H = beta mc^2 + c alpha.pi (+ i mu' beta alpha_1 E_x in case II).
+
+    Block rows are ordered s n + i for Dirac component s, so the first 2n
+    have beta = +1.
+    """
+    n = orb.index.shape[1]
+    beta = _kron_blocks(BETA4, np.eye(n)[None])
+    kinetic = sum(_kron_blocks(ALPHA4[i], p) for i, p in enumerate(orb.momenta))
     H = params.mc2 * beta + params.c * kinetic
     if case == CASE_II:
-        H = H + 1j * params.mu_prime * np.kron(BETA4 @ ALPHA4[0], orb.field_profile)
-    return _hermitize(H), beta
+        H = H + 1j * params.mu_prime * _kron_blocks(BETA4 @ ALPHA4[0], orb.field_profile)
+    return _hermitize(H)
+
+
+def _dirac_index(orb: _Orbital) -> np.ndarray:
+    """(blocks, 4n) dense index s * orbital_dim + orbital index of each H block row."""
+    return (np.arange(4)[None, :, None] * orb.index.size + orb.index[:, None, :]).reshape(len(orb.index), -1)
+
+
+def _scatter(blocks: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
+    """The dense dim x dim matrix holding blocks[b] on rows and columns index[b]."""
+    M = np.zeros((dim, dim), dtype=blocks.dtype)
+    M[index[:, :, None], index[:, None, :]] = blocks
+    return M
 
 
 def build_hamiltonian(
@@ -259,25 +288,21 @@ def build_hamiltonian(
     lam: float = 0.0,
     params: ParticleParams | None = None,
 ) -> LatticeHamiltonian:
+    """H as one dense matrix, scattered from its blocks."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
-    H, beta = _dirac_layer(case, orb, params)
-    return LatticeHamiltonian(
-        matrix=H,
-        case=case,
-        lam=lam,
-        lattice=lattice,
-        params=params,
-        aux={
-            "beta": beta,
-            "P2": orb.P2,
-            "coupling": orb.coupling,
-            "field_profile": orb.field_profile,
-            # block label of each matrix index s * orbital_dim + orbital index
-            "blocks": np.tile(orb.blocks, 4),
-        },
-    )
+    rows = _dirac_index(orb)
+    labels = np.empty(lattice.matrix_dim, dtype=int)
+    labels[rows] = np.arange(rows.shape[0])[:, None]
+    aux = {
+        "beta": np.kron(BETA4, np.eye(lattice.orbital_dim)),
+        "coupling": _scatter(orb.coupling, orb.index, lattice.orbital_dim),
+        # block label of each matrix index s * orbital_dim + orbital index
+        "blocks": labels,
+    }
+    H = _scatter(_dirac_blocks(case, orb, params), rows, lattice.matrix_dim)
+    return LatticeHamiltonian(H, case, lam, lattice, params, aux)
 
 
 def _beta_signs(beta: np.ndarray) -> np.ndarray:
@@ -303,98 +328,102 @@ def block_diagonality_defect(H: LatticeHamiltonian) -> float:
     return float(np.abs(H.matrix * (np.outer(b, b) - 1.0)).max())
 
 
-def _block_halves(labels: np.ndarray, signs: np.ndarray) -> list:
-    """(beta = +1 indices, beta = -1 indices) of every block, as index stacks.
+def _label_blocks(labels: np.ndarray, signs: np.ndarray) -> list:
+    """(rows, half) per stack of blocks: each block's indices, its `half` beta = +1 ones first.
 
-    Blocks whose halves have the same sizes share one stack, so each half
-    of a stack is one batched eigh.
+    Blocks whose beta halves have the same sizes share one stack, so each
+    half of a stack is one batched eigh.
     """
     groups = {}
     for label in np.unique(labels):
-        plus = np.flatnonzero((labels == label) & (signs > 0))
-        minus = np.flatnonzero((labels == label) & (signs < 0))
-        groups.setdefault((plus.size, minus.size), []).append((plus, minus))
-    return [tuple(np.array(half) for half in zip(*g)) for g in groups.values()]
+        plus, minus = (np.flatnonzero((labels == label) & (s * signs > 0)) for s in (1, -1))
+        groups.setdefault((plus.size, minus.size), []).append(np.concatenate([plus, minus]))
+    return [(np.array(g), half) for (half, _), g in groups.items()]
 
 
-def _shifted_sqrt(G: np.ndarray, m4: float) -> np.ndarray:
-    """sqrt(m4 + G) for a stack of Hermitian G, by spectral calculus."""
-    w, U = np.linalg.eigh(G + m4 * np.eye(G.shape[-1]))
+def _odd_coupling(Hb: np.ndarray, half: int, mc2: float) -> np.ndarray:
+    """A of O = H - beta mc^2 = [[0, A], [A^+, 0]] in each block of a stack.
+
+    The first `half` rows of every block have beta = +1. The oddness guard
+    runs here, block by block: the beta-even part of O must vanish.
+    """
+    n = Hb.shape[-1]
+    even = (Hb[:, :half, :half] - mc2 * np.eye(half), Hb[:, half:, half:] + mc2 * np.eye(n - half))
+    defect = 2.0 * max(float(np.abs(E).max(initial=0.0)) for E in even)
+    if defect > ODDNESS_TOL:
+        raise OddnessError(f"interaction is not odd within a block (defect {defect:.2e})")
+    return Hb[:, :half, half:]
+
+
+def _fw_root(A: np.ndarray, mc2: float) -> np.ndarray:
+    """sqrt(m^2c^4 + A A^+) for a stack of A, by spectral calculus.
+
+    This is the beta = +1 half of the exact transform of O = [[0, A], [A^+, 0]];
+    the beta = -1 half is minus the same root of A^+.
+    """
+    m4 = mc2 ** 2
+    w, U = np.linalg.eigh(A @ _dagger(A) + m4 * np.eye(A.shape[-2]))
     if np.min(w, initial=np.inf) < -1e-9 * m4:
         raise RuntimeError("m^2c^4 + O^2 produced a negative eigenvalue")
     return _hermitize((U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _dagger(U))
 
 
+def _particle_fw(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
+    """(blocks, 2n, 2n) beta = +1 half of the exact transform of each H block."""
+    Hb = _dirac_blocks(case, orb, params)
+    return _fw_root(_odd_coupling(Hb, Hb.shape[-1] // 2, params.mc2), params.mc2)
+
+
 def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
-    """Exact transform H' = beta sqrt(m^2c^4 + O^2), block by block.
+    """Exact transform H' = beta sqrt(m^2c^4 + O^2) of a dense H, block by block.
 
     O keeps the block label and anticommutes with beta, so on the beta = +1
     and beta = -1 halves of a block O = [[0, A], [A^+, 0]] and
     O^2 = diag(A A^+, A^+ A). H' is sqrt(m^2c^4 + A A^+) on the first half
-    and -sqrt(m^2c^4 + A^+ A) on the second. Both guards run first: O must
-    not couple two blocks, and it must be odd.
+    and -sqrt(m^2c^4 + A^+ A) on the second. Two guards cover every entry
+    of O: it must not couple two blocks, and within each block it must be
+    odd (`_odd_coupling`).
     """
     beta = H.aux["beta"]
     labels = H.aux["blocks"]
     mc2 = H.params.mc2
-    O = H.matrix - mc2 * beta
-    leak = np.where(labels[:, None] != labels[None, :], np.abs(O), 0.0)
+    # entries between blocks lie off the diagonal, where O = H
+    leak = np.where(labels[:, None] != labels[None, :], np.abs(H.matrix), 0.0)
     i, j = np.unravel_index(np.argmax(leak), leak.shape)
     if leak[i, j] > ODDNESS_TOL:
         raise OddnessError(
             f"interaction couples blocks {labels[i]} and {labels[j]}: "
             f"|O[{i}, {j}]| = {leak[i, j]:.2e}"
         )
-    defect = oddness_defect(H)
-    if defect > ODDNESS_TOL:
-        raise OddnessError(f"interaction is not odd (defect {defect:.2e})")
-    Hp = np.zeros_like(O)
+    Hp = np.zeros_like(H.matrix)
     dims = {}
-    for plus, minus in _block_halves(labels, _beta_signs(beta)):
-        A = O[plus[:, :, None], minus[:, None, :]]
-        Ah = _dagger(A)
-        for rows, gram, sign in ((plus, A @ Ah, 1.0), (minus, Ah @ A, -1.0)):
-            Hp[rows[:, :, None], rows[:, None, :]] = sign * _shifted_sqrt(gram, mc2 ** 2)
-            dims[rows.shape[1]] = dims.get(rows.shape[1], 0) + rows.shape[0]
-    return LatticeHamiltonian(
-        matrix=Hp,  # Hermitian: every block is
-        case=H.case,
-        lam=H.lam,
-        lattice=H.lattice,
-        params=H.params,
-        # [number of blocks, dimension] of each eigh'd size
-        aux=dict(H.aux, transformed=True, fw_blocks=[[n, d] for d, n in sorted(dims.items())]),
-    )
+    for rows, half in _label_blocks(labels, _beta_signs(beta)):
+        A = _odd_coupling(H.matrix[rows[:, :, None], rows[:, None, :]], half, mc2)
+        for idx, root in ((rows[:, :half], _fw_root(A, mc2)), (rows[:, half:], -_fw_root(_dagger(A), mc2))):
+            Hp[idx[:, :, None], idx[:, None, :]] = root  # Hermitian, as every block is
+            dims[idx.shape[1]] = dims.get(idx.shape[1], 0) + idx.shape[0]
+    # [number of blocks, dimension] of each eigh'd size
+    aux = dict(H.aux, fw_blocks=[[n, d] for d, n in sorted(dims.items())])
+    return LatticeHamiltonian(Hp, H.case, H.lam, H.lattice, H.params, aux)
 
 
-def _weyl_series(
-    w: np.ndarray,
-    V: np.ndarray,
-    X: np.ndarray,
-    mc2: float,
-    coeffs,
-    nmax: int,
-) -> tuple[np.ndarray, float]:
-    """sum_n coeffs[n] (X pi^{2n})_Weyl / (mc)^{2n} with a tail bound.
+def _kinetic_root(orb: _Orbital, mc2: float):
+    """Eigenpairs (w, V) of each c^2 pi^2 block, and sqrt(m^2c^4 + c^2 pi^2)."""
+    w, V = np.linalg.eigh(orb.P2)
+    return w, V, (V * np.sqrt(mc2 ** 2 + w)[..., None, :]) @ _dagger(V)
 
-    Built in the eigenbasis (w, V) of the Hermitian c^2 pi^2 matrix; the
-    Weyl average over placements becomes the symmetric kernel
-    sum_l u_a^l u_b^{n-l}/(n+1).
+
+def _weyl(w: np.ndarray, V: np.ndarray, X: np.ndarray, mc2: float) -> np.ndarray:
+    """(X / gamma)_Weyl = sum_n C(-1/2, n) (X pi^{2n})_Weyl / (mc)^{2n}, exactly.
+
+    In the eigenbasis (w, V) of each c^2 pi^2 block the Weyl average over
+    placements is the kernel sum_n C(-1/2, n) sum_l u_a^l u_b^{n-l}/(n+1),
+    u = w / m^2c^4: the divided difference of F(u) = 2(sqrt(1+u) - 1),
+    which is 2/(sqrt(1+u_a) + sqrt(1+u_b)).
     """
-    u = w / mc2 ** 2
-    umax = float(u.max())
-    if umax >= 1.0:
-        raise TruncationError("pi^2 spectrum leaves the series convergence domain")
-    Xt = V.conj().T @ X @ V
-    G = np.zeros((len(w), len(w)))
-    Sn = np.ones_like(G)
-    for n in range(nmax + 1):
-        if n:
-            Sn = u[:, None] * Sn + u[None, :] ** n
-        G += coeffs(n) * Sn / (n + 1)
-    norm_x = float(np.linalg.norm(X, 2))
-    tail = abs(coeffs(nmax + 1)) * umax ** (nmax + 1) / (1.0 - umax) * norm_x
-    return V @ (Xt * G) @ V.conj().T, tail
+    r = np.sqrt(1.0 + w / mc2 ** 2)
+    G = 2.0 / (r[..., :, None] + r[..., None, :])
+    return V @ ((_dagger(V) @ X @ V) * G) @ _dagger(V)
 
 
 def darwin_coefficient_exact(m, e, gamma_m, hbar=1, c=1) -> Fraction:
@@ -411,15 +440,8 @@ def darwin_coefficient(params: ParticleParams) -> float:
     )
 
 
-def build_correspondence(
-    case: str,
-    lattice: LatticeSpec | None = None,
-    lam: float = 0.0,
-    params: ParticleParams | None = None,
-    include_darwin: bool = True,
-    nmax: int = DEFAULT_SERIES_ORDER,
-) -> LatticeHamiltonian:
-    """The conjectured block form: kinetic square root + Weyl moment terms.
+def _image_blocks(case: str, orb: _Orbital, params: ParticleParams, include_darwin: bool) -> np.ndarray:
+    """(blocks, 4n, 4n) conjectured block form, in the block layout of H.
 
     Case I keeps the g = 2 magnetic coupling -(e hbar/2mc)(sigma.B/gamma)_W
     with an overall beta; the anomalous bracket vanishes with gamma_m = e/mc.
@@ -427,54 +449,37 @@ def build_correspondence(
     is structurally zero and the entire linear content is the Darwin term
     with coefficient (hbar^2/4mc)(3e/2mc - gamma_m) = -mu' hbar/2mc here.
     """
+    mc2 = params.mc2
+    w, V, root = _kinetic_root(orb, mc2)
+    Hc = _kron_blocks(BETA4, root)
+    if case == CASE_I:
+        pref = params.e * params.hbar / (2.0 * params.m * params.c)
+        Hc = Hc - pref * _kron_blocks(BETA4 @ SIGMA4[2], _weyl(w, V, orb.coupling, mc2))
+    elif include_darwin:
+        Hc = Hc + darwin_coefficient(params) * _kron_blocks(np.eye(4), _weyl(w, V, orb.coupling, mc2))
+    return _hermitize(Hc)
+
+
+def build_correspondence(
+    case: str,
+    lattice: LatticeSpec | None = None,
+    lam: float = 0.0,
+    params: ParticleParams | None = None,
+    include_darwin: bool = True,
+) -> LatticeHamiltonian:
+    """The conjectured block form (`_image_blocks`) as one dense matrix."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
-    mc2 = params.mc2
-    w, V = np.linalg.eigh(orb.P2)
-    S0 = (V * np.sqrt(mc2 ** 2 + w)) @ V.conj().T
-    I_orb = np.eye(lattice.orbital_dim)
-    Hc = np.kron(BETA4, S0.astype(complex))
-    tail_total = 0.0
-    if case == CASE_I:
-        Wm, tail = _weyl_series(w, V, orb.coupling, mc2, binom_minus_half_float, nmax)
-        pref = params.e * params.hbar / (2.0 * params.m * params.c)
-        Hc = Hc - pref * np.kron(BETA4 @ SIGMA4[2], Wm)
-        tail_total += abs(pref) * tail
-    else:
-        if include_darwin:
-            Wd, tail = _weyl_series(w, V, orb.coupling, mc2, binom_minus_half_float, nmax)
-            pref = darwin_coefficient(params)
-            Hc = Hc + pref * np.kron(np.eye(4), Wd)
-            tail_total += abs(pref) * tail
-    if tail_total > TAIL_TOL * mc2:
-        raise TruncationError(
-            "Weyl series tail %.3e exceeds the bound; raise the particle mass "
-            "or reduce the lattice momenta" % tail_total
-        )
-    return LatticeHamiltonian(
-        matrix=_hermitize(Hc),
-        case=case,
-        lam=lam,
-        lattice=lattice,
-        params=params,
-        aux={"beta": np.kron(BETA4, I_orb), "P2": orb.P2, "coupling": orb.coupling},
-    )
-
-
-@lru_cache(maxsize=None)
-def binom_minus_half_float(n: int) -> float:
-    return float(binom_minus_half(n))
+    Hc = _scatter(_image_blocks(case, orb, params, include_darwin), _dirac_index(orb), lattice.matrix_dim)
+    return LatticeHamiltonian(Hc, case, lam, lattice, params)
 
 
 def _fit_slope(lambdas, residuals) -> float:
-    logs_l = [math.log(l) for l in lambdas]
-    logs_r = []
-    for r in residuals:
-        if not (r > 0.0 and math.isfinite(r)):
-            raise DiagnosticError("degenerate residual, cannot fit a scaling slope")
-        logs_r.append(math.log(r))
-    return float(np.polyfit(logs_l, logs_r, 1)[0])
+    if not all(r > 0.0 and math.isfinite(r) for r in residuals):
+        raise DiagnosticError("degenerate residual, cannot fit a scaling slope")
+    logs = [[math.log(v) for v in values] for values in (lambdas, residuals)]
+    return float(np.polyfit(*logs, 1)[0])
 
 
 def residual_scaling(
@@ -484,10 +489,11 @@ def residual_scaling(
     lambdas=(1e-2, 1e-3, 1e-4),
     include_darwin: bool = True,
 ) -> tuple[list, float]:
-    """Particle-block gap between the exact transform and the conjecture.
+    """Particle-half gap between the exact transform and the conjecture.
 
-    The beta matrix is diagonal in the construction basis, so the particle
-    block is literally the upper-left quadrant; no extra conjugation runs.
+    One orbital assembly per amplitude serves both sides. beta is diagonal
+    in the block layout, so each block's particle half is its leading 2n
+    rows and columns; the residual is the largest gap over all blocks.
     """
     lambdas = list(lambdas)
     if len(lambdas) < 3:
@@ -499,9 +505,11 @@ def residual_scaling(
     params = params or default_params(case, lattice)
     residuals = []
     for lam in lambdas:
-        Hfw = eriksen_fw(build_hamiltonian(case, lattice, lam, params))
-        Hc = build_correspondence(case, lattice, lam, params, include_darwin)
-        residuals.append(float(np.abs((Hfw.matrix - Hc.matrix)[: 2 * lattice.orbital_dim, : 2 * lattice.orbital_dim]).max()))
+        orb = _orbital(case, lattice, lam, params)
+        particle = _particle_fw(case, orb, params)
+        half = particle.shape[-1]
+        image = _image_blocks(case, orb, params, include_darwin)[:, :half, :half]
+        residuals.append(float(np.abs(particle - image).max()))
     return residuals, _fit_slope(lambdas, residuals)
 
 
@@ -552,36 +560,30 @@ def darwin_vs_classical_hd(
     params = params or default_params(CASE_II, lattice)
     lambdas = sorted(lambdas, reverse=True)
     N = lattice.n_sites
-    half = 2 * N
+    mc2 = params.mc2
+    spin = np.eye(2)
 
-    def upper(M):
-        return M[:half, :half]
-
-    k = None
+    # particle halves, block by block: transform, kinetic root, Darwin
+    # term and the flat candidate's div E, on one orbital assembly per lam
     per_lam = {}
     for lam in lambdas:
-        H = build_hamiltonian(CASE_II, lattice, lam, params)
-        Hfw = eriksen_fw(H)
-        C0 = build_correspondence(CASE_II, lattice, lam, params, include_darwin=False)
-        Cg = build_correspondence(CASE_II, lattice, lam, params, include_darwin=True)
-        divE = H.aux["coupling"]
+        orb = _orbital(CASE_II, lattice, lam, params)
+        w, V, root = _kinetic_root(orb, mc2)
+        darwin = darwin_coefficient(params) * _weyl(w, V, orb.coupling, mc2)
         per_lam[lam] = (
-            upper(Hfw.matrix),
-            upper(C0.matrix),
-            upper(Cg.matrix) - upper(C0.matrix),
-            np.kron(np.eye(2), divE),
+            _particle_fw(CASE_II, orb, params),
+            _hermitize(_kron_blocks(spin, root)),
+            _hermitize(_kron_blocks(spin, darwin)),
+            _kron_blocks(spin, orb.coupling),
         )
-        k = H.lattice.axis_wavenumbers()
+    k = lattice.axis_wavenumbers()
 
-    hbar, c = params.hbar, params.c
-    gamma = np.sqrt(1.0 + (hbar * np.abs(k)) ** 2 * c ** 2 / params.mc2 ** 2)
-    gamma_max = float(gamma.max())
+    gamma_max = float(np.sqrt(1.0 + (params.hbar * np.abs(k)) ** 2 * params.c ** 2 / mc2 ** 2).max())
 
     # near-rest modes: |k| within three fundamental harmonics
     q = 2.0 * math.pi / lattice.length
     sel = np.where(np.abs(k) <= 3.0 * q)[0]
-    Psub = np.eye(N)[:, sel]
-    Ps2 = np.kron(np.eye(2), Psub)
+    Ps2 = np.kron(spin, np.eye(N)[:, sel])
 
     lam0 = min(lambdas)
     Hfw_u, C0_u, Dg_u, D0_u = per_lam[lam0]
@@ -600,10 +602,7 @@ def darwin_vs_classical_hd(
         res_candidate[lam] = float(np.abs(Hfw_u - C0_u - fitted * D0_u).max())
         res_without[lam] = float(np.abs(Hfw_u - C0_u).max())
 
-    Dg_u0 = per_lam[lam0][2]
-    gap_over_darwin = (res_candidate[lam0] - res_correct[lam0]) / float(
-        np.abs(Dg_u0).max()
-    )
+    gap_over_darwin = (res_candidate[lam0] - res_correct[lam0]) / darwin_mag
     ordered = sorted(per_lam)
     slope_with = _fit_slope(ordered, [res_correct[l] for l in ordered])
     slope_without = _fit_slope(ordered, [res_without[l] for l in ordered])
@@ -638,13 +637,12 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
     from .opalg.core import PI
     from .opalg.shadow import spin_matrices  # exact 4x4 spin basis
 
-    Px, Py = _orbital(CASE_I, lattice, lam, params).momenta
-    N = lattice.n_sites
+    orb = _orbital(CASE_I, lattice, lam, params)
+    orb_dim = lattice.orbital_dim
+    Px, Py = (_scatter(p, orb.index, orb_dim) for p in orb.momenta)
     _, F, Q, _, x = _axis_operators(lattice, params.hbar)
-    I_N = np.eye(N)
     q = 2.0 * math.pi / lattice.length
     A0 = lam * params.mc2 / abs(params.e)
-    orb_dim = N * N
     zeros = np.zeros((orb_dim, orb_dim), dtype=complex)
 
     @lru_cache(maxsize=None)
@@ -653,7 +651,7 @@ def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleP
         amp = A0 * q ** (n_derivs + 1)
         phase = n_derivs % 4
         f = {0: np.cos(q * x), 1: -np.sin(q * x), 2: -np.cos(q * x), 3: np.sin(q * x)}[phase]
-        return np.kron(_mul_op(amp * f, F, Q), I_N)
+        return np.kron(_mul_op(amp * f, F, Q), np.eye(lattice.n_sites))
 
     def word_matrix(word) -> np.ndarray:
         M = np.eye(orb_dim, dtype=complex)

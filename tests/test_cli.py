@@ -128,6 +128,21 @@ class TestCliDispatch:
         assert set(meta["threads"]) == set(THREAD_VARS)
         assert meta["threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert meta["threads"]["OMP_NUM_THREADS"] == "unset"
+        assert list(meta["check_wall_s"]) == ["boost_covariance"]
+        assert meta["check_wall_s"]["boost_covariance"] > 0.0
+
+    def test_verify_fw_results_byte_identical(self, tmp_path, capsys):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert main(["verify-fw", "--out", str(d1)]) == 0
+        assert main(["verify-fw", "--out", str(d2)]) == 0
+        r1 = (d1 / "results.json").read_bytes()
+        assert r1 == (d2 / "results.json").read_bytes()
+        checks = {c["name"]: c for c in json.loads(r1)["checks"]}
+        detail = checks["correspondence_scaling"]["detail"]
+        assert [len(detail["residuals"][case]) for case in ("case_i", "case_ii")] == [3, 3]
+        assert detail["blocks"] == {"case_i": [[12, 48]], "case_ii": [[1, 256]]}
+        meta = json.loads((d1 / "meta.json").read_text())
+        assert set(meta["check_wall_s"]) == set(checks)
 
     def test_config_error_exit_code(self, capsys):
         assert main(["simulate", "--config", "/no/such/file"]) == 2

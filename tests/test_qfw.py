@@ -8,13 +8,25 @@ import pytest
 
 from spincorr import ParticleParams
 from spincorr.classical import DiagnosticError
+from spincorr.opalg.identities import binom_minus_half
 from spincorr.qfw import (
+    ALPHA4,
+    BETA4,
     CASE_I,
     CASE_II,
+    SIGMA4,
     ConfigurationError,
+    LatticeHamiltonian,
     LatticeSpec,
     OddnessError,
-    TruncationError,
+    _axis_operators,
+    _dirac_blocks,
+    _hermitize,
+    _mul_op,
+    _odd_coupling,
+    _orbital,
+    _scatter,
+    _weyl,
     block_diagonality_defect,
     build_correspondence,
     build_hamiltonian,
@@ -45,6 +57,75 @@ def dense_eriksen_fw(H):
     w, U = np.linalg.eigh(H.params.mc2 ** 2 * np.eye(O.shape[0]) + O @ O)
     Hp = beta @ ((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
     return 0.5 * (Hp + Hp.conj().T)
+
+
+def hermitian_part(M):
+    return 0.5 * (M + M.conj().T)
+
+
+def dense_orbital(case, lattice, lam, params):
+    """Momenta, c^2 pi^2, coupling and field of the kron assembly on all orbitals.
+
+    The oracle of the per-block `_orbital`: every operator on the full
+    N^d-wide orbital space, orbital index i_x N + i_y in case I.
+    """
+    hbar, c = params.hbar, params.c
+    k, F, Q, p1, x = _axis_operators(lattice, hbar)
+    q = 2.0 * math.pi / lattice.length
+    if case == CASE_I:
+        I_N = np.eye(lattice.n_sites)
+        Ay = np.kron(_mul_op(lam * params.mc2 / abs(params.e) * np.sin(q * x), F, Q), I_N)
+        Px = np.kron(p1, I_N)
+        Py = np.kron(I_N, p1) - (params.e / c) * Ay
+        B = (c / (1j * hbar * params.e)) * (Px @ Py - Py @ Px)
+        return (Px, Py), hermitian_part(c ** 2 * (Px @ Px + Py @ Py)), hermitian_part(B), Ay
+    Ex = _mul_op(lam * params.mc2 / abs(params.mu_prime) * np.sin(q * x), F, Q)
+    divE = (1j / hbar) * (p1 @ Ex - Ex @ p1)
+    return (p1,), hermitian_part(c ** 2 * (p1 @ p1)), hermitian_part(divE), Ex
+
+
+def dense_hamiltonian(case, lattice, lam, params):
+    """H from the kron assembly, one dense Dirac layer (the oracle of the blocks)."""
+    momenta, P2, _, field_profile = dense_orbital(case, lattice, lam, params)
+    beta = np.kron(BETA4, np.eye(P2.shape[0]))
+    H = params.mc2 * beta + params.c * sum(np.kron(ALPHA4[i], p) for i, p in enumerate(momenta))
+    if case == CASE_II:
+        H = H + 1j * params.mu_prime * np.kron(BETA4 @ ALPHA4[0], field_profile)
+    return LatticeHamiltonian(hermitian_part(H), case, lam, lattice, params, aux={"beta": beta})
+
+
+def weyl_series(w, V, X, mc2, nmax=30):
+    """sum_{n <= nmax} C(-1/2, n) (X pi^{2n})_Weyl / (mc)^{2n}, and its tail bound.
+
+    The truncated operator Taylor series that the closed kernel replaces:
+    in the eigenbasis (w, V) of c^2 pi^2 the Weyl average over placements
+    is the kernel sum_l u_a^l u_b^{n-l}/(n+1). Each term's norm is at most
+    |C(-1/2, n)| u_max^n |X|_2, which bounds the tail geometrically.
+    """
+    u = w / mc2 ** 2
+    umax = float(u.max())
+    G = np.zeros((len(w), len(w)))
+    Sn = np.ones_like(G)
+    for n in range(nmax + 1):
+        if n:
+            Sn = u[:, None] * Sn + u[None, :] ** n
+        G += float(binom_minus_half(n)) * Sn / (n + 1)
+    tail = abs(float(binom_minus_half(nmax + 1))) * umax ** (nmax + 1) / (1.0 - umax)
+    return V @ ((V.conj().T @ X @ V) * G) @ V.conj().T, tail * float(np.linalg.norm(X, 2))
+
+
+def dense_correspondence(case, lattice, lam, params, include_darwin=True):
+    """The image on the full matrix: kron assembly, one eigh, 30-term series."""
+    _, P2, coupling, _ = dense_orbital(case, lattice, lam, params)
+    mc2 = params.mc2
+    w, V = np.linalg.eigh(P2)
+    Hc = np.kron(BETA4, (V * np.sqrt(mc2 ** 2 + w)) @ V.conj().T)
+    if case == CASE_I:
+        pref = params.e * params.hbar / (2.0 * params.m * params.c)
+        Hc = Hc - pref * np.kron(BETA4 @ SIGMA4[2], weyl_series(w, V, coupling, mc2)[0])
+    elif include_darwin:
+        Hc = Hc + darwin_coefficient(params) * np.kron(np.eye(4), weyl_series(w, V, coupling, mc2)[0])
+    return hermitian_part(Hc)
 
 
 def free_energies(lattice, params):
@@ -224,18 +305,111 @@ class TestBlockedEriksen:
             eriksen_fw(H)
 
 
+class TestBlockAssembly:
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_block_guard_rejects_even_part(self, case):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        Hb = _dirac_blocks(case, _orbital(case, lat, 1e-2, par), par)
+        half = Hb.shape[-1] // 2
+        assert _odd_coupling(Hb, half, par.mc2).shape == (Hb.shape[0], half, half)
+        # an even perturbation in the last block only
+        Hb[-1, 0, 1] += 1e-3
+        Hb[-1, 1, 0] += 1e-3
+        with pytest.raises(OddnessError, match="not odd within a block"):
+            _odd_coupling(Hb, half, par.mc2)
+
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_scattered_blocks_match_dense_assembly(self, case):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        H = build_hamiltonian(case, lat, 1e-2, par)
+        orb = _orbital(case, lat, 1e-2, par)
+        _, P2, coupling, _ = dense_orbital(case, lat, 1e-2, par)
+        D = lat.orbital_dim
+        assert np.abs(H.matrix - dense_hamiltonian(case, lat, 1e-2, par).matrix).max() <= 1e-15
+        # c^2 pi^2 reaches 50 in case I, where 1e-15 is below one ulp: the
+        # per-block and dense products may round their sums differently
+        assert np.abs(_scatter(orb.P2, orb.index, D) - P2).max() <= 1e-15 * np.abs(P2).max()
+        assert np.abs(_scatter(orb.coupling, orb.index, D) - coupling).max() <= 1e-15
+
+    @pytest.mark.parametrize("case, darwin", [(CASE_I, True), (CASE_II, True), (CASE_II, False)])
+    def test_particle_residual_matches_dense(self, case, darwin):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        lams = (1e-2, 1e-3, 1e-4)
+        res, _ = residual_scaling(case, lat, par, lams, include_darwin=darwin)
+        half = 2 * lat.orbital_dim
+        for lam, r in zip(lams, res):
+            Hfw = eriksen_fw(build_hamiltonian(case, lat, lam, par))
+            gap = (Hfw.matrix - dense_correspondence(case, lat, lam, par, darwin))[:half, :half]
+            assert abs(r - float(np.abs(gap).max())) <= 1e-13
+
+
+class TestWeylKernel:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_closed_kernel_matches_series(self, case, lam):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        orb = _orbital(case, lat, lam, par)
+        w, V = np.linalg.eigh(orb.P2)
+        closed = _weyl(w, V, orb.coupling, par.mc2)
+        for b in range(len(w)):
+            series, _ = weyl_series(w[b], V[b], orb.coupling[b], par.mc2)
+            assert np.abs(closed[b] - series).max() <= 1e-13
+
+    def test_truncated_series_fails_near_hard_cutoff(self):
+        # rho = 0.9 puts u_max at 0.81: eight series terms miss the closed
+        # kernel by far more than 1e-12 mc^2, thirty by less, and the tail
+        # bound covers each miss; the closed kernel is exact at any u
+        lat = LatticeSpec(dimension=1, n_sites=64, rho=0.9)
+        par = ParticleParams.neutral(mu_prime=0.08, m=lat.mass_for_cutoff())
+        orb = _orbital(CASE_II, lat, 1e-3, par)
+        w, V = np.linalg.eigh(orb.P2[0])
+        closed = _weyl(w, V, orb.coupling[0], par.mc2)
+        pref = abs(darwin_coefficient(par))
+        misses = []
+        for nmax in (8, 30):
+            series, tail = weyl_series(w, V, orb.coupling[0], par.mc2, nmax)
+            misses.append(float(np.abs(series - closed).max()))
+            assert misses[-1] <= tail
+        assert pref * misses[0] > 1e-12 * par.mc2
+        assert misses[1] < misses[0]
+
+    def test_image_is_built_per_block(self):
+        C = build_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
+        dense = dense_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
+        assert np.abs(C.matrix - dense).max() <= 1e-13
+        labels = build_hamiltonian(CASE_I, LAT_I, 0.0, PAR_I).aux["blocks"]
+        assert not np.any(C.matrix[labels[:, None] != labels[None, :]])
+
+
+class TestHermiticityGuard:
+    def test_large_lattice_builds(self):
+        # c^2 pi^2 and div E grow with the mass, which grows with N at fixed rho
+        lat = LatticeSpec(dimension=1, n_sites=512)
+        orb = _orbital(CASE_II, lat, 1e-2, default_params(CASE_II, lat))
+        assert orb.coupling.shape == (1, 512, 512)
+
+    def test_anti_hermitian_part_raises(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        M = X + X.conj().T
+        assert hermiticity_defect(_hermitize(M)) == 0.0
+        with pytest.raises(ConfigurationError, match="not Hermitian"):
+            _hermitize(M + 1e-9 * (X - X.conj().T))
+        # judged per block: the defect is small against the other block's scale
+        with pytest.raises(ConfigurationError, match="not Hermitian"):
+            _hermitize(np.stack([1e6 * M, M + 1e-9 * (X - X.conj().T)]))
+
+
 class TestCorrespondence:
     def test_matches_transform_at_zero_amplitude(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             Hfw = eriksen_fw(build_hamiltonian(case, lat, 0.0, par))
             C = build_correspondence(case, lat, 0.0, par)
             assert np.abs(Hfw.matrix - C.matrix).max() < 1e-12
-
-    def test_truncation_guard_fires_near_hard_cutoff(self):
-        lat = LatticeSpec(dimension=1, n_sites=64, rho=0.9)
-        par = ParticleParams.neutral(mu_prime=0.08, m=lat.mass_for_cutoff())
-        with pytest.raises(TruncationError):
-            build_correspondence(CASE_II, lat, 1e-3, par, nmax=8)
 
     def test_charged_residual_scales_quadratically(self):
         res, slope = residual_scaling(CASE_I, LAT_I, PAR_I, (1e-2, 1e-3, 1e-4))
