@@ -249,7 +249,11 @@ def check_case_equality(order: int = 8) -> CheckResult:
 
 
 def check_ordering_identity(seed: int = DEFAULT_SEED) -> CheckResult:
+    """The double-cross ordering identity; a failing run also gets, per component,
+    the leading terms of the residual's field-derivative-free part as text.
+    """
     from .opalg.identities import matchup_report
+    from .opalg.printing import expr_to_text, leading_terms
 
     rep = matchup_report(trials=8, seed=seed)
     value = {
@@ -259,13 +263,12 @@ def check_ordering_identity(seed: int = DEFAULT_SEED) -> CheckResult:
         "defect_decomposition": rep["defect_decomposition"],
         "shadow_zero": rep["shadow_zero"],
     }
-    return CheckResult(
-        "ordering_identity",
-        value,
-        0,
-        bool(rep["ok"]),
-        detail={"defect_coefficients": [str(c) for c in rep["defect_coefficients"]]},
-    )
+    detail = {"defect_coefficients": [str(c) for c in rep["defect_coefficients"]]}
+    if not rep["ok"]:
+        detail["leading_residual"] = [
+            expr_to_text(leading_terms(h, RESIDUAL_TERMS_SHOWN)) for h in rep["homogeneous_residual"]
+        ]
+    return CheckResult("ordering_identity", value, 0, bool(rep["ok"]), detail=detail)
 
 
 def check_darwin_anchors() -> CheckResult:

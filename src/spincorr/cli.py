@@ -12,10 +12,11 @@ Result files are deterministic for the same config, seed and BLAS thread
 count: results.json is byte-identical across such reruns (the lattice
 checks' eigensolver values move in the last digits with the thread
 count); the timestamp and wall time live in a separate meta.json so they
-cannot perturb the record. meta.json also records the numpy version and
-the BLAS/OpenMP thread-count variables ("unset" where a variable is not
-set), so a run can be matched with the thread count it ran under, and
-each check's wall time by name.
+cannot perturb the record. meta.json also records the numpy version, the
+name and version of the BLAS library numpy was built with, and the
+BLAS/OpenMP thread-count variables ("unset" where a variable is not
+set), so a run can be matched with the library and thread count it ran
+under, and each check's wall time by name.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ EXIT_INTERNAL = 3
 # BLAS/OpenMP thread-count variables; the lattice checks' eigensolver
 # values move in the last digits with the thread count
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_info() -> dict:
+    """Name and version of numpy's BLAS build dependency ("unknown" where numpy does not say)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy without show_config(mode=...)
+        blas = {}
+    return {key: str(blas.get(key, "unknown")) for key in ("name", "version")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,6 +189,7 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
         "numpy": np.__version__,
+        "blas": _blas_info(),
         "threads": {var: os.environ.get(var, "unset") for var in THREAD_VARS},
         "check_wall_s": {r.name: r.wall_s for r in results},
     }

@@ -15,9 +15,6 @@ from .identities import (
     binom_minus_half,
     case_algebra,
     claimed_expansion,
-    coeff_inv_gamma,
-    coeff_inv_gamma_gamma_plus_one,
-    coeff_inv_gamma_plus_one,
     matchup_report,
     omega_base,
     omega_power,
@@ -27,8 +24,8 @@ from .identities import (
     sym_cross,
     sym_dot_pipi,
     verify_case,
-    verify_matchup,
     weyl_order,
+    weyl_orders,
 )
 from .printing import expr_to_records, expr_to_text, leading_terms
 from .shadow import ShadowRep, shadow_equal, shadow_is_zero
@@ -46,9 +43,6 @@ __all__ = [
     "binom_minus_half",
     "case_algebra",
     "claimed_expansion",
-    "coeff_inv_gamma",
-    "coeff_inv_gamma_gamma_plus_one",
-    "coeff_inv_gamma_plus_one",
     "eps",
     "expr_sum",
     "expr_to_records",
@@ -65,7 +59,7 @@ __all__ = [
     "sym_cross",
     "sym_dot_pipi",
     "verify_case",
-    "verify_matchup",
     "weyl_order",
+    "weyl_orders",
     "word_field_count",
 ]

@@ -125,11 +125,24 @@ class TestCliDispatch:
         assert main(["boost", "--out", str(tmp_path), "--seed", "11"]) == 0
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert set(meta["threads"]) == set(THREAD_VARS)
         assert meta["threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert meta["threads"]["OMP_NUM_THREADS"] == "unset"
         assert list(meta["check_wall_s"]) == ["boost_covariance"]
         assert meta["check_wall_s"]["boost_covariance"] > 0.0
+
+    def test_blas_unknown_where_numpy_does_not_say(self, monkeypatch):
+        import numpy as np
+
+        from spincorr.cli import _blas_info
+
+        def old_show_config():  # numpy before show_config(mode=...)
+            return None
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert _blas_info() == {"name": "unknown", "version": "unknown"}
 
     def test_verify_fw_results_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,11 @@ slow independent oracle: it moves a field symbol left one momentum at a
 time (pi_i F = F pi_i - i hbar d_i F) and sorts field-free words by single
 transpositions (pi_i pi_j = pi_j pi_i + i (hbar e / c) eps_ijk B_k),
 recursing into and memoising every intermediate word.
+
+The per-l Weyl sums are kept the same way: `weyl_order_per_l` and
+`claimed_expansion_per_l` rebuild (X pi^{2k})_W from its k+1 placements
+for every k, as the closed form did before the recurrence of
+`weyl_orders` replaced them.
 """
 
 from fractions import Fraction
@@ -13,7 +18,20 @@ from random import Random
 
 import pytest
 
-from spincorr.opalg import CASE_I, CASE_II, Algebra, case_algebra, verify_case
+from spincorr.opalg import (
+    CASE_I,
+    CASE_II,
+    Algebra,
+    binom_half,
+    binom_minus_half,
+    case_algebra,
+    claimed_expansion,
+    expr_sum,
+    series_sqrt_expand,
+    sym_cross,
+    verify_case,
+    weyl_orders,
+)
 from spincorr.opalg.core import (
     ZERO_UNITS,
     _fold_i,
@@ -188,16 +206,99 @@ def test_one_field_words_leibniz(kind):
     assert trace_b_hits >= 10
 
 
+def weyl_order_per_l(alg: Algebra, X, k: int):
+    """(X pi^{2k})_W as the literal average (1/(k+1)) sum_l pi^{2l} X pi^{2(k-l)}."""
+    parts = [alg.product(alg.pi_even_power(l), X, alg.pi_even_power(k - l)) for l in range(k + 1)]
+    return expr_sum(parts).scale(Fraction(1, k + 1))
+
+
+def claimed_expansion_per_l(case: str, N: int, alg: Algebra):
+    """The closed form with every Weyl sum rebuilt per k: O(N^2) large products."""
+    beta = alg.beta()
+    parts = []
+    for n in range(N + 1):
+        u = (0, 2 - 2 * n, 1 - 2 * n, 0, 0)
+        parts.append(alg.multiply(beta, alg.pi_even_power(n)).scale(binom_half(n), units=u))
+    if case == CASE_I:
+        X = expr_sum(
+            alg.multiply(alg.multiply(beta, alg.sigma(k)), alg.field("B", k)) for k in (1, 2, 3)
+        )
+        for k in range(N):
+            u = (1, -1 - 2 * k, -1 - 2 * k, 1, 0)
+            parts.append(weyl_order_per_l(alg, X, k).scale(-binom_minus_half(k) / 2, units=u))
+    else:
+        bar = sym_cross(alg, "E")
+        so = expr_sum(alg.multiply(alg.sigma(k), bar[k - 1]) for k in (1, 2, 3))
+        dv = alg.div_e()
+        for k in range(N):
+            mu_units = (0, -1 - 2 * k, -1 - 2 * k, 0, 1)
+            parts.append(weyl_order_per_l(alg, so, k).scale(binom_minus_half(k), units=mu_units))
+            dar_units = (1, -1 - 2 * k, -1 - 2 * k, 0, 1)
+            parts.append(weyl_order_per_l(alg, dv, k).scale(-binom_minus_half(k) / 2, units=dar_units))
+    return expr_sum(parts)
+
+
+def weyl_operand(name: str, alg: Algebra):
+    """Case I's beta sigma.B, or case II's spin-orbit or div E operand."""
+    if name == "beta_sigma_B":
+        return expr_sum(
+            alg.multiply(alg.multiply(alg.beta(), alg.sigma(k)), alg.field("B", k)) for k in (1, 2, 3)
+        )
+    if name == "spin_orbit":
+        bar = sym_cross(alg, "E")
+        return expr_sum(alg.multiply(alg.sigma(k), bar[k - 1]) for k in (1, 2, 3))
+    return alg.div_e()
+
+
+@pytest.mark.parametrize("operand", ["beta_sigma_B", "div_E", "spin_orbit"])
+@pytest.mark.parametrize("kind", sorted(ALGEBRAS))
+def test_weyl_orders_match_per_l_sums(kind, operand):
+    """The recurrence equals the literal per-l average for every k <= 6."""
+    alg, ref = ALGEBRAS[kind](), ALGEBRAS[kind]()
+    got = weyl_orders(alg, weyl_operand(operand, alg), 7)
+    X = weyl_operand(operand, ref)
+    assert len(got) == 7
+    for k, w in enumerate(got):
+        assert w == weyl_order_per_l(ref, X, k), k
+
+
+@pytest.mark.parametrize("case", [CASE_I, CASE_II])
+def test_claimed_expansion_matches_per_l_oracle(case):
+    assert claimed_expansion(case, 8) == claimed_expansion_per_l(case, 8, case_algebra(case))
+
+
+# verify_case's truncation count on the series side alone
+SERIES_DROPS = {(CASE_I, 4): 1440, (CASE_II, 4): 3045, (CASE_I, 6): 33024, (CASE_II, 6): 35490}
+
+
 @pytest.mark.parametrize(
     "case, order, drops",
     [(CASE_I, 4, 2952), (CASE_II, 4, 6612), (CASE_I, 6, 69984), (CASE_II, 6, 86412)],
 )
 def test_dropped_derivatives_pinned(case, order, drops):
-    """The truncation count of the one-swap rewriting, kept exactly."""
+    """The truncation count of the one-swap rewriting, kept exactly, side by side.
+
+    drops is the series plus the per-l closed form. The recurrence makes
+    each left product pi^{2k} X once instead of N - k times, so the closed
+    side now truncates exactly as often as the series, and verify_case
+    counts twice the series.
+    """
+    series_drops = SERIES_DROPS[(case, order)]
     alg = case_algebra(case)
-    ok, _ = verify_case(case, order, alg)
-    assert ok
+    series = series_sqrt_expand(case, order, alg)
+    assert alg.dropped_derivatives == series_drops
+    oracle = claimed_expansion_per_l(case, order, alg)
     assert alg.dropped_derivatives == drops
+    assert (series - oracle).is_zero()
+
+    closed = case_algebra(case)
+    claimed_expansion(case, order, closed)
+    assert closed.dropped_derivatives == series_drops
+
+    both = case_algebra(case)
+    ok, _ = verify_case(case, order, both)
+    assert ok
+    assert both.dropped_derivatives == 2 * series_drops
 
 
 def test_product_folds_from_first_factor():

@@ -14,9 +14,6 @@ from spincorr.opalg import (
     binom_half,
     binom_minus_half,
     case_algebra,
-    coeff_inv_gamma,
-    coeff_inv_gamma_gamma_plus_one,
-    coeff_inv_gamma_plus_one,
     expr_sum,
     expr_to_records,
     expr_to_text,
@@ -30,10 +27,9 @@ from spincorr.opalg import (
     sym_cross,
     sym_dot_pipi,
     verify_case,
-    verify_matchup,
     weyl_order,
 )
-from spincorr.checks import check_case_equality
+from spincorr.checks import RESIDUAL_TERMS_SHOWN, check_case_equality, check_ordering_identity
 from spincorr.opalg import identities
 from spincorr.opalg.core import SPIN_MUL, _fold_i
 from spincorr.opalg.printing import leading_terms, term_sort_key
@@ -284,6 +280,12 @@ class TestVerifyCase:
             ok, diff = verify_case(CASE_II, N, alg)
             assert ok and diff.is_zero(), N
 
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_order_12(self, case):
+        """Identity through 1/m^24, with fresh memo tables."""
+        ok, diff = verify_case(case, 12)
+        assert ok and diff.is_zero()
+
     def test_coefficient_identity_is_the_mechanism(self):
         # the cancellation is (k+1) C(1/2,k+1) = (1/2) C(-1/2,k)
         for k in range(12):
@@ -318,9 +320,6 @@ class TestMatchup:
     def test_defect_coefficients(self):
         rep = matchup_report(trials=1)
         assert rep["defect_coefficients"] == (Fraction(-1, 2), Fraction(1, 4))
-
-    def test_verify_matchup_entrypoint(self):
-        assert verify_matchup(2)
 
 
 class TestPauliIdentity:
@@ -461,10 +460,12 @@ class TestCoefficientStreams:
     def test_inverse_gamma_series_numerics(self):
         # float oracle at small argument
         u = 0.01
+        # u^n coefficients of 1/gamma, 1/(gamma+1) = (sqrt(1+u) - 1)/u and
+        # 1/(gamma(gamma+1)) = (1 - 1/sqrt(1+u))/u, with u = (pi/mc)^2
         for fn, ref in (
-            (coeff_inv_gamma, (1 + u) ** -0.5),
-            (coeff_inv_gamma_plus_one, 1.0 / ((1 + u) ** 0.5 + 1)),
-            (coeff_inv_gamma_gamma_plus_one, 1.0 / ((1 + u) ** 0.5 * ((1 + u) ** 0.5 + 1))),
+            (binom_minus_half, (1 + u) ** -0.5),
+            (lambda n: binom_half(n + 1), 1.0 / ((1 + u) ** 0.5 + 1)),
+            (lambda n: -binom_minus_half(n + 1), 1.0 / ((1 + u) ** 0.5 * ((1 + u) ** 0.5 + 1))),
         ):
             total = sum(float(fn(n)) * u**n for n in range(12))
             assert abs(total - ref) < 1e-15
@@ -523,3 +524,35 @@ class TestCaseEqualityReport:
         assert text_ii.count("  +  ") == 4
         residual_ii = claimed(CASE_II, 2).scale(Fraction(-1))
         assert text_ii == expr_to_text(leading_terms(residual_ii, 5))
+
+
+class TestOrderingIdentityReport:
+    def test_passing_run_has_no_residual_text(self):
+        r = check_ordering_identity()
+        assert r.passed
+        assert "leading_residual" not in r.detail
+
+    def test_failing_run_reports_leading_residual(self, monkeypatch):
+        """A homogeneous error term in the delta shows up, per component, as text."""
+        delta = identities._matchup_delta
+        alg = Algebra(charged=True)
+        p = alg.pi_vec()
+        # six field-derivative-free words in component 1, one in component 3
+        bad = [
+            expr_sum(alg.product(alg.field("B", j), p[k], p[k]) for j in (1, 2) for k in (0, 1, 2)),
+            OpExpr(),
+            alg.field("E", 3).scale(Fraction(2, 3)),
+        ]
+
+        def wrong_delta(a):
+            return [d + b for d, b in zip(delta(a), bad)]
+
+        monkeypatch.setattr(identities, "_matchup_delta", wrong_delta)
+        r = check_ordering_identity()
+        assert not r.passed
+        assert r.value["homogeneous_exact"] is False
+        text = r.detail["leading_residual"]
+        assert text == [expr_to_text(leading_terms(b, RESIDUAL_TERMS_SHOWN)) for b in bad]
+        assert text[0].count("  +  ") == RESIDUAL_TERMS_SHOWN - 1
+        assert text[1] == "0"
+        assert text[2] == "2/3 E3"
