@@ -122,6 +122,27 @@ def h_total_rows(x, p, s, model, params: ParticleParams) -> np.ndarray:
     return _h_total_arrays(x.T, p.T, s.T, model, params)
 
 
+# rows per array evaluation of H over many states: one call per block, not
+# per row, with temporaries bounded to the block's size
+H_BLOCK = 1024
+
+
+def h_total_blocked(ys: np.ndarray, model, params: ParticleParams, offsets=None) -> np.ndarray:
+    """H at each row of an (N, 9) array of y = (x, p, s), one h_total_rows call per H_BLOCK rows.
+
+    With a (K, 9) array of offsets, H at each row plus each offset instead,
+    as an (N, K) array; a block then holds H_BLOCK // K rows of ys.
+    """
+    k = 1 if offsets is None else len(offsets)
+    per = H_BLOCK // k
+    hs = []
+    for i in range(0, len(ys), per):
+        b = ys[i : i + per] if offsets is None else (ys[i : i + per, None, :] + offsets).reshape(-1, 9)
+        hs.append(h_total_rows(b[:, 0:3], b[:, 3:6], b[:, 6:9], model, params))
+    H = np.concatenate(hs)
+    return H if offsets is None else H.reshape(len(ys), k)
+
+
 def _eom_arrays(x, p, s, model, params):
     """(dx/dt, dp/dt, ds/dt) in component form."""
     f, pi, g = _local(x, p, model, params)
@@ -144,16 +165,6 @@ def _eom_arrays(x, p, s, model, params):
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
     """(dx/dt, dp/dt, ds/dt) of the full Hamilton flow with precession."""
     return tuple(map(np.array, _eom_arrays(state.x.tolist(), state.p.tolist(), state.s.tolist(), model, params)))
-
-
-def stern_gerlach_force(x, p, s, model, params: ParticleParams) -> np.ndarray:
-    """Field-gradient 3-force -grad(H_spin) at fixed kinematic momentum.
-
-    This is the linear-in-field piece; the chain through A(x) inside pi
-    is quadratic in the field strength and excluded.
-    """
-    f, pi, g = _local(x, p, model, params)
-    return -np.array(_explicit_gradient(f, pi, s, _coefficients(g, params)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +228,6 @@ class Trajectory:
 # is still accumulated in spin_drift so the integrator stays honest
 SPIN_RENORM_THRESHOLD = 1e-12
 
-# rows per array evaluation of H when a Trajectory is built: one call per
-# block, not per row, with temporaries bounded to the block's size
-H_BLOCK = 1024
-
 
 def _increment(h, weights, ks):
     """h * sum_j w_j k_j over the nonzero weights."""
@@ -262,8 +269,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     s0_mag = float(np.linalg.norm(state0.s))
 
     def trajectory():
-        blocks = (ys[i : min(i + H_BLOCK, rows)] for i in range(0, rows, H_BLOCK))
-        hs = np.concatenate([h_total_rows(b[:, 0:3], b[:, 3:6], b[:, 6:9], model, params) for b in blocks])
+        hs = h_total_blocked(ys[:rows], model, params)
         s = ys[:rows, 6:9]
         return Trajectory(ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows])
 

@@ -16,9 +16,8 @@ from .params import ParticleParams
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
-# loose/tight tolerance pair around double-precision accumulation
+# loose tolerance around double-precision accumulation
 PRE_TOL = 1e-10
-POST_TOL = 1e-12
 BMT_PRE_TOL = 1e-8
 
 

@@ -18,7 +18,6 @@ from .identities import (
     matchup_report,
     omega_base,
     omega_power,
-    omega_power_closed,
     pauli_identity_check,
     series_sqrt_expand,
     sym_cross,
@@ -51,7 +50,6 @@ __all__ = [
     "matchup_report",
     "omega_base",
     "omega_power",
-    "omega_power_closed",
     "pauli_identity_check",
     "series_sqrt_expand",
     "shadow_equal",

@@ -175,17 +175,6 @@ def omega_power(case: str, n: int, alg: Algebra | None = None) -> OpExpr:
     return out
 
 
-def omega_power_closed(case: str, n: int, alg: Algebra | None = None) -> OpExpr:
-    """The induction closed form pi^{2n} - n (X pi^{2n-2})_Weyl."""
-    if n < 0:
-        raise MalformedOperandError("omega power requires n >= 0")
-    alg = alg or case_algebra(case)
-    if n == 0:
-        return alg.one()
-    X = _field_part(case, alg)
-    return alg.pi_even_power(n) - weyl_order(alg, X, n - 1).scale(Fraction(n))
-
-
 def series_sqrt_expand(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
     """beta mc^2 sum_{n<=N} C(1/2,n) (Omega/m^2c^2)^n, fully canonicalized."""
     if N < 0:

@@ -15,6 +15,7 @@ from spincorr import (
     sample_field,
     v_pi,
 )
+from spincorr import checks, classical
 from spincorr.classical import (
     DiagnosticError,
     IntegrationError,
@@ -24,11 +25,14 @@ from spincorr.classical import (
     covariance_scaling,
     eom_rhs,
     h_total,
+    h_total_rows,
     integrate,
     precession_vector,
     rest_frame_covariance_residual,
-    stern_gerlach_force,
+    _coefficients,
+    _explicit_gradient,
     _four_vectors,
+    _local,
 )
 from spincorr.lorentz import four_velocity, spin_four_vector_lab
 
@@ -43,6 +47,37 @@ def random_state(scale_p=1.0):
 
 def flip_spin(st):
     return PhaseState(st.x, st.p, -st.s)
+
+
+def explicit_gradient(st, model, params=PARAMS):
+    """d(H_spin)/dx at fixed pi: minus the Stern-Gerlach force."""
+    f, pi, g = _local(st.x.tolist(), st.p.tolist(), model, params)
+    return np.array(_explicit_gradient(f, pi, st.s.tolist(), _coefficients(g, params)[0]))
+
+
+def gradient_oracle_per_state(seed):
+    """check_gradient_oracle as a per-state loop: 18 displaced H rows and one
+    eom_rhs call per state, drawn as three normal(size=3) each.
+
+    Returns (worst, worst_state, worst_part).
+    """
+    model = Superposition(SternGerlach(B0=1.0, b=0.3), SinusoidalElectrostatic(lam=0.4, L=2.0))
+    rng = np.random.default_rng(seed)
+    h = 1e-6
+    offsets = np.zeros((18, 9))
+    offsets[0::2], offsets[1::2] = h * np.eye(9), -h * np.eye(9)
+    worst, worst_state, worst_part = 0.0, None, None
+    for i in range(1000):
+        st = PhaseState(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
+        dx, dp, ds = eom_rhs(st, model, checks.CANONICAL)
+        ys = np.concatenate([st.x, st.p, st.s]) + offsets
+        H = h_total_rows(ys[:, 0:3], ys[:, 3:6], ys[:, 6:9], model, checks.CANONICAL)
+        fd = (H[0::2] - H[1::2]) / (2 * h)
+        fd_x, fd_p, grad_s = fd[0:3], fd[3:6], fd[6:9]
+        err = np.abs(np.concatenate([dx - fd_p, dp + fd_x, ds - np.cross(grad_s, st.s)]))
+        if err.max() > worst:
+            worst, worst_state, worst_part = float(err.max()), i, ("dx", "dp", "ds")[int(err.argmax()) // 3]
+    return worst, worst_state, worst_part
 
 
 class TestHamiltonians:
@@ -145,8 +180,7 @@ class TestGradients:
     def test_uniform_field_no_gradient_force(self):
         model = Uniform(E0=np.array([0.1, 0.2, 0.3]), B0=np.array([0.5, -0.4, 0.8]))
         st = random_state()
-        f = stern_gerlach_force(st.x, st.p, st.s, model, PARAMS)
-        assert np.allclose(f, 0.0, atol=1e-15)
+        assert np.allclose(explicit_gradient(st, model), 0.0, atol=1e-15)
 
     def test_orbital_momentum_gradient_is_velocity(self):
         for _ in range(20):
@@ -176,6 +210,50 @@ class TestGradients:
             ) / (2 * h)
             assert abs(dHx[j] - fd_x) < 1e-7
             assert abs(dHp[j] - fd_p) < 1e-7
+
+
+class TestGradientOracleCheck:
+    @pytest.mark.parametrize("seed", [7, checks.DEFAULT_SEED, 123])
+    def test_matches_per_state_loop(self, seed):
+        r = checks.check_gradient_oracle(seed)
+        worst, state, part = gradient_oracle_per_state(seed)
+        assert r.value == worst
+        assert (r.detail["worst_state"], r.detail["worst_part"]) == (state, part)
+        assert r.passed
+
+    def test_work_counts(self, monkeypatch):
+        calls = {"eom": 0, "h": 0, "rows": 0}
+        eom, rows = checks.eom_rhs, classical.h_total_rows
+
+        def counted_eom(*args):
+            calls["eom"] += 1
+            return eom(*args)
+
+        def counted_rows(x, *args):
+            calls["h"] += 1
+            calls["rows"] += len(x)
+            assert len(x) <= classical.H_BLOCK
+            return rows(x, *args)
+
+        monkeypatch.setattr(checks, "eom_rhs", counted_eom)
+        monkeypatch.setattr(classical, "h_total_rows", counted_rows)
+        d = checks.check_gradient_oracle().detail
+        assert (d["eom_calls"], d["h_rows"], d["h_calls"]) == (1000, 18000, 18)
+        assert (calls["eom"], calls["rows"], calls["h"]) == (d["eom_calls"], d["h_rows"], d["h_calls"])
+        assert 0 <= d["worst_state"] < 1000 and d["worst_part"] in ("dx", "dp", "ds")
+
+    def test_fails_without_stern_gerlach_force(self, monkeypatch):
+        # a dp/dt that drops the field-gradient term -d(H_spin)/dx
+        eom = checks.eom_rhs
+
+        def no_gradient_force(st, model, params):
+            dx, dp, ds = eom(st, model, params)
+            return dx, dp + explicit_gradient(st, model, params), ds
+
+        monkeypatch.setattr(checks, "eom_rhs", no_gradient_force)
+        r = checks.check_gradient_oracle()
+        assert not r.passed
+        assert r.detail["worst_part"] == "dp"
 
 
 class TestEomRhs:

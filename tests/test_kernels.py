@@ -32,7 +32,6 @@ from spincorr.classical import (
     h_total_rows,
     integrate,
     precession_vector,
-    stern_gerlach_force,
 )
 
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
@@ -108,10 +107,10 @@ def ref_eom(x, p, s, model, params):
     return dH_dpi, -dH_dx, ds
 
 
-def ref_sg_force(x, p, s, model, params):
+def ref_explicit_gradient(x, p, s, model, params):
     sample = sample_field(model, x)
     pi = kinematic_momentum(p, sample.A, params)
-    return -ref_spin_grad(pi, gamma_pi(pi, params), s, sample, params)[1]
+    return ref_spin_grad(pi, gamma_pi(pi, params), s, sample, params)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,9 @@ class TestAgainstReference:
             for new, ref in zip(eom_rhs(st, model, PARAMS), ref_eom(x, p, s, model, PARAMS)):
                 assert_close(new, ref)
             assert_close(h_total(st, model, PARAMS), ref_h_total(x, p, s, model, PARAMS))
-            assert_close(stern_gerlach_force(x, p, s, model, PARAMS), ref_sg_force(x, p, s, model, PARAMS))
+            f, pi, g = classical._local(x, p, model, PARAMS)
+            grad = classical._explicit_gradient(f, pi, s, classical._coefficients(g, PARAMS)[0])
+            assert_close(grad, ref_explicit_gradient(x, p, s, model, PARAMS))
             smp = sample_field(model, x)
             pi = kinematic_momentum(p, smp.A, PARAMS)
             assert_close(precession_vector(pi, smp.E, smp.B, PARAMS), ref_precession(pi, smp.E, smp.B, PARAMS))
@@ -182,3 +183,16 @@ def test_trajectory_h_blocks_match_rows():
     assert len(traj) == steps + 1
     per_row = np.array([h_total(traj.state(i), model, PARAMS) for i in range(len(traj))])
     assert_close(traj.h_total, per_row)
+
+
+def test_h_blocked_offsets_match_per_state_rows():
+    # 130 states of 18 offsets: 56-state blocks, the last one partial
+    model = MODELS["superposition"]
+    X, P, S = random_states(14, n=130)
+    ys = np.concatenate([X, P, S], axis=1)
+    offsets = np.random.default_rng(15).normal(scale=1e-3, size=(18, 9))
+    H = classical.h_total_blocked(ys, model, PARAMS, offsets)
+    assert H.shape == (130, 18)
+    for y, row in zip(ys, H):
+        d = y + offsets
+        assert_close(row, h_total_rows(d[:, 0:3], d[:, 3:6], d[:, 6:9], model, PARAMS))

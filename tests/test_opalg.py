@@ -20,7 +20,6 @@ from spincorr.opalg import (
     matchup_report,
     omega_base,
     omega_power,
-    omega_power_closed,
     pauli_identity_check,
     series_sqrt_expand,
     shadow_equal,
@@ -221,14 +220,16 @@ class TestOmegaPowers:
         assert omega_power(CASE_I, 2, alg) == want
 
     def test_closed_form_through_n10(self):
+        # Omega^n = pi^{2n} - n (X pi^{2n-2})_W, every n from one weyl_orders call
         for case in (CASE_I, CASE_II):
             alg = case_algebra(case)
+            weyl = identities.weyl_orders(alg, identities._field_part(case, alg), 10)
             brute = alg.one()
             base = omega_base(case, alg)
-            for n in range(11):
-                if n:
-                    brute = alg.multiply(brute, base)
-                assert brute == omega_power_closed(case, n, alg), (case, n)
+            for n in range(1, 11):
+                brute = alg.multiply(brute, base)
+                closed = alg.pi_even_power(n) - weyl[n - 1].scale(Fraction(n))
+                assert brute == closed, (case, n)
 
     def test_rejects_negative(self):
         with pytest.raises(MalformedOperandError):
