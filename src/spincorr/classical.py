@@ -14,6 +14,7 @@ gamma_pi and the weights of F_pi once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,20 +85,25 @@ def _local(x, p, model, params):
     return f, pi, math_of(g2).sqrt(g2)
 
 
-def _precession(pi, E, B, weights):
+def _precession(pi, E, B, weights, piB=None):
+    """F_pi in component form; piB is pi.B when the caller has formed it."""
     a, b, d = weights
-    return _comb(a, B, -b * _dot(pi, B), pi, -d, _cross(pi, E))
+    c2 = -b * (_dot(pi, B) if piB is None else piB)
+    return _comb(a, B, c2, pi) if E is ZERO3 else _comb(a, B, c2, pi, -d, _cross(pi, E))
 
 
-def _explicit_gradient(f, pi, s, weights):
+def _explicit_gradient(f, pi, s, weights, spi=None, sxpi=None):
     """d(H_spin)/dx at fixed pi: the field-gradient (Stern-Gerlach) term.
 
     H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E), and s.(pi x dE) =
-    (s x pi).dE.
+    (s x pi).dE. spi and sxpi are s.pi and s x pi when the caller has
+    formed them.
     """
     a, b, d = weights
-    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
-    return _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
+    dB = _vecmat(_comb(-a, s, b * (_dot(s, pi) if spi is None else spi), pi), f.grad_B)
+    if f.grad_E is ZERO33:
+        return dB
+    return _comb(1.0, dB, d, _vecmat(_cross(s, pi) if sxpi is None else sxpi, f.grad_E))
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
@@ -144,22 +150,34 @@ def h_total_blocked(ys: np.ndarray, model, params: ParticleParams, offsets=None)
 
 
 def _eom_arrays(x, p, s, model, params):
-    """(dx/dt, dp/dt, ds/dt) in component form."""
+    """(dx/dt, dp/dt, ds/dt) in component form.
+
+    s x pi, s.pi and pi.B are formed once, and every E, grad-E and
+    grad-phi term is skipped when the model returns the zero sentinel for
+    it; adding an exact zero would not change a component.
+    """
     f, pi, g = _local(x, p, model, params)
     E, B = f.E, f.B
     weights, (da, db, dd) = _coefficients(g, params)
     _, b, d = weights
-    spi, piB = _dot(s, pi), _dot(pi, B)
+    spi, piB, sxpi = _dot(s, pi), _dot(pi, B), _cross(s, pi)
     # dH/dpi: the velocity v_pi plus the spin term, whose weights depend
     # on pi through dg/dpi = pi/(g (mc)^2)
-    dHs_dg = -da * _dot(s, B) + db * piB * spi + dd * _dot(E, _cross(s, pi))
+    dHs_dg = -da * _dot(s, B) + db * piB * spi
+    if E is not ZERO3:
+        dHs_dg = dHs_dg + dd * _dot(E, sxpi)
     dH_dpi = _comb((1.0 / params.m + dHs_dg / params.mc ** 2) / g, pi, b * spi, B, b * piB, s)
-    dH_dpi = _comb(1.0, dH_dpi, d, _cross(E, s))
+    if E is not ZERO3:
+        dH_dpi = _comb(1.0, dH_dpi, d, _cross(E, s))
     # canonical x-gradient: scalar potential, explicit field gradients,
     # and the chain through pi(x) = p - (e/c)A(x)
     chain = _vecmat(dH_dpi, f.jac_A)
-    dp = _comb(-params.e, f.grad_phi, -1.0, _explicit_gradient(f, pi, s, weights), params.e / params.c, chain)
-    return dH_dpi, dp, _cross(s, _precession(pi, E, B, weights))
+    grad = _explicit_gradient(f, pi, s, weights, spi, sxpi)
+    if f.grad_phi is ZERO3:
+        dp = _comb(-1.0, grad, params.e / params.c, chain)
+    else:
+        dp = _comb(-params.e, f.grad_phi, -1.0, grad, params.e / params.c, chain)
+    return dH_dpi, dp, _cross(s, _precession(pi, E, B, weights, piB))
 
 
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
@@ -216,6 +234,9 @@ class Trajectory:
     h_total: np.ndarray
     s_mag: np.ndarray
     spin_drift: np.ndarray
+    # right-hand-side evaluations made, and adaptive steps rejected
+    rhs_calls: int
+    rejected: int
 
     def __len__(self):
         return len(self.t)
@@ -229,9 +250,22 @@ class Trajectory:
 SPIN_RENORM_THRESHOLD = 1e-12
 
 
-def _increment(h, weights, ks):
-    """h * sum_j w_j k_j over the nonzero weights."""
-    return h * sum(w * k for w, k in zip(weights, ks) if w)
+def _nonzero(weights):
+    """The (weight, stage index) pairs of a tableau row with a nonzero weight."""
+    return tuple((w, j) for j, w in enumerate(weights) if w)
+
+
+def _weighted_sum(pairs, ks):
+    """sum_j w_j k_j per component over the (w_j, j) pairs, added in tableau order."""
+    (w, j), rest = pairs[0], pairs[1:]
+    acc = [w * c for c in ks[j]]
+    for w, j in rest:
+        acc = [a + w * c for a, c in zip(acc, ks[j])]
+    return acc
+
+
+def _norm3(u):
+    return math.sqrt(_dot(u, u))
 
 
 def integrate(state0: PhaseState, model, params: ParticleParams, spec: IntegratorSpec, T: float) -> Trajectory:
@@ -243,6 +277,10 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     tol (relative to max(1, |y|)) and raises IntegrationError, carrying
     the trajectory so far, when it exceeds max_steps or the step
     underflows.
+
+    y = (x, p, s) is carried as nine floats, the components the kernel
+    takes; each stage point is y + h * (w_1 k_1 + w_2 k_2 + ...) over the
+    row's nonzero weights.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
@@ -252,26 +290,27 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     if fixed and n > spec.max_steps:
         raise ValueError("step count exceeds max_steps")
     h = T / n if fixed else min(spec.step, T)
-
-    def rhs(y):
-        v = y.tolist()
-        dx, dp, ds = _eom_arrays(v[0:3], v[3:6], v[6:9], model, params)
-        return np.array(dx + dp + ds)
+    stage_pairs = [_nonzero(row) for row in stages]
+    step_pairs = _nonzero(weights)
+    err_pairs = None if fixed else _nonzero(err_weights)
 
     # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
     # accepts at most max_steps steps, and doubles the buffers if it needs
     # more rows than its initial step suggests
     size = min(n, spec.max_steps) + 1
     ts, ys, drifts = np.empty(size), np.empty((size, 9)), np.empty(size)
-    y = np.concatenate([state0.x, state0.p, state0.s])
+    y = state0.x.tolist() + state0.p.tolist() + state0.s.tolist()
     ts[0], ys[0], drifts[0] = state0.t, y, 0.0
-    rows, t, drift_cum, attempts = 1, 0.0, 0.0, 0
-    s0_mag = float(np.linalg.norm(state0.s))
+    rows, t, drift_cum, attempts, rejected = 1, 0.0, 0.0, 0, 0
+    s0_mag = _norm3(y[6:9])
 
     def trajectory():
         hs = h_total_blocked(ys[:rows], model, params)
         s = ys[:rows, 6:9]
-        return Trajectory(ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows])
+        calls = len(stages) * attempts
+        return Trajectory(
+            ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows], calls, rejected
+        )
 
     while (rows <= n) if fixed else (t < T * (1.0 - 1e-12)):
         if not fixed:
@@ -281,26 +320,31 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
             if h < 1e-14 * max(1.0, abs(t)):
                 raise IntegrationError("step size underflow", trajectory())
         ks = []
-        for row in stages:
-            ks.append(rhs(y + _increment(h, row, ks)))
+        for pairs in stage_pairs:
+            yk = [yi + h * a for yi, a in zip(y, _weighted_sum(pairs, ks))] if pairs else y
+            dx, dp, ds = _eom_arrays(yk[0:3], yk[3:6], yk[6:9], model, params)
+            ks.append(dx + dp + ds)
         accept, factor = True, 1.0
         if not fixed:
-            err = float(np.abs(_increment(h, err_weights, ks)).max())
-            scale = spec.tol * max(1.0, float(np.abs(y).max()))
+            err = max(abs(h * a) for a in _weighted_sum(err_pairs, ks))
+            scale = spec.tol * max(1.0, max(map(abs, y)))
             accept = err <= scale
             factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
         if accept:
-            mag_before = float(np.linalg.norm(y[6:9]))
-            y = y + _increment(h, weights, ks)
+            mag_before = _norm3(y[6:9])
+            y = [yi + h * a for yi, a in zip(y, _weighted_sum(step_pairs, ks))]
             t = rows * h if fixed else t + h
-            raw = float(np.linalg.norm(y[6:9]))
+            raw = _norm3(y[6:9])
             drift_cum += (raw - mag_before) / s0_mag
             if abs(raw - s0_mag) / s0_mag > SPIN_RENORM_THRESHOLD:
-                y[6:9] *= s0_mag / raw
+                r = s0_mag / raw
+                y[6:9] = [c * r for c in y[6:9]]
             if rows == len(ts):
                 ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
             ts[rows], ys[rows], drifts[rows] = state0.t + t, y, drift_cum
             rows += 1
+        else:
+            rejected += 1
         h *= factor
         attempts += 1
     return trajectory()

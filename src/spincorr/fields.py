@@ -90,15 +90,19 @@ class Uniform:
     B0: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "_E", tuple(np.asarray(self.E0, dtype=float).tolist()))
-        object.__setattr__(self, "_B", tuple(np.asarray(self.B0, dtype=float).tolist()))
+        # an all-zero field is stored as the ZERO3 sentinel, which the
+        # kernels skip
+        for name, v in (("_E", self.E0), ("_B", self.B0)):
+            t = tuple(np.asarray(v, dtype=float).tolist())
+            object.__setattr__(self, name, ZERO3 if t == ZERO3 else t)
 
     def components(self, x, y, z) -> FieldSample:
         (Ex, Ey, Ez), (Bx, By, Bz) = E, B = self._E, self._B
         phi = -(Ex * x + Ey * y + Ez * z)
         A = (By * z - Bz * y, 0.0, Bx * y)
         jac_A = ((0.0, -Bz, By), ZERO3, (0.0, Bx, 0.0))
-        return FieldSample(phi, A, E, B, (-Ex, -Ey, -Ez), jac_A, ZERO33, ZERO33)
+        grad_phi = ZERO3 if E is ZERO3 else (-Ex, -Ey, -Ez)
+        return FieldSample(phi, A, E, B, grad_phi, jac_A, ZERO33, ZERO33)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from spincorr import (
     ParticleParams,
     PhaseState,
     SinusoidalElectrostatic,
+    SinusoidalMagnetostatic,
     SternGerlach,
     Superposition,
     Uniform,
@@ -34,11 +35,14 @@ from spincorr.classical import (
     _four_vectors,
     _local,
 )
+from spincorr.fields import to_array
 from spincorr.lorentz import four_velocity, spin_four_vector_lab
 
 RNG = np.random.default_rng(31415926)
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
 NO_FIELD = Uniform()
+# the gradient oracle's field: a Stern-Gerlach trap plus a sinusoidal E
+ORACLE_FIELD = Superposition(SternGerlach(B0=1.0, b=0.3), SinusoidalElectrostatic(lam=0.4, L=2.0))
 
 
 def random_state(scale_p=1.0):
@@ -61,7 +65,7 @@ def gradient_oracle_per_state(seed):
 
     Returns (worst, worst_state, worst_part).
     """
-    model = Superposition(SternGerlach(B0=1.0, b=0.3), SinusoidalElectrostatic(lam=0.4, L=2.0))
+    model = ORACLE_FIELD
     rng = np.random.default_rng(seed)
     h = 1e-6
     offsets = np.zeros((18, 9))
@@ -78,6 +82,102 @@ def gradient_oracle_per_state(seed):
         if err.max() > worst:
             worst, worst_state, worst_part = float(err.max()), i, ("dx", "dp", "ds")[int(err.argmax()) // 3]
     return worst, worst_state, worst_part
+
+
+# ---------------------------------------------------------------------------
+# oracles: the ndarray stepper and the every-term kernel that the float-native
+# stepper and the shared-term kernel replaced
+
+
+def oracle_eom_arrays(x, p, s, model, params):
+    """(dx/dt, dp/dt, ds/dt) in component form, every E and grad-E term formed."""
+    _comb, _cross, _dot, _vecmat = classical._comb, classical._cross, classical._dot, classical._vecmat
+    f, pi, g = _local(x, p, model, params)
+    E, B = f.E, f.B
+    weights, (da, db, dd) = _coefficients(g, params)
+    a, b, d = weights
+    spi, piB = _dot(s, pi), _dot(pi, B)
+    dHs_dg = -da * _dot(s, B) + db * piB * spi + dd * _dot(E, _cross(s, pi))
+    dH_dpi = _comb((1.0 / params.m + dHs_dg / params.mc ** 2) / g, pi, b * spi, B, b * piB, s)
+    dH_dpi = _comb(1.0, dH_dpi, d, _cross(E, s))
+    chain = _vecmat(dH_dpi, f.jac_A)
+    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
+    grad = _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
+    dp = _comb(-params.e, f.grad_phi, -1.0, grad, params.e / params.c, chain)
+    F = _comb(a, B, -b * _dot(pi, B), pi, -d, _cross(pi, E))
+    return dH_dpi, dp, _cross(s, F)
+
+
+def oracle_integrate(state0, model, params, spec, T):
+    """integrate as an ndarray stepper: y is a (9,) array, each stage point
+    y + h * sum(w * k) over the nonzero weights, the spin norm np.linalg.norm."""
+    stages, weights, err_weights = classical.TABLEAUX[spec.method]
+    fixed = err_weights is None
+    n = max(1, int(round(T / spec.step)))
+    h = T / n if fixed else min(spec.step, T)
+
+    def increment(h, weights, ks):
+        return h * sum(w * k for w, k in zip(weights, ks) if w)
+
+    def rhs(y):
+        v = y.tolist()
+        dx, dp, ds = oracle_eom_arrays(v[0:3], v[3:6], v[6:9], model, params)
+        return np.array(dx + dp + ds)
+
+    ts, ys, drifts = [state0.t], [np.concatenate([state0.x, state0.p, state0.s])], [0.0]
+    y, t, drift_cum, attempts, rejected = ys[0], 0.0, 0.0, 0, 0
+    s0_mag = float(np.linalg.norm(state0.s))
+
+    def trajectory():
+        Y = np.array(ys)
+        s = Y[:, 6:9]
+        hs = classical.h_total_blocked(Y, model, params)
+        calls = len(stages) * attempts
+        return classical.Trajectory(
+            np.array(ts), Y[:, 0:3], Y[:, 3:6], s, hs, np.linalg.norm(s, axis=1), np.array(drifts), calls, rejected
+        )
+
+    while (len(ts) <= n) if fixed else (t < T * (1.0 - 1e-12)):
+        if not fixed:
+            if attempts >= spec.max_steps:
+                raise IntegrationError("max step count exceeded", trajectory())
+            h = min(h, T - t)
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise IntegrationError("step size underflow", trajectory())
+        ks = []
+        for row in stages:
+            ks.append(rhs(y + increment(h, row, ks)))
+        accept, factor = True, 1.0
+        if not fixed:
+            err = float(np.abs(increment(h, err_weights, ks)).max())
+            scale = spec.tol * max(1.0, float(np.abs(y).max()))
+            accept = err <= scale
+            factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
+        if accept:
+            mag_before = float(np.linalg.norm(y[6:9]))
+            y = y + increment(h, weights, ks)
+            t = len(ts) * h if fixed else t + h
+            raw = float(np.linalg.norm(y[6:9]))
+            drift_cum += (raw - mag_before) / s0_mag
+            if abs(raw - s0_mag) / s0_mag > classical.SPIN_RENORM_THRESHOLD:
+                y[6:9] *= s0_mag / raw
+            ts.append(state0.t + t)
+            ys.append(y)
+            drifts.append(drift_cum)
+        else:
+            rejected += 1
+        h *= factor
+        attempts += 1
+    return trajectory()
+
+
+def assert_matches_oracle(traj, ref):
+    """The trajectory equals the oracle's bit for bit; the spin norms may differ by round-off."""
+    for name in ("t", "x", "p", "s", "h_total"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    assert np.abs(traj.spin_drift - ref.spin_drift).max() <= 1e-15
+    assert np.abs(traj.s_mag - ref.s_mag).max() <= 1e-15
+    assert (traj.rhs_calls, traj.rejected) == (ref.rhs_calls, ref.rejected)
 
 
 class TestHamiltonians:
@@ -339,12 +439,26 @@ class TestIntegrate:
             assert np.abs(a.x[-1] - b.x[-1]).max() < 1e-8
             assert np.abs(a.s[-1] - b.s[-1]).max() < 1e-8
 
-    def test_max_steps_carries_partial(self):
-        model = SternGerlach(B0=1.0, b=0.2)
+    def assert_failure_carries_accepted_prefix(self, model, spec, message):
         st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
         with pytest.raises(IntegrationError) as err:
-            integrate(st, model, PARAMS, IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12, max_steps=5), 10.0)
+            integrate(st, model, PARAMS, spec, 10.0)
+        with pytest.raises(IntegrationError) as ref:
+            oracle_integrate(st, model, PARAMS, spec, 10.0)
+        assert str(err.value) == str(ref.value) == message
         assert err.value.partial is not None and len(err.value.partial) >= 1
+        assert_matches_oracle(err.value.partial, ref.value.partial)
+
+    def test_max_steps_carries_partial(self):
+        spec = IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12, max_steps=5)
+        self.assert_failure_carries_accepted_prefix(SternGerlach(B0=1.0, b=0.2), spec, "max step count exceeded")
+
+    def test_step_underflow_carries_partial(self):
+        # at tol = 1e-30 the error estimate is round-off: in this trap a few
+        # steps of ~1e-14 pass before every step fails and the step underflows
+        # (in a weaker trap steps keep passing, so max_steps bounds the test)
+        spec = IntegratorSpec(method="rkf45", step=1e-3, tol=1e-30, max_steps=1000)
+        self.assert_failure_carries_accepted_prefix(SternGerlach(B0=10.0, b=0.2), spec, "step size underflow")
 
     def test_energy_conservation_short(self):
         model = SternGerlach(B0=1.0, b=0.2)
@@ -352,6 +466,89 @@ class TestIntegrate:
         traj = integrate(st, model, PARAMS, IntegratorSpec(step=1e-3), 5.0)
         drift = np.abs(traj.h_total - traj.h_total[0]).max() / abs(traj.h_total[0])
         assert drift < 1e-10
+
+
+# the five field models, and a Uniform B alone, whose E is the zero sentinel
+KERNEL_MODELS = {
+    "uniform": Uniform(E0=np.array([0.3, -0.2, 0.5]), B0=np.array([0.4, 0.9, -0.6])),
+    "uniform_b": Uniform(B0=np.array([0.4, 0.9, -0.6])),
+    "stern_gerlach": SternGerlach(B0=1.0, b=0.3),
+    "sin_electric": SinusoidalElectrostatic(lam=0.4, L=2.0),
+    "sin_magnetic": SinusoidalMagnetostatic(lam=0.6, L=1.7),
+    "superposition": Superposition(
+        Uniform(E0=np.array([0.1, 0.0, -0.2]), B0=np.array([0.0, 0.5, 0.3])),
+        SternGerlach(B0=0.8, b=0.2),
+        SinusoidalElectrostatic(lam=0.4, L=2.0),
+        SinusoidalMagnetostatic(lam=0.6, L=1.7),
+    ),
+}
+
+
+def oracle_runs():
+    """The integrations compared against oracle_integrate: (state0, model, params, spec, T)."""
+    larmor_T = 2 * np.pi / checks.CANONICAL.gamma_m
+    dirac = ParticleParams.dirac(m=1.0, e=1.0)
+    p0 = np.array([dirac.mc, 0.0, 0.0])
+    cyclotron_T = 2 * np.pi * gamma_pi(p0, dirac) * dirac.mc / dirac.e
+    uniform_b = Uniform(B0=np.array([0.0, 0.0, 1.0]))
+    trap = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
+    return {
+        # the conservation check's state, field and step, over its first 2000 steps
+        "conservation": (
+            PhaseState(np.array([0.1, 0.2, -0.1]), np.array([0.3, -0.2, 0.25]), np.array([0.3, 0.1, 0.35])),
+            SternGerlach(B0=5.0, b=0.01),
+            checks.CANONICAL,
+            IntegratorSpec(step=2e-4),
+            2000 * 2e-4,
+        ),
+        "larmor": (
+            PhaseState(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.25])),
+            uniform_b,
+            checks.CANONICAL,
+            IntegratorSpec(step=larmor_T / 1000),
+            larmor_T,
+        ),
+        # the pitch-lock check's step, over one of its ten periods
+        "pitch_lock": (
+            PhaseState(np.zeros(3), p0, np.array([0.48, 0.36, 0.0])),
+            uniform_b,
+            dirac,
+            IntegratorSpec(step=cyclotron_T / 2000),
+            cyclotron_T,
+        ),
+        "superposition": (trap, ORACLE_FIELD, PARAMS, IntegratorSpec(step=1e-3), 2.0),
+        # an initial step of 0.5 is rejected before the step size settles
+        "rkf45": (trap, SternGerlach(B0=1.0, b=0.2), PARAMS, IntegratorSpec(method="rkf45", step=0.5, tol=1e-12), 1.0),
+    }
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(oracle_runs()))
+    def test_integrate_matches_oracle(self, name):
+        args = oracle_runs()[name]
+        assert_matches_oracle(integrate(*args), oracle_integrate(*args))
+
+    def test_rk4_work_counters(self):
+        traj = integrate(*oracle_runs()["conservation"])
+        assert (len(traj) - 1, traj.rhs_calls, traj.rejected) == (2000, 4 * 2000, 0)
+
+    def test_rkf45_work_counters(self):
+        traj = integrate(*oracle_runs()["rkf45"])
+        assert traj.rejected >= 1
+        assert traj.rhs_calls == 6 * (len(traj) - 1 + traj.rejected)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_kernel_matches_oracle(self, name):
+        # bit for bit, on 1000 random states: one float state at a time and
+        # all states as (N,) components
+        model = KERNEL_MODELS[name]
+        X, P, S = np.random.default_rng(4242).normal(size=(3, 1000, 3))
+        for x, p, s in zip(X.tolist(), P.tolist(), S.tolist()):
+            assert classical._eom_arrays(x, p, s, model, PARAMS) == oracle_eom_arrays(x, p, s, model, PARAMS)
+        new = classical._eom_arrays(X.T, P.T, S.T, model, PARAMS)
+        ref = oracle_eom_arrays(X.T, P.T, S.T, model, PARAMS)
+        for k in range(3):
+            assert np.array_equal(to_array(new[k], (1000,)), to_array(ref[k], (1000,)))
 
 
 class TestBmtConsistency:

@@ -15,6 +15,7 @@ from spincorr import (
     sample_field,
     v_pi,
 )
+from spincorr.fields import ZERO3, to_array
 
 RNG = np.random.default_rng(20260814)
 
@@ -80,6 +81,31 @@ class TestFieldModels:
             assert np.allclose(s.B, [0, 0, 1])
             assert np.allclose(s.E, 0)
             assert s.div_E == 0.0
+
+    def test_uniform_zero_field_is_sentinel(self):
+        # an all-zero E0 (or B0) is stored as ZERO3, and a zero E gives a ZERO3
+        # grad_phi; every component keeps the value of the general formula
+        E1, B1 = np.array([0.3, -0.2, 0.5]), np.array([0.4, 0.9, -0.6])
+        for E0, B0 in ((np.zeros(3), B1), (E1, np.zeros(3)), (np.zeros(3), np.zeros(3)), (E1, B1)):
+            model = Uniform(E0=E0, B0=B0)
+            for shape in ((), (4,)):
+                x, y, z = RNG.normal(size=(3,) + shape)
+                (Ex, Ey, Ez), (Bx, By, Bz) = E0, B0
+                want = (
+                    -(Ex * x + Ey * y + Ez * z),
+                    (By * z - Bz * y, 0.0, Bx * y),
+                    (Ex, Ey, Ez),
+                    (Bx, By, Bz),
+                    (-Ex, -Ey, -Ez),
+                    ((0.0, -Bz, By), (0.0, 0.0, 0.0), (0.0, Bx, 0.0)),
+                    ((0.0, 0.0, 0.0),) * 3,
+                    ((0.0, 0.0, 0.0),) * 3,
+                )
+                got = model.components(x, y, z)
+                for g, w in zip(got, want):
+                    assert np.array_equal(to_array(g, shape), to_array(w, shape))
+                assert (got.E is ZERO3, got.grad_phi is ZERO3) == (not E0.any(), not E0.any())
+                assert (got.B is ZERO3) == (not B0.any())
 
     def test_stern_gerlach_at_origin(self):
         s = sample_field(SternGerlach(B0=1.0, b=0.1), np.zeros(3))
