@@ -402,21 +402,26 @@ def check_parity() -> CheckResult:
 def check_boost_covariance(
     seed: int = DEFAULT_SEED, lambdas=DEFAULT_LAMBDAS, beta_max: float = 0.5
 ) -> CheckResult:
+    """Rest-boost covariance defect at three random boosts; its slope in the amplitude must be 2.
+
+    detail holds each boost's defect at every amplitude, the data its slope is fit to.
+    """
     pr = ParticleParams.neutral(mu_prime=0.08)
     rng = np.random.default_rng(seed)
-    slopes = []
+    slopes, residuals = [], []
     for _ in range(3):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         beta_mag = rng.uniform(0.1, beta_max)
         pi = direction * beta_mag / math.sqrt(1.0 - beta_mag ** 2) * pr.mc
         s, E, B = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        _, slope = covariance_scaling(pi, s, E, B, pr, list(lambdas))
+        resid, slope = covariance_scaling(pi, s, E, B, pr, list(lambdas))
         slopes.append(float(slope))
+        residuals.append([float(r) for r in resid])
     value = {"slopes": slopes}
     passed = all(abs(s - 2.0) <= 0.1 for s in slopes)
     return CheckResult(
-        "boost_covariance", value, {"slope": [1.9, 2.1]}, passed, detail={"seed": seed}
+        "boost_covariance", value, {"slope": [1.9, 2.1]}, passed, detail={"seed": seed, "residuals": residuals}
     )
 
 

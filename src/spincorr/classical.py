@@ -276,7 +276,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     with them adapts the step to keep the embedded error estimate below
     tol (relative to max(1, |y|)) and raises IntegrationError, carrying
     the trajectory so far, when it exceeds max_steps or the step
-    underflows.
+    underflows: falls below 1e-12 T or the round-off of t.
 
     y = (x, p, s) is carried as nine floats, the components the kernel
     takes; each stage point is y + h * (w_1 k_1 + w_2 k_2 + ...) over the
@@ -317,7 +317,10 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
             if attempts >= spec.max_steps:
                 raise IntegrationError("max step count exceeded", trajectory())
             h = min(h, T - t)
-            if h < 1e-14 * max(1.0, abs(t)):
+            # the 1e-12 T floor ends a run whose tol sits below the error
+            # estimate's round-off: it would accept round-off-sized steps
+            # until max_steps
+            if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
                 raise IntegrationError("step size underflow", trajectory())
         ks = []
         for pairs in stage_pairs:

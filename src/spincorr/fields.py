@@ -13,6 +13,7 @@ serves one particle and an ensemble. `sample_field` packs it into arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -166,7 +167,9 @@ class Superposition:
         object.__setattr__(self, "models", tuple(models))
 
     def components(self, x, y, z) -> FieldSample:
-        return sum((model.components(x, y, z) for model in self.models), FieldSample.zero())
+        """Each model's sample, summed field by field in model order."""
+        samples = [model.components(x, y, z) for model in self.models]
+        return functools.reduce(FieldSample.__add__, samples) if samples else FieldSample.zero()
 
 
 def to_array(v, shape=()) -> np.ndarray:

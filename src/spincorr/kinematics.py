@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,10 +23,15 @@ class PhaseState:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.p)):
+        # validated on Python floats: numpy reductions on 3-vectors cost more
+        # than the arithmetic. |s|^2 is a plain sum of squares, not hypot, so
+        # a spin whose squares overflow to inf or underflow to 0 is rejected,
+        # as it is by the array norm
+        if not all(map(math.isfinite, self.x.ravel().tolist() + self.p.ravel().tolist())):
             raise ValueError("non-finite phase-space point")
-        smag = np.linalg.norm(self.s)
-        if not (np.isfinite(smag) and smag > 0):
+        s = self.s.ravel().tolist()
+        smag = math.sqrt(sum([c * c for c in s]))
+        if not (math.isfinite(smag) and smag > 0):
             raise ValueError("spin must be finite and nonzero")
 
 

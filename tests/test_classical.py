@@ -35,7 +35,7 @@ from spincorr.classical import (
     _four_vectors,
     _local,
 )
-from spincorr.fields import to_array
+from spincorr.fields import FieldSample, to_array
 from spincorr.lorentz import four_velocity, spin_four_vector_lab
 
 RNG = np.random.default_rng(31415926)
@@ -142,7 +142,7 @@ def oracle_integrate(state0, model, params, spec, T):
             if attempts >= spec.max_steps:
                 raise IntegrationError("max step count exceeded", trajectory())
             h = min(h, T - t)
-            if h < 1e-14 * max(1.0, abs(t)):
+            if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
                 raise IntegrationError("step size underflow", trajectory())
         ks = []
         for row in stages:
@@ -454,11 +454,20 @@ class TestIntegrate:
         self.assert_failure_carries_accepted_prefix(SternGerlach(B0=1.0, b=0.2), spec, "max step count exceeded")
 
     def test_step_underflow_carries_partial(self):
-        # at tol = 1e-30 the error estimate is round-off: in this trap a few
-        # steps of ~1e-14 pass before every step fails and the step underflows
-        # (in a weaker trap steps keep passing, so max_steps bounds the test)
+        # at tol = 1e-30 the error estimate is round-off: every step is
+        # rejected until h falls below the 1e-12 T floor, and the partial
+        # trajectory is the oracle's (here the initial row alone)
         spec = IntegratorSpec(method="rkf45", step=1e-3, tol=1e-30, max_steps=1000)
         self.assert_failure_carries_accepted_prefix(SternGerlach(B0=10.0, b=0.2), spec, "step size underflow")
+
+    def test_unreachable_tol_underflows_promptly(self):
+        # in this weaker trap round-off-sized steps of ~1e-13 pass the error
+        # test, so only the floor relative to T ends the run before max_steps
+        st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
+        spec = IntegratorSpec(method="rkf45", step=1e-3, tol=1e-30)
+        with pytest.raises(IntegrationError, match="^step size underflow$") as err:
+            integrate(st, SternGerlach(B0=1.0, b=0.2), PARAMS, spec, 10.0)
+        assert err.value.partial.rhs_calls < 1000
 
     def test_energy_conservation_short(self):
         model = SternGerlach(B0=1.0, b=0.2)
@@ -536,6 +545,22 @@ class TestAgainstOracle:
         traj = integrate(*oracle_runs()["rkf45"])
         assert traj.rejected >= 1
         assert traj.rhs_calls == 6 * (len(traj) - 1 + traj.rejected)
+
+    def test_eom_rhs_matches_parent(self):
+        # eom_rhs at 1000 random states on the gradient oracle's field against
+        # its parent: (3,) arrays of the same kernel's components, with the
+        # field summed from FieldSample.zero() and no PhaseState validation
+        class SumFromZero:
+            def components(self, x, y, z):
+                return sum((m.components(x, y, z) for m in ORACLE_FIELD.models), FieldSample.zero())
+
+        for y in np.random.default_rng(5150).normal(size=(1000, 9)):
+            x, p, s = y[0:3], y[3:6], y[6:9]
+            ref = tuple(map(np.array, classical._eom_arrays(x.tolist(), p.tolist(), s.tolist(), SumFromZero(), PARAMS)))
+            got = eom_rhs(PhaseState(x, p, s), ORACLE_FIELD, PARAMS)
+            assert len(got) == 3
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape == (3,) and np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
     def test_kernel_matches_oracle(self, name):
@@ -635,6 +660,14 @@ class TestBoostCovariance:
             pr, pi, s, E, B = self.random_inputs()
             _, slope = covariance_scaling(pi, s, E, B, pr, [1e-2, 1e-3, 1e-4])
             assert slope == pytest.approx(2.0, abs=0.1)
+
+    def test_check_detail_holds_residuals(self):
+        r = checks.check_boost_covariance(seed=11)
+        lams = list(checks.DEFAULT_LAMBDAS)
+        assert r.detail["seed"] == 11 and len(r.detail["residuals"]) == len(r.value["slopes"]) == 3
+        for resid, slope in zip(r.detail["residuals"], r.value["slopes"]):
+            assert len(resid) == len(lams) and all(type(v) is float and v > 0 for v in resid)
+            assert float(np.polyfit(np.log(lams), np.log(resid), 1)[0]) == slope
 
     def test_charged_generic_boost_is_linear(self):
         # for a charged particle under a generic boost the defect is first

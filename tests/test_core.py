@@ -5,6 +5,7 @@ import pytest
 
 from spincorr import (
     ParticleParams,
+    PhaseState,
     SinusoidalElectrostatic,
     SinusoidalMagnetostatic,
     SternGerlach,
@@ -15,7 +16,7 @@ from spincorr import (
     sample_field,
     v_pi,
 )
-from spincorr.fields import ZERO3, to_array
+from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
 
 RNG = np.random.default_rng(20260814)
 
@@ -172,6 +173,140 @@ class TestFieldModels:
         su, sg = sample_field(u, x), sample_field(g, x)
         assert np.allclose(s.B, su.B + sg.B)
         assert np.allclose(s.jac_A, su.jac_A + sg.jac_A)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the validation and the fold that the float-side PhaseState check
+# and the one-pass Superposition replaced
+
+
+def oracle_validate(x, p, s):
+    """PhaseState's checks as numpy reductions; raises what PhaseState must raise."""
+    x, p, s = (np.asarray(v, dtype=float) for v in (x, p, s))
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(p)):
+        raise ValueError("non-finite phase-space point")
+    with np.errstate(all="ignore"):
+        smag = np.linalg.norm(s)
+    if not (np.isfinite(smag) and smag > 0):
+        raise ValueError("spin must be finite and nonzero")
+
+
+def oracle_components(models, x, y, z):
+    """Superposition.components as a sum of samples started from FieldSample.zero()."""
+    return sum((m.components(x, y, z) for m in models), FieldSample.zero())
+
+
+def outcome(f, *args):
+    """(exception type, message) of f(*args), or None when it returns."""
+    try:
+        f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+X0, P0, S0 = [0.1, -0.2, 0.3], [0.4, 0.5, -0.6], [0.6, 0.0, 0.3]
+NAN, INF = float("nan"), float("inf")
+# (x, p, s) inputs on both sides of every test, including |s|^2 overflowing
+# to inf (1e154 squared twice) and underflowing to 0 (1e-170 squared)
+VALIDATION_GRID = [
+    (X0, P0, S0),
+    ([0, 1, 2], (3, 4, 5), [0, 0, 1]),
+    ([NAN, 0.0, 0.0], P0, S0),
+    ([0.0, INF, 0.0], P0, S0),
+    ([0.0, 0.0, -INF], P0, S0),
+    (X0, [NAN, 0.0, 0.0], S0),
+    (X0, [0.0, -INF, 0.0], S0),
+    (X0, [0.0, 0.0, INF], S0),
+    ([NAN, 0.0, 0.0], P0, [0.0, 0.0, 0.0]),
+    (X0, P0, [0.0, 0.0, 0.0]),
+    (X0, P0, [-0.0, 0.0, -0.0]),
+    (X0, P0, [NAN, 1.0, 0.0]),
+    (X0, P0, [0.0, INF, 0.0]),
+    (X0, P0, [-INF, -INF, -INF]),
+    (X0, P0, [1e200, 0.0, 0.0]),
+    (X0, P0, [1e200, 1e200, 1e200]),
+    (X0, P0, [1e154, 0.0, 0.0]),
+    (X0, P0, [1e154, 1e154, 0.0]),
+    (X0, P0, [1e-200, 0.0, 0.0]),
+    (X0, P0, [1e-200, 1e-200, 1e-200]),
+    (X0, P0, [1e-160, 0.0, 0.0]),
+    (X0, P0, [1e-170, 0.0, 0.0]),
+    (X0, P0, [1e-200, 1.0, 1e200]),
+    ([1e200, -1e200, 1e300], [1e-200, 0.0, -1e-300], S0),
+    ([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [[0.0] * 3, [1.0] * 3], [[0.0] * 3, [0.0, 1.0, 0.0]]),
+    ([[0.1, 0.2, 0.3], [0.4, NAN, 0.6]], P0, S0),
+    (X0, P0, [[0.0] * 3, [0.0] * 3]),
+    (X0, P0, [[1.0, 0.0, 0.0], [0.0, INF, 0.0]]),
+    (1.0, 2.0, 3.0),
+    ([], [], [1.0]),
+    (X0, P0, []),
+    ("nan", P0, S0),
+    ("x", P0, S0),
+    (X0, P0, [1j, 0.0, 0.0]),
+]
+
+
+class TestPhaseStateValidation:
+    @pytest.mark.parametrize("x, p, s", VALIDATION_GRID)
+    def test_matches_oracle(self, x, p, s):
+        expected = outcome(oracle_validate, x, p, s)
+        assert outcome(PhaseState, x, p, s) == expected
+        if expected is None:
+            st = PhaseState(x, p, s)
+            for got, given in ((st.x, x), (st.p, p), (st.s, s)):
+                ref = np.asarray(given, dtype=float)
+                assert got.dtype == float and got.shape == ref.shape and np.array_equal(got, ref)
+
+
+def assert_same_sample(got, ref, n=None):
+    """Field by field: the same values and the same zero sentinels."""
+    for a, b in zip(got, ref):
+        assert (a is ZERO3, a is ZERO33) == (b is ZERO3, b is ZERO33)
+        if n is None:
+            assert a == b
+        else:
+            assert np.array_equal(to_array(a, (n,)), to_array(b, (n,)))
+
+
+FOLD_CASES = {
+    "empty": (),
+    "uniform": (Uniform(E0=np.array([0.3, -0.2, 0.5]), B0=np.array([0.1, 0.7, -0.4])),),
+    "sin_electric": (SinusoidalElectrostatic(lam=0.8, L=2.5),),
+    "oracle_field": (SternGerlach(B0=1.0, b=0.3), SinusoidalElectrostatic(lam=0.4, L=2.0)),
+    "uniform_b_gradient": (Uniform(B0=np.array([0.0, 0.5, 0.3])), SternGerlach(B0=0.8, b=0.2)),
+    # three B contributions, so a fold in another order changes the bits
+    "three_b": (
+        Uniform(E0=np.array([0.1, 0.0, -0.2]), B0=np.array([0.2, 0.5, 0.3])),
+        SternGerlach(B0=0.8, b=0.2),
+        SinusoidalMagnetostatic(lam=0.6, L=1.7),
+    ),
+    "four": (
+        Uniform(E0=np.array([0.1, 0.0, -0.2]), B0=np.array([0.0, 0.5, 0.3])),
+        SternGerlach(B0=0.8, b=0.2),
+        SinusoidalElectrostatic(lam=0.4, L=2.0),
+        SinusoidalMagnetostatic(lam=0.6, L=1.7),
+    ),
+}
+
+
+class TestSuperpositionFold:
+    @pytest.mark.parametrize("name", sorted(FOLD_CASES))
+    def test_floats_match_oracle(self, name):
+        models = FOLD_CASES[name]
+        for x, y, z in RNG.normal(size=(300, 3)).tolist():
+            assert_same_sample(Superposition(*models).components(x, y, z), oracle_components(models, x, y, z))
+
+    @pytest.mark.parametrize("name", sorted(FOLD_CASES))
+    def test_arrays_match_oracle(self, name):
+        models = FOLD_CASES[name]
+        x, y, z = RNG.normal(size=(3, 1000))
+        got = Superposition(*models).components(x, y, z)
+        assert_same_sample(got, oracle_components(models, x, y, z), 1000)
+
+    def test_empty_is_zero(self):
+        for point in ((0.1, 0.2, 0.3), tuple(RNG.normal(size=(3, 5)))):
+            assert Superposition().components(*point) == FieldSample.zero()
 
 
 class TestKinematics:
