@@ -360,8 +360,8 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
 def _four_vectors(pi, gammas, s, params: ParticleParams):
     """Lab spin 4-vectors S and 4-velocities U of N rows, from (N, 3) pi and s and (N,) gamma_pi.
 
-    Row by row the same as lorentz.spin_four_vector_lab and four_velocity,
-    which evaluate gamma_pi again for every row.
+    S boosts the rest-frame (0, s) along v_pi, so U.S = 0 and S.S = -|s|^2;
+    U = (gamma_pi c, pi/m). tests/test_lorentz.py holds the per-row oracle.
     """
     g = gammas[:, None]
     beta = pi / (g * params.m) / params.c

@@ -56,6 +56,18 @@ SCHEMA = {
     "out": ("str", ""),
 }
 
+# key -> (selector, the selector values under which the run reads the key);
+# a key set while its selector ignores it would change nothing, so it is refused
+SELECTED_BY = {
+    "integrator.tol": ("integrator.method", ("rkf45",)),
+    "field.b": ("field.model", ("uniform",)),
+    "field.e": ("field.model", ("uniform",)),
+    "field.b0": ("field.model", ("stern-gerlach",)),
+    "field.grad": ("field.model", ("stern-gerlach",)),
+    "field.lam": ("field.model", ("sin-electrostatic", "sin-magnetostatic")),
+    "field.period": ("field.model", ("sin-electrostatic", "sin-magnetostatic")),
+}
+
 
 class ConfigError(Exception):
     """Carries the complete list of validation failures."""
@@ -277,6 +289,12 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
     effective = {key: default for key, (_, default) in SCHEMA.items()}
     effective.update(values)
     errors.extend(_range_errors(effective, anchors))
+    for key, (selector, readers) in SELECTED_BY.items():
+        if key in values and effective[selector] not in readers:
+            at = f"line {anchors[key]}: " if key in anchors else ""
+            errors.append(
+                f"{at}{key}: acts only with {selector} = {' or '.join(readers)}, not {effective[selector]}"
+            )
     if errors:
         raise ConfigError(errors)
     return RunConfig(mode=mode, values=effective)

@@ -48,19 +48,6 @@ class FieldSample(NamedTuple):
     grad_E: np.ndarray
     grad_B: np.ndarray
 
-    @property
-    def div_E(self):
-        return np.trace(self.grad_E, axis1=-2, axis2=-1)
-
-    @property
-    def div_B(self):
-        return np.trace(self.grad_B, axis1=-2, axis2=-1)
-
-    @property
-    def curl_B(self) -> np.ndarray:
-        g = self.grad_B
-        return np.stack([g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]], axis=-1)
-
     @staticmethod
     def zero() -> "FieldSample":
         return FieldSample(0.0, ZERO3, ZERO3, ZERO3, ZERO3, ZERO33, ZERO33, ZERO33)

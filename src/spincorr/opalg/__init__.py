@@ -17,8 +17,6 @@ from .identities import (
     claimed_expansion,
     matchup_report,
     omega_base,
-    omega_power,
-    pauli_identity_check,
     series_sqrt_expand,
     sym_cross,
     sym_dot_pipi,
@@ -49,8 +47,6 @@ __all__ = [
     "leading_terms",
     "matchup_report",
     "omega_base",
-    "omega_power",
-    "pauli_identity_check",
     "series_sqrt_expand",
     "shadow_equal",
     "shadow_is_zero",

@@ -548,7 +548,3 @@ class Algebra:
                         parts.append(self.multiply(a[i - 1], b[j - 1]).scale(Fraction(e)))
             comps.append(expr_sum(parts))
         return tuple(comps)
-
-    def spin_dot(self, vec: tuple) -> OpExpr:
-        """sigma . vec with the block-diagonal spin vector."""
-        return expr_sum(self.multiply(self.sigma(i), vec[i - 1]) for i in (1, 2, 3))

@@ -163,18 +163,6 @@ def omega_base(case: str, alg: Algebra) -> OpExpr:
     return alg.pi_squared() - _field_part(case, alg)
 
 
-def omega_power(case: str, n: int, alg: Algebra | None = None) -> OpExpr:
-    """Omega^n by brute-force multiplication, truncated linear in the field."""
-    if n < 0:
-        raise MalformedOperandError("omega power requires n >= 0")
-    alg = alg or case_algebra(case)
-    base = omega_base(case, alg)
-    out = alg.one()
-    for _ in range(n):
-        out = alg.multiply(out, base)
-    return out
-
-
 def series_sqrt_expand(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
     """beta mc^2 sum_{n<=N} C(1/2,n) (Omega/m^2c^2)^n, fully canonicalized."""
     if N < 0:
@@ -415,49 +403,3 @@ def matchup_report(trials: int = 8, seed: int = 20260814) -> dict:
         "residual_terms": sum(len(d) for d in delta),
         "homogeneous_residual": homogeneous,
     }
-
-
-# -- Pauli-matrix contraction identity ----------------------------------------
-
-
-def _alpha_dot(alg: Algebra, vec: tuple) -> OpExpr:
-    return expr_sum(alg.multiply(alg.alpha(i), vec[i - 1]) for i in (1, 2, 3))
-
-
-def pauli_identity_check() -> bool:
-    """(alpha.A)(alpha.B) = A.B + i sigma.(A x B) over operator vectors.
-
-    Runs the contraction for every ordered pair drawn from {pi, E, B}
-    in the charged algebra, plus the two named reductions: pi x pi
-    collapsing to the magnetic field and the div E anticommutator.
-    """
-    alg = Algebra(charged=True)
-    vecs = {"pi": alg.pi_vec(), "E": alg.field_vec("E"), "B": alg.field_vec("B")}
-    for a_name, A in vecs.items():
-        for b_name, B in vecs.items():
-            if a_name != "pi" and b_name != "pi":
-                if a_name == b_name:
-                    continue  # two-field products are truncated away
-            lhs = alg.multiply(_alpha_dot(alg, A), _alpha_dot(alg, B))
-            cross = alg.cross(A, B)
-            rhs = alg.dot(A, B) + expr_sum(
-                alg.multiply(alg.sigma(k), cross[k - 1]) for k in (1, 2, 3)
-            ).scale(Fraction(1), ipow=1)
-            if not (lhs - rhs).is_zero():
-                return False
-
-    # pi x pi = i (hbar e / c) B, so the g = 2 coupling appears by itself
-    p = alg.pi_vec()
-    lhs = alg.multiply(_alpha_dot(alg, p), _alpha_dot(alg, p))
-    sigma_b = expr_sum(
-        alg.multiply(alg.sigma(k), alg.field("B", k)) for k in (1, 2, 3)
-    )
-    rhs = alg.pi_squared() - sigma_b.scale(Fraction(1), units=(1, -1, 0, 1, 0))
-    if not (lhs - rhs).is_zero():
-        return False
-
-    # pi.E - E.pi = -i hbar div E
-    E = alg.field_vec("E")
-    comm = alg.dot(p, E) - alg.dot(E, p)
-    target = alg.div_e().scale(Fraction(-1), units=(1, 0, 0, 0, 0), ipow=1)
-    return (comm - target).is_zero()

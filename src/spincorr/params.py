@@ -54,12 +54,6 @@ class ParticleParams:
         return cls(m=m, e=e, gamma_m=gamma_m, mu_prime=mu_prime, hbar=hbar, c=c)
 
     @classmethod
-    def from_gyromagnetic(cls, m, e, gamma_m, hbar=1.0, c=1.0) -> "ParticleParams":
-        """Build from (m, e, gamma_m); mu_prime is the anomalous remainder."""
-        mu_prime = gamma_m * hbar / 2.0 - e * hbar / (2.0 * m * c)
-        return cls(m=m, e=e, gamma_m=gamma_m, mu_prime=mu_prime, hbar=hbar, c=c)
-
-    @classmethod
     def dirac(cls, m=1.0, e=1.0, hbar=1.0, c=1.0) -> "ParticleParams":
         """g = 2 particle: gamma_m = e/(mc), no anomalous moment."""
         return cls.from_moment(m, e, 0.0, hbar=hbar, c=c)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,25 +62,22 @@ SIGMA4 = (np.kron(_s0, _sx), np.kron(_s0, _sy), np.kron(_s0, _sz))
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic lattice with a spectral momentum cutoff margin.
+    """Periodic lattice of n_sites per axis and period `length`.
 
-    rho bounds c|p|_max / mc^2, keeping the square-root Taylor series
-    inside its convergence domain; 0.5 leaves a factor-4 margin in the
-    expansion variable, and values past 0.9 are refused outright.
+    Momenta are spectral, so the lattice fixes only the largest momentum,
+    `p_max`; the mass, and with it how relativistic that momentum is, comes
+    from ParticleParams alone.
     """
 
     dimension: int = 1
     n_sites: int = 64
     length: float = 2.0 * math.pi
-    rho: float = 0.5
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ConfigurationError("lattice dimension must be 1 or 2")
         if self.n_sites < 8 or self.n_sites % 2:
             raise ConfigurationError("n_sites must be even and at least 8")
-        if not 0.0 < self.rho <= 0.9:
-            raise ConfigurationError("momentum cutoff fraction must lie in (0, 0.9]")
         if not self.length > 0.0:
             raise ConfigurationError("lattice period must be positive")
 
@@ -107,10 +103,6 @@ class LatticeSpec:
     def p_max(self, hbar: float = 1.0) -> float:
         return math.sqrt(self.dimension) * hbar * float(np.abs(self.axis_wavenumbers()).max())
 
-    def mass_for_cutoff(self, hbar: float = 1.0, c: float = 1.0) -> float:
-        """Mass saturating c p_max = rho mc^2."""
-        return self.p_max(hbar) / (self.rho * c)
-
 
 def default_lattice(case: str) -> LatticeSpec:
     if case == CASE_I:
@@ -121,7 +113,8 @@ def default_lattice(case: str) -> LatticeSpec:
 
 
 def default_params(case: str, lattice: LatticeSpec) -> ParticleParams:
-    m = lattice.mass_for_cutoff()
+    # c p_max = mc^2 / 2: gamma_max = sqrt(5) / 2 on the default lattices
+    m = lattice.p_max() / 0.5
     if case == CASE_I:
         return ParticleParams.dirac(m=m, e=1.0)
     return ParticleParams.neutral(mu_prime=0.08, m=m)
@@ -140,10 +133,6 @@ class LatticeHamiltonian:
 def _dagger(M: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return M.conj().swapaxes(-1, -2)
-
-
-def hermiticity_defect(M: np.ndarray) -> float:
-    return float(np.abs(M - _dagger(M)).max())
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
@@ -182,16 +171,6 @@ def _mul_op(fx: np.ndarray, F: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return Q @ (F @ np.diag(fx) @ F.conj().T) @ Q
 
 
-def _check_cutoff(lattice: LatticeSpec, params: ParticleParams):
-    pmax = lattice.p_max(params.hbar)
-    bound = lattice.rho * params.m * params.c ** 2 / params.c
-    if pmax > bound * (1.0 + 1e-12):
-        raise ConfigurationError(
-            "lattice momenta exceed the cutoff: c|p|_max = %.6g > rho mc^2 = %.6g"
-            % (params.c * pmax, lattice.rho * params.mc2)
-        )
-
-
 def _block_index(case: str, lattice: LatticeSpec) -> np.ndarray:
     """(blocks, n) orbital indices: block i_y of case I holds i_x N + i_y for each i_x."""
     N = lattice.n_sites
@@ -222,7 +201,6 @@ class _Orbital:
 
 
 def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Orbital:
-    _check_cutoff(lattice, params)
     hbar, c = params.hbar, params.c
     if case not in _CASES:
         raise ConfigurationError(f"unknown case {case!r}")
@@ -308,18 +286,6 @@ def build_hamiltonian(
 def _beta_signs(beta: np.ndarray) -> np.ndarray:
     """The +-1 diagonal of the diagonal matrix beta."""
     return np.diag(beta).real
-
-
-def oddness_defect(H: LatticeHamiltonian) -> float:
-    """max |beta O beta + O| for the interaction O = H - beta mc^2.
-
-    beta is diagonal with entries +-1, so beta O beta + O is O times the
-    sign mask 1 + b_i b_j in {0, 2}: the dense product's value, bit for bit.
-    """
-    beta = H.aux["beta"]
-    b = _beta_signs(beta)
-    O = H.matrix - H.params.mc2 * beta
-    return float(np.abs(O * (1.0 + np.outer(b, b))).max())
 
 
 def block_diagonality_defect(H: LatticeHamiltonian) -> float:
@@ -622,100 +588,4 @@ def darwin_vs_classical_hd(
         "slope_without_darwin": slope_without,
         "candidate_underperforms": bool(gap_over_darwin >= required_gap),
         "nonrel_agrees": bool(nonrel_diff < 1e-3),
-    }
-
-
-def instantiate_case_i(expr, lattice: LatticeSpec, lam: float, params: ParticleParams) -> np.ndarray:
-    """Evaluate a symbolic operator expression as a case-I lattice matrix.
-
-    pi_1, pi_2 map to the kinetic momenta, pi_3 to zero (decoupled axis);
-    B_3 and its x-derivatives map to band-limited multiplications by the
-    analytic derivatives of B_z(x) = A0 q cos(q x); every other field
-    component vanishes for this profile. Spin symbols become the 4x4
-    Kronecker matrices. Unit symbols evaluate from params.
-    """
-    from .opalg.core import PI
-    from .opalg.shadow import spin_matrices  # exact 4x4 spin basis
-
-    orb = _orbital(CASE_I, lattice, lam, params)
-    orb_dim = lattice.orbital_dim
-    Px, Py = (_scatter(p, orb.index, orb_dim) for p in orb.momenta)
-    _, F, Q, _, x = _axis_operators(lattice, params.hbar)
-    q = 2.0 * math.pi / lattice.length
-    A0 = lam * params.mc2 / abs(params.e)
-    zeros = np.zeros((orb_dim, orb_dim), dtype=complex)
-
-    @lru_cache(maxsize=None)
-    def b_profile(n_derivs: int) -> np.ndarray:
-        # d^n/dx^n of B_z = A0 q cos(qx)
-        amp = A0 * q ** (n_derivs + 1)
-        phase = n_derivs % 4
-        f = {0: np.cos(q * x), 1: -np.sin(q * x), 2: -np.cos(q * x), 3: np.sin(q * x)}[phase]
-        return np.kron(_mul_op(amp * f, F, Q), np.eye(lattice.n_sites))
-
-    def word_matrix(word) -> np.ndarray:
-        M = np.eye(orb_dim, dtype=complex)
-        for sym in word:
-            if sym[0] == PI:
-                if sym[1] == 3:
-                    return zeros
-                M = M @ (Px if sym[1] == 1 else Py)
-            else:
-                base, comp, derivs = sym
-                if base != "B" or comp != 3 or any(d != 1 for d in derivs):
-                    return zeros  # only B_z(x) is present in this geometry
-                M = M @ b_profile(len(derivs))
-        return M
-
-    units_vals = (params.hbar, params.c, params.m, params.e, params.mu_prime)
-    # orbital part of each spin component, summed before the Kronecker product
-    per_spin = {}
-    for (word, spin, units, ipow), coeff in expr.terms.items():
-        scalar = float(coeff) * (1j ** ipow)
-        for v, kexp in zip(units_vals, units):
-            if kexp:
-                scalar *= v ** kexp
-        if scalar == 0.0:
-            continue
-        per_spin[spin] = per_spin.get(spin, zeros) + scalar * word_matrix(word)
-    spins = spin_matrices()
-    out = np.zeros((4 * orb_dim, 4 * orb_dim), dtype=complex)
-    for spin, M in per_spin.items():
-        S = np.array([[float(g[0]) + 1j * float(g[1]) for g in row] for row in spins[spin]])
-        out += np.kron(S, M)
-    return out
-
-
-def opalg_cross_check(
-    order: int = 6,
-    lam: float = 1e-2,
-    lattice: LatticeSpec | None = None,
-    params: ParticleParams | None = None,
-) -> dict:
-    """Instantiate the symbolic square-root series and compare with eriksen_fw.
-
-    The map pi_i -> lattice momenta, B -> band-limited multiplications is a
-    homomorphism up to the algebra's own truncations, so the matrix built
-    from the order-N symbolic expansion must match the exact transform
-    within the series tail bound. Headroom 1.5 absorbs the field-dependent
-    tail pieces the kinetic bound does not count.
-    """
-    from .opalg.identities import binom_half, case_algebra, series_sqrt_expand
-
-    lattice = lattice or default_lattice(CASE_I)
-    params = params or default_params(CASE_I, lattice)
-    alg = case_algebra(CASE_I)
-    expr = series_sqrt_expand(CASE_I, order, alg)
-    M = instantiate_case_i(expr, lattice, lam, params)
-    Hfw = eriksen_fw(build_hamiltonian(CASE_I, lattice, lam, params))
-    diff = float(np.abs(M - Hfw.matrix).max())
-    orb = _orbital(CASE_I, lattice, lam, params)
-    umax = float(np.linalg.eigvalsh(orb.P2).max()) / params.mc2 ** 2
-    tail = params.mc2 * abs(float(binom_half(order + 1))) * umax ** (order + 1) / (1.0 - umax)
-    return {
-        "order": order,
-        "lam": lam,
-        "difference": diff,
-        "tail_bound": tail,
-        "ok": bool(diff <= 1.5 * tail),
     }

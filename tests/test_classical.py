@@ -32,11 +32,9 @@ from spincorr.classical import (
     rest_frame_covariance_residual,
     _coefficients,
     _explicit_gradient,
-    _four_vectors,
     _local,
 )
 from spincorr.fields import FieldSample, to_array
-from spincorr.lorentz import four_velocity, spin_four_vector_lab
 
 RNG = np.random.default_rng(31415926)
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
@@ -619,19 +617,6 @@ class TestBmtConsistency:
         with_f = bmt_consistency_residual(traj, model, self.NEUTRAL, include_gradient_force=True)
         without_f = bmt_consistency_residual(traj, model, self.NEUTRAL, include_gradient_force=False)
         assert without_f >= 10 * with_f
-
-    def test_array_four_vectors_match_per_row(self):
-        """S and U for all rows at once equal the per-row lorentz functions."""
-        pn, rng, n = self.NEUTRAL, np.random.default_rng(2718), 500
-        pi = rng.normal(size=(n, 3)) * np.logspace(-4, 0.5, n)[:, None] * pn.mc
-        s = rng.normal(size=(n, 3))
-        gammas = np.sqrt(1.0 + np.einsum("ij,ij->i", pi, pi) / pn.mc ** 2)
-        S, U = _four_vectors(pi, gammas, s, pn)
-        for i in range(n):
-            S_ref = spin_four_vector_lab(s[i], pi[i], pn)
-            U_ref = four_velocity(pi[i], pn)
-            assert np.abs(S[i] - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
-            assert np.abs(U[i] - U_ref).max() <= 1e-14 * np.abs(U_ref).max()
 
     def test_too_coarse_rejected(self):
         traj = self.make_traj(NO_FIELD, 3, 1.0, p0=np.zeros(3))

@@ -4,9 +4,49 @@ import json
 
 import pytest
 
-from spincorr.checks import CheckResult
-from spincorr.cli import main, render_report
+from spincorr.checks import CheckResult, run_checks
+from spincorr.cli import _trajectory_rows, main, render_report
 from spincorr.config import SCHEMA, ConfigError, load_config, parse_lines
+
+# a short simulate run off the origin, so every field model acts on it
+SIM = {"duration": "0.05", "integrator.step": "0.01", "state.x": "0.3 0.2 0.1", "state.p": "0.1 0.2 0.3"}
+SG = dict(SIM, **{"field.model": "stern-gerlach"})
+SIN = dict(SIM, **{"field.model": "sin-electrostatic"})
+
+# key -> (mode, base overrides under a selector that reads the key, perturbed value)
+CONTRACT = {
+    "particle.m": ("simulate", SIM, "1.5"),
+    "particle.e": ("simulate", SIM, "0.3"),
+    "particle.mu_prime": ("simulate", SIM, "0.2"),
+    "field.model": ("simulate", SIM, "stern-gerlach"),
+    "field.b": ("simulate", SIM, "0.2 0.1 1.0"),
+    "field.e": ("simulate", SIM, "0.1 0.0 0.0"),
+    "field.b0": ("simulate", SG, "4.0"),
+    "field.grad": ("simulate", SG, "0.05"),
+    "field.lam": ("simulate", SIN, "0.02"),
+    "field.period": ("simulate", SIN, "3.0"),
+    "state.x": ("simulate", SIM, "0.3 0.2 0.2"),
+    "state.p": ("simulate", SIM, "0.1 0.2 0.4"),
+    "state.s": ("simulate", SIM, "0.0 1.0 0.5"),
+    "duration": ("simulate", SIM, "0.06"),
+    "integrator.method": ("simulate", SIM, "rkf45"),
+    "integrator.step": ("simulate", SIM, "0.005"),
+    "integrator.tol": ("simulate", dict(SIM, **{"integrator.method": "rkf45"}), "1e-5"),
+    "amplitudes": ("boost", {}, "1e-1 1e-2 1e-3"),
+    "boost.beta_max": ("boost", {}, "0.3"),
+    "seed": ("boost", {}, "11"),
+    "order": ("verify-algebra", {"order": "2"}, "3"),
+    "profile": ("verify-fw", {}, "negative-result"),
+}
+
+
+def artifacts(mode, overrides):
+    """What a run of `mode` writes that depends on the config, less config_hash and run_id."""
+    cfg = load_config(mode, None, overrides)
+    if mode == "simulate":
+        return _trajectory_rows(cfg)
+    results = run_checks(mode, cfg.seed, cfg.order, cfg.amplitudes, cfg.profile, cfg["boost.beta_max"])
+    return [r.to_json() for r in results]
 
 
 class TestConfigParsing:
@@ -99,6 +139,47 @@ class TestConfigParsing:
         cfg.field_model()
         cfg.integrator()
         cfg.state0()
+
+
+class TestConfigContract:
+    def test_table_covers_schema(self):
+        assert set(CONTRACT) == set(SCHEMA) - {"out"}
+
+    @pytest.mark.parametrize("key", sorted(CONTRACT))
+    def test_every_key_changes_its_mode(self, key):
+        mode, base, value = CONTRACT[key]
+        assert artifacts(mode, base) != artifacts(mode, dict(base, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("integrator.tol = 1e-8\n", "line 1: integrator.tol: acts only with integrator.method = rkf45, not rk4"),
+            ("field.model = stern-gerlach\nfield.b = 0 0 1\n", "line 2: field.b: acts only with field.model = uniform"),
+            ("field.e = 0 0 1\nfield.model = sin-magnetostatic\n", "field.e: acts only with field.model = uniform"),
+            ("field.b0 = 2.0\n", "field.b0: acts only with field.model = stern-gerlach, not uniform"),
+            ("field.grad = 0.1\n", "field.grad: acts only with field.model = stern-gerlach"),
+            ("field.model = stern-gerlach\nfield.lam = 0.1\n", "field.lam: acts only with field.model = sin-electrostatic or sin-magnetostatic"),
+            ("field.period = 3.0\n", "field.period: acts only with field.model = sin-electrostatic or sin-magnetostatic"),
+        ],
+    )
+    def test_key_ignored_by_its_selector_rejected(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert len(err.value.errors) == 1 and message in err.value.errors[0]
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_flag_override_rejected_like_file_key(self):
+        with pytest.raises(ConfigError, match="field.lam: acts only with"):
+            load_config("simulate", None, {"field.lam": "0.1"})
+        load_config("simulate", None, {"field.lam": "0.1", "field.model": "sin-magnetostatic"})
+
+    def test_defaults_never_rejected(self):
+        for model in ("uniform", "stern-gerlach", "sin-electrostatic", "sin-magnetostatic"):
+            for method in ("rk4", "rkf45"):
+                load_config("simulate", None, {"field.model": model, "integrator.method": method})
 
 
 class TestCliDispatch:

@@ -34,6 +34,16 @@ def all_models():
     ]
 
 
+def div(grad):
+    """Trace of a Jacobian jac[i, j] = d(component i)/d(x_j): div E or div B."""
+    return np.trace(grad, axis1=-2, axis2=-1)
+
+
+def curl(g):
+    """Curl from a Jacobian jac[i, j] = d(component i)/d(x_j)."""
+    return np.stack([g[..., 2, 1] - g[..., 1, 2], g[..., 0, 2] - g[..., 2, 0], g[..., 1, 0] - g[..., 0, 1]], axis=-1)
+
+
 def fd_gradient(f, x, h=1e-6):
     """Central-difference gradient of a scalar or vector function."""
     out = []
@@ -52,12 +62,6 @@ class TestParticleParams:
     def test_positive_constants_enforced(self):
         with pytest.raises(ValueError):
             ParticleParams(m=-1.0, e=0.0, gamma_m=0.0, mu_prime=0.0)
-
-    def test_two_constructions_agree(self):
-        a = ParticleParams.from_moment(m=1.3, e=0.7, mu_prime=0.11)
-        b = ParticleParams.from_gyromagnetic(m=1.3, e=0.7, gamma_m=a.gamma_m)
-        assert b.mu_prime == pytest.approx(a.mu_prime, rel=1e-14)
-        assert b.gamma_m == a.gamma_m and b.mu == pytest.approx(a.mu, rel=1e-15)
 
     def test_total_moment_split(self):
         p = ParticleParams.from_moment(m=2.0, e=0.5, mu_prime=0.25)
@@ -81,7 +85,7 @@ class TestFieldModels:
             s = sample_field(m, RNG.normal(size=3))
             assert np.allclose(s.B, [0, 0, 1])
             assert np.allclose(s.E, 0)
-            assert s.div_E == 0.0
+            assert div(s.grad_E) == 0.0
 
     def test_uniform_zero_field_is_sentinel(self):
         # an all-zero E0 (or B0) is stored as ZERO3, and a zero E gives a ZERO3
@@ -113,17 +117,17 @@ class TestFieldModels:
         assert np.allclose(s.B, [0, 0, 1])
         assert s.grad_B[0, 0] == pytest.approx(-0.05)
         assert s.grad_B[2, 2] == pytest.approx(0.1)
-        assert s.div_B == pytest.approx(0.0, abs=1e-15)
+        assert div(s.grad_B) == pytest.approx(0.0, abs=1e-15)
 
     def test_stern_gerlach_is_curl_free(self):
         for _ in range(20):
             s = sample_field(SternGerlach(B0=1.0, b=0.3), RNG.normal(size=3))
-            assert np.allclose(s.curl_B, 0.0, atol=1e-14)
+            assert np.allclose(curl(s.grad_B), 0.0, atol=1e-14)
 
     def test_sinusoidal_electrostatic_quarter_period(self):
         s = sample_field(SinusoidalElectrostatic(lam=1.0, L=1.0), np.array([0.25, 0, 0]))
         assert s.E[0] == pytest.approx(1.0)
-        assert s.div_E == pytest.approx(0.0, abs=1e-12)
+        assert div(s.grad_E) == pytest.approx(0.0, abs=1e-12)
 
     def test_sinusoidal_models_are_periodic(self):
         x = RNG.normal(size=3)
@@ -136,7 +140,7 @@ class TestFieldModels:
         for m in all_models():
             for _ in range(50):
                 s = sample_field(m, RNG.normal(scale=2.0, size=3))
-                assert abs(s.div_B) < 1e-14
+                assert abs(div(s.grad_B)) < 1e-14
 
     def test_potentials_reproduce_fields(self):
         # E = -grad(phi) and B = curl(A), from the stored analytic derivatives

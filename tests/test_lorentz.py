@@ -1,27 +1,72 @@
-"""Boost matrices, field transforms, spin duality and the covariant RHS."""
+"""Field transforms and the covariant RHS, against per-row Lorentz oracles.
+
+The boost matrix, the tensor-to-field map, the per-row spin 4-vector and
+4-velocity, and the covariant orbital RHS live here: they are the
+independent oracles of `boost_fields`, `classical._four_vectors` and the
+`bmt_rhs` closure.
+"""
 
 import numpy as np
 import pytest
 
-from spincorr import ParticleParams
-from spincorr.lorentz import (
-    METRIC,
-    bmt_rhs,
-    boost_fields,
-    boost_four_vector,
-    boost_matrix,
-    field_tensor,
-    fields_from_tensor,
-    four_velocity,
-    lorentz_force_rhs,
-    minkowski_dot,
-    spin_four_vector_lab,
-    spin_tensor_from_vector,
-    spin_vector_from_tensor,
-)
+from spincorr import ParticleParams, gamma_pi, v_pi
+from spincorr.classical import _four_vectors
+from spincorr.lorentz import METRIC, bmt_rhs, boost_fields, field_tensor, minkowski_dot
 
 RNG = np.random.default_rng(7041776)
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
+
+
+def boost_matrix(beta):
+    """Pure boost with velocity beta (units of c)."""
+    beta = np.asarray(beta, dtype=float)
+    b2 = float(beta @ beta)
+    if b2 >= 1.0:
+        raise ValueError("boost speed must satisfy |beta| < 1")
+    gamma = 1.0 / np.sqrt(1.0 - b2)
+    lam = np.eye(4)
+    lam[0, 0] = gamma
+    lam[0, 1:] = lam[1:, 0] = -gamma * beta
+    if b2 > 0.0:
+        lam[1:, 1:] += (gamma - 1.0) * np.outer(beta, beta) / b2
+    return lam
+
+
+def fields_from_tensor(F):
+    E = np.array([F[1, 0], F[2, 0], F[3, 0]])
+    B = np.array([F[3, 2], F[1, 3], F[2, 1]])
+    return E, B
+
+
+def spin_four_vector_lab(s, pi, params):
+    """Lab-frame spin 4-vector for rest-frame spin s comoving with v_pi.
+
+    Boosts S = (0, s) from the comoving frame; satisfies U_pi.S = 0 and
+    S.S = -|s|^2 by construction.
+    """
+    s, pi = np.asarray(s, dtype=float), np.asarray(pi, dtype=float)
+    g = gamma_pi(pi, params)
+    beta = v_pi(pi, params) / params.c
+    bs = float(beta @ s)
+    S = np.empty(4)
+    S[0] = g * bs
+    S[1:] = s + (g ** 2 / (g + 1.0)) * bs * beta
+    return S
+
+
+def four_velocity(pi, params):
+    """U_pi^alpha = (gamma_pi c, pi/m)."""
+    pi = np.asarray(pi, dtype=float)
+    U = np.empty(4)
+    U[0] = gamma_pi(pi, params) * params.c
+    U[1:] = pi / params.m
+    return U
+
+
+def lorentz_force_rhs(U, F, f, params):
+    """dU/dtau = (e/mc) F U + f/m, the covariant orbital equation."""
+    U, F, f = (np.asarray(a, dtype=float) for a in (U, F, f))
+    return (params.e / (params.m * params.c)) * (F @ (METRIC @ U)) + f / params.m
 
 
 def random_beta(max_speed=0.9):
@@ -55,13 +100,13 @@ class TestBoostMatrix:
 
     def test_rest_momentum_boost(self):
         v = np.array([PARAMS.mc, 0, 0, 0])
-        out = boost_four_vector(v, np.array([0.6, 0, 0]))
+        out = boost_matrix(np.array([0.6, 0, 0])) @ v
         assert np.allclose(out, [1.25 * PARAMS.mc, -0.75 * PARAMS.mc, 0, 0])
 
     def test_norm_preserved(self):
         for _ in range(200):
             v = RNG.normal(size=4)
-            vp = boost_four_vector(v, random_beta())
+            vp = boost_matrix(random_beta()) @ v
             assert minkowski_dot(vp, vp) == pytest.approx(minkowski_dot(v, v), abs=1e-12)
 
 
@@ -89,58 +134,6 @@ class TestBoostFields:
             assert np.abs(Bp - Bt).max() < 1e-13
 
 
-class TestSpinDuality:
-    def test_rest_frame_component_matrix(self):
-        c = PARAMS.c
-        sz = 0.5
-        T = spin_tensor_from_vector(np.array([0, 0, 0, sz]), np.array([c, 0, 0, 0]), c)
-        want = np.zeros((4, 4))
-        want[1, 2], want[2, 1] = -sz, sz
-        assert np.allclose(T, want, atol=1e-15)
-
-    def test_zero_spin(self):
-        c = PARAMS.c
-        T = spin_tensor_from_vector(np.zeros(4), np.array([c, 0, 0, 0]), c)
-        assert np.all(T == 0.0)
-
-    def test_antisymmetry_and_transversality(self):
-        for _ in range(200):
-            pi = RNG.normal(scale=PARAMS.mc, size=3)
-            s = RNG.normal(size=3)
-            U = four_velocity(pi, PARAMS)
-            S = spin_four_vector_lab(s, pi, PARAMS)
-            T = spin_tensor_from_vector(S, U, PARAMS.c)
-            assert np.abs(T + T.T).max() < 1e-12
-            assert np.abs(T @ (METRIC @ U)).max() < 1e-12 * max(1.0, np.abs(s).max())
-
-    def test_round_trip(self):
-        for _ in range(200):
-            pi = RNG.normal(scale=PARAMS.mc, size=3)
-            s = RNG.normal(size=3)
-            U = four_velocity(pi, PARAMS)
-            S = spin_four_vector_lab(s, pi, PARAMS)
-            T = spin_tensor_from_vector(S, U, PARAMS.c)
-            assert np.abs(spin_vector_from_tensor(T, U, PARAMS.c) - S).max() < 1e-12
-
-    def test_covariance_oracle(self):
-        # boosted pair gives the conjugated tensor
-        c = PARAMS.c
-        for _ in range(200):
-            s = RNG.normal(size=3)
-            U0 = np.array([c, 0, 0, 0])
-            S0 = np.concatenate([[0.0], s])
-            T0 = spin_tensor_from_vector(S0, U0, c)
-            beta = random_beta()
-            lam = boost_matrix(beta)
-            T1 = spin_tensor_from_vector(lam @ S0, lam @ U0, c)
-            assert np.abs(T1 - lam @ T0 @ lam.T).max() < 1e-12
-
-    def test_precondition_rejected(self):
-        c = PARAMS.c
-        with pytest.raises(ValueError):
-            spin_tensor_from_vector(np.array([1.0, 0, 0, 1.0]), np.array([c, 0, 0, 0]), c)
-
-
 class TestSpinFourVectorLab:
     def test_rest(self):
         s = np.array([0.1, 0.2, 0.3])
@@ -161,6 +154,19 @@ class TestSpinFourVectorLab:
             U = four_velocity(pi, PARAMS)
             assert abs(minkowski_dot(U, S)) < 1e-12 * max(1.0, np.abs(s).max() * PARAMS.c)
             assert minkowski_dot(S, S) == pytest.approx(-float(s @ s), rel=1e-12, abs=1e-13)
+
+    def test_array_four_vectors_match_per_row(self):
+        """S and U for all rows at once equal the per-row oracles."""
+        pn, rng, n = ParticleParams.neutral(mu_prime=0.11), np.random.default_rng(2718), 500
+        pi = rng.normal(size=(n, 3)) * np.logspace(-4, 0.5, n)[:, None] * pn.mc
+        s = rng.normal(size=(n, 3))
+        gammas = np.sqrt(1.0 + np.einsum("ij,ij->i", pi, pi) / pn.mc ** 2)
+        S, U = _four_vectors(pi, gammas, s, pn)
+        for i in range(n):
+            S_ref = spin_four_vector_lab(s[i], pi[i], pn)
+            U_ref = four_velocity(pi[i], pn)
+            assert np.abs(S[i] - S_ref).max() <= 1e-14 * np.abs(S_ref).max()
+            assert np.abs(U[i] - U_ref).max() <= 1e-14 * np.abs(U_ref).max()
 
 
 class TestBmtRhs:

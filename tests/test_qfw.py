@@ -2,13 +2,16 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from spincorr import ParticleParams
 from spincorr.classical import DiagnosticError
-from spincorr.opalg.identities import binom_minus_half
+from spincorr.opalg.core import PI
+from spincorr.opalg.identities import binom_half, binom_minus_half, case_algebra, series_sqrt_expand
+from spincorr.opalg.shadow import spin_matrices
 from spincorr.qfw import (
     ALPHA4,
     BETA4,
@@ -36,9 +39,6 @@ from spincorr.qfw import (
     default_lattice,
     default_params,
     eriksen_fw,
-    hermiticity_defect,
-    oddness_defect,
-    opalg_cross_check,
     parity_check,
     parity_operator,
     residual_scaling,
@@ -128,6 +128,93 @@ def dense_correspondence(case, lattice, lam, params, include_darwin=True):
     return hermitian_part(Hc)
 
 
+def instantiate_case_i(expr, lattice, lam, params):
+    """Evaluate a symbolic operator expression as a case-I lattice matrix.
+
+    pi_1, pi_2 map to the kinetic momenta, pi_3 to zero (decoupled axis);
+    B_3 and its x-derivatives map to band-limited multiplications by the
+    analytic derivatives of B_z(x) = A0 q cos(q x); every other field
+    component vanishes for this profile. Spin symbols become the 4x4
+    Kronecker matrices. Unit symbols evaluate from params.
+    """
+    orb = _orbital(CASE_I, lattice, lam, params)
+    orb_dim = lattice.orbital_dim
+    Px, Py = (_scatter(p, orb.index, orb_dim) for p in orb.momenta)
+    _, F, Q, _, x = _axis_operators(lattice, params.hbar)
+    q = 2.0 * math.pi / lattice.length
+    A0 = lam * params.mc2 / abs(params.e)
+    zeros = np.zeros((orb_dim, orb_dim), dtype=complex)
+
+    @lru_cache(maxsize=None)
+    def b_profile(n_derivs):
+        # d^n/dx^n of B_z = A0 q cos(qx)
+        amp = A0 * q ** (n_derivs + 1)
+        phase = n_derivs % 4
+        f = {0: np.cos(q * x), 1: -np.sin(q * x), 2: -np.cos(q * x), 3: np.sin(q * x)}[phase]
+        return np.kron(_mul_op(amp * f, F, Q), np.eye(lattice.n_sites))
+
+    def word_matrix(word):
+        M = np.eye(orb_dim, dtype=complex)
+        for sym in word:
+            if sym[0] == PI:
+                if sym[1] == 3:
+                    return zeros
+                M = M @ (Px if sym[1] == 1 else Py)
+            else:
+                base, comp, derivs = sym
+                if base != "B" or comp != 3 or any(d != 1 for d in derivs):
+                    return zeros  # only B_z(x) is present in this geometry
+                M = M @ b_profile(len(derivs))
+        return M
+
+    units_vals = (params.hbar, params.c, params.m, params.e, params.mu_prime)
+    # orbital part of each spin component, summed before the Kronecker product
+    per_spin = {}
+    for (word, spin, units, ipow), coeff in expr.terms.items():
+        scalar = float(coeff) * (1j ** ipow)
+        for v, kexp in zip(units_vals, units):
+            if kexp:
+                scalar *= v ** kexp
+        if scalar == 0.0:
+            continue
+        per_spin[spin] = per_spin.get(spin, zeros) + scalar * word_matrix(word)
+    spins = spin_matrices()
+    out = np.zeros((4 * orb_dim, 4 * orb_dim), dtype=complex)
+    for spin, M in per_spin.items():
+        S = np.array([[float(g[0]) + 1j * float(g[1]) for g in row] for row in spins[spin]])
+        out += np.kron(S, M)
+    return out
+
+
+# largest u = c^2 pi^2 / m^2c^4 the series cross-check accepts: c p = 0.9 mc^2
+SERIES_U_MAX = 0.81
+
+
+def opalg_cross_check(order=6, lam=1e-2, lattice=None, params=None):
+    """Instantiate the symbolic square-root series and compare with eriksen_fw.
+
+    The map pi_i -> lattice momenta, B -> band-limited multiplications is a
+    homomorphism up to the algebra's own truncations, so the matrix built
+    from the order-N symbolic expansion must match the exact transform
+    within the series tail bound. Headroom 1.5 absorbs the field-dependent
+    tail pieces the kinetic bound does not count. The series converges
+    only for u_max < 1, and the geometric tail bound is loose near 1, so
+    u_max past SERIES_U_MAX is refused.
+    """
+    lattice = lattice or default_lattice(CASE_I)
+    params = params or default_params(CASE_I, lattice)
+    orb = _orbital(CASE_I, lattice, lam, params)
+    umax = float(np.linalg.eigvalsh(orb.P2).max()) / params.mc2 ** 2
+    if umax > SERIES_U_MAX:
+        raise ConfigurationError(f"series cross-check needs u_max <= {SERIES_U_MAX}, got {umax:.6g}")
+    expr = series_sqrt_expand(CASE_I, order, case_algebra(CASE_I))
+    M = instantiate_case_i(expr, lattice, lam, params)
+    Hfw = eriksen_fw(build_hamiltonian(CASE_I, lattice, lam, params))
+    diff = float(np.abs(M - Hfw.matrix).max())
+    tail = params.mc2 * abs(float(binom_half(order + 1))) * umax ** (order + 1) / (1.0 - umax)
+    return {"difference": diff, "tail_bound": tail, "ok": bool(diff <= 1.5 * tail)}
+
+
 def free_energies(lattice, params):
     k = lattice.axis_wavenumbers()
     if lattice.dimension == 2:
@@ -149,8 +236,13 @@ class TestLatticeSpec:
             LatticeSpec(n_sites=6)
 
     def test_rejects_rho_past_hard_limit(self):
-        with pytest.raises(ConfigurationError):
-            LatticeSpec(rho=0.95)
+        # c p_max = 0.95 mc^2 puts u_max past the series cross-check's 0.81;
+        # the lattice itself builds at any mass
+        lat = LatticeSpec(dimension=2, n_sites=12)
+        par = ParticleParams.dirac(m=lat.p_max() / 0.95, e=1.0)
+        build_hamiltonian(CASE_I, lat, 1e-2, par)
+        with pytest.raises(ConfigurationError, match="u_max <= 0.81"):
+            opalg_cross_check(lattice=lat, params=par)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ConfigurationError):
@@ -162,14 +254,9 @@ class TestLatticeSpec:
         assert np.abs(k).max() == pytest.approx(3.0)
 
     def test_mass_saturates_cutoff(self):
-        lat = LatticeSpec(dimension=2, n_sites=12, rho=0.5)
-        m = lat.mass_for_cutoff()
-        assert lat.p_max() == pytest.approx(lat.rho * m)
-
-    def test_cutoff_violation_rejected(self):
-        light = ParticleParams.dirac(m=0.1 * PAR_I.m, e=1.0)
-        with pytest.raises(ConfigurationError):
-            build_hamiltonian(CASE_I, LAT_I, 0.0, light)
+        for case in (CASE_I, CASE_II):
+            lat = default_lattice(case)
+            assert default_params(case, lat).m == lat.p_max() / 0.5
 
     def test_case_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -190,12 +277,14 @@ class TestBuild:
     def test_hermitian(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             H = build_hamiltonian(case, lat, 1e-2, par)
-            assert hermiticity_defect(H.matrix) < 1e-12
+            assert np.abs(H.matrix - H.matrix.conj().T).max() < 1e-12
 
     def test_interaction_is_odd(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             H = build_hamiltonian(case, lat, 1e-2, par)
-            assert oddness_defect(H) < 1e-12
+            beta = H.aux["beta"]
+            O = H.matrix - par.mc2 * beta
+            assert np.abs(beta @ O @ beta + O).max() < 1e-12
 
     def test_magnetic_coupling_is_commutator_of_momenta(self):
         H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
@@ -271,18 +360,6 @@ class TestBlockedEriksen:
         assert Hfw.aux["fw_blocks"] == [[20, 24], [2, 48]]
         assert np.abs(Hfw.matrix - dense_eriksen_fw(H)).max() <= 1e-12
 
-    def test_oddness_defect_equals_dense_formula(self):
-        for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 1e-2, par)
-            rng = np.random.default_rng(5)
-            X = rng.normal(size=H.matrix.shape) + 1j * rng.normal(size=H.matrix.shape)
-            H.matrix = H.matrix + 1e-3 * (X + X.conj().T)
-            beta = H.aux["beta"]
-            O = H.matrix - par.mc2 * beta
-            dense = float(np.abs(beta @ O @ beta + O).max())
-            assert dense > 0.0
-            assert oddness_defect(H) == dense
-
     def test_block_diagonality_equals_dense_formula(self):
         H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
         beta = H.aux["beta"]
@@ -300,7 +377,9 @@ class TestBlockedEriksen:
         # a Hermitian, odd perturbation between k_y blocks 2 and 5
         H.matrix[i, j] += 1e-3
         H.matrix[j, i] += 1e-3
-        assert oddness_defect(H) < 1e-12
+        beta = H.aux["beta"]
+        O = H.matrix - PAR_I.mc2 * beta
+        assert np.abs(beta @ O @ beta + O).max() < 1e-12
         with pytest.raises(OddnessError, match=r"couples blocks 2 and 5"):
             eriksen_fw(H)
 
@@ -360,11 +439,11 @@ class TestWeylKernel:
             assert np.abs(closed[b] - series).max() <= 1e-13
 
     def test_truncated_series_fails_near_hard_cutoff(self):
-        # rho = 0.9 puts u_max at 0.81: eight series terms miss the closed
-        # kernel by far more than 1e-12 mc^2, thirty by less, and the tail
-        # bound covers each miss; the closed kernel is exact at any u
-        lat = LatticeSpec(dimension=1, n_sites=64, rho=0.9)
-        par = ParticleParams.neutral(mu_prime=0.08, m=lat.mass_for_cutoff())
+        # c p_max = 0.9 mc^2 puts u_max at 0.81: eight series terms miss the
+        # closed kernel by far more than 1e-12 mc^2, thirty by less, and the
+        # tail bound covers each miss; the closed kernel is exact at any u
+        lat = LatticeSpec(dimension=1, n_sites=64)
+        par = ParticleParams.neutral(mu_prime=0.08, m=lat.p_max() / 0.9)
         orb = _orbital(CASE_II, lat, 1e-3, par)
         w, V = np.linalg.eigh(orb.P2[0])
         closed = _weyl(w, V, orb.coupling[0], par.mc2)
@@ -387,7 +466,7 @@ class TestWeylKernel:
 
 class TestHermiticityGuard:
     def test_large_lattice_builds(self):
-        # c^2 pi^2 and div E grow with the mass, which grows with N at fixed rho
+        # c^2 pi^2 and div E grow with the mass, which default_params grows with N
         lat = LatticeSpec(dimension=1, n_sites=512)
         orb = _orbital(CASE_II, lat, 1e-2, default_params(CASE_II, lat))
         assert orb.coupling.shape == (1, 512, 512)
@@ -396,7 +475,8 @@ class TestHermiticityGuard:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         M = X + X.conj().T
-        assert hermiticity_defect(_hermitize(M)) == 0.0
+        Mh = _hermitize(M)
+        assert np.abs(Mh - Mh.conj().T).max() == 0.0
         with pytest.raises(ConfigurationError, match="not Hermitian"):
             _hermitize(M + 1e-9 * (X - X.conj().T))
         # judged per block: the defect is small against the other block's scale
@@ -486,3 +566,30 @@ class TestSymbolicCrossCheck:
         rep = opalg_cross_check(order=6, lam=1e-2)
         assert rep["difference"] <= 1.5 * rep["tail_bound"]
         assert rep["ok"]
+
+
+class TestLightMass:
+    """Lattices whose largest momentum is relativistic: gamma_max > 1.4.
+
+    The exact transform and the closed-form image need no series, so the
+    O(lambda^2) correspondence holds at any mass the lattice is given.
+    """
+
+    def test_neutral_correspondence(self):
+        lat = LatticeSpec(dimension=1, n_sites=128)
+        par = ParticleParams.neutral(0.08, m=62.0)
+        _, slope = residual_scaling(CASE_II, lat, par)
+        assert 1.9 <= slope <= 2.1
+        rep = darwin_vs_classical_hd(lat, par)
+        assert round(rep["gamma_max"], 4) == 1.4257
+        assert 1.9 <= rep["slope_with_darwin"] <= 2.1
+        assert 0.9 <= rep["slope_without_darwin"] <= 1.1
+        assert rep["fit_rel_dev"] < 1e-3
+
+    def test_charged_correspondence(self):
+        lat = LatticeSpec(dimension=2, n_sites=24)
+        par = ParticleParams.dirac(m=14.142, e=1.0)
+        assert math.sqrt(1.0 + (lat.p_max() / par.mc2) ** 2) > 1.4
+        res, slope = residual_scaling(CASE_I, lat, par)
+        assert 1.9 <= slope <= 2.1
+        assert res[0] == pytest.approx(4.40828e-7, rel=1e-5)
