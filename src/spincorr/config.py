@@ -56,6 +56,14 @@ SCHEMA = {
     "out": ("str", ""),
 }
 
+# the keys only `simulate` reads (its particle, field, initial state and
+# integrator); every other mode refuses them, since they would change nothing
+SIMULATE_ONLY = ("particle.", "field.", "state.", "duration", "integrator.")
+
+# rkf45's error estimate carries round-off of about 1e-16 relative to y, so a
+# smaller tol is never met: the stepper crawls at round-off-sized steps
+TOL_FLOOR = 1e-15
+
 # key -> (selector, the selector values under which the run reads the key);
 # a key set while its selector ignores it would change nothing, so it is refused
 SELECTED_BY = {
@@ -199,8 +207,11 @@ def _range_errors(values: dict, anchors: dict) -> list:
         errs.append(f"{at('duration')}duration: must be positive")
     if values["integrator.step"] <= 0:
         errs.append(f"{at('integrator.step')}integrator.step: must be positive")
-    if values["integrator.tol"] <= 0:
-        errs.append(f"{at('integrator.tol')}integrator.tol: must be positive")
+    if not values["integrator.tol"] >= TOL_FLOOR:
+        errs.append(
+            f"{at('integrator.tol')}integrator.tol: must be at least {TOL_FLOOR:g}, "
+            "the round-off floor of rkf45's error estimate"
+        )
     if values["field.period"] <= 0:
         errs.append(f"{at('field.period')}field.period: must be positive")
     amps = values["amplitudes"]
@@ -289,12 +300,16 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
     effective = {key: default for key, (_, default) in SCHEMA.items()}
     effective.update(values)
     errors.extend(_range_errors(effective, anchors))
-    for key, (selector, readers) in SELECTED_BY.items():
-        if key in values and effective[selector] not in readers:
-            at = f"line {anchors[key]}: " if key in anchors else ""
-            errors.append(
-                f"{at}{key}: acts only with {selector} = {' or '.join(readers)}, not {effective[selector]}"
-            )
+    for key in values:
+        at = f"line {anchors[key]}: " if key in anchors else ""
+        if mode != "simulate" and key.startswith(SIMULATE_ONLY):
+            errors.append(f"{at}{key}: acts only in simulate mode, not {mode}")
+        elif key in SELECTED_BY:
+            selector, readers = SELECTED_BY[key]
+            if effective[selector] not in readers:
+                errors.append(
+                    f"{at}{key}: acts only with {selector} = {' or '.join(readers)}, not {effective[selector]}"
+                )
     if errors:
         raise ConfigError(errors)
     return RunConfig(mode=mode, values=effective)

@@ -294,6 +294,38 @@ def block_diagonality_defect(H: LatticeHamiltonian) -> float:
     return float(np.abs(H.matrix * (np.outer(b, b) - 1.0)).max())
 
 
+def component_spectrum(M: np.ndarray) -> tuple[np.ndarray, list]:
+    """Sorted spectrum of a Hermitian M from the components of its exact nonzero pattern.
+
+    Indices i and j are linked when M[i, j] or M[j, i] is nonzero. Under a
+    permutation M is block diagonal in the connected components, so its
+    spectrum is the union of theirs: an exact split, with no tolerance, that
+    reads nothing but M. Components of one size share one batched eigvalsh.
+    Returns the spectrum and [number of components, size] per size.
+    """
+    nz = M != 0
+    linked = nz | nz.T
+    n = len(M)
+    # label propagation with pointer jumping: each label is the smallest
+    # index reached so far in its component, and falls until it is stable
+    label = np.arange(n)
+    while True:
+        nxt = np.minimum(label, np.where(linked, label[None, :], n).min(axis=1, initial=n))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    by_size = {}
+    for root in np.unique(label):
+        idx = np.flatnonzero(label == root)
+        by_size.setdefault(idx.size, []).append(idx)
+    spectra = []
+    for group in by_size.values():
+        rows = np.array(group)
+        spectra.append(np.linalg.eigvalsh(M[rows[:, :, None], rows[:, None, :]]).ravel())
+    return np.sort(np.concatenate(spectra)), [[len(g), size] for size, g in sorted(by_size.items())]
+
+
 def _label_blocks(labels: np.ndarray, signs: np.ndarray) -> list:
     """(rows, half) per stack of blocks: each block's indices, its `half` beta = +1 ones first.
 
@@ -479,17 +511,31 @@ def residual_scaling(
     return residuals, _fit_slope(lambdas, residuals)
 
 
-def parity_operator(lattice: LatticeSpec) -> np.ndarray:
-    """beta (x) site inversion, expressed in the momentum basis."""
+def _site_inversion(lattice: LatticeSpec) -> np.ndarray:
+    """x -> -x on one lattice axis, expressed in the momentum basis."""
     N = lattice.n_sites
     F = _fourier_matrix(N)
     perm = np.zeros((N, N))
     perm[(N - np.arange(N)) % N, np.arange(N)] = 1.0
-    inv_k = F @ perm @ F.conj().T
-    orb = inv_k
-    for _ in range(lattice.dimension - 1):
-        orb = np.kron(orb, inv_k)
-    return np.kron(BETA4, orb)
+    return F @ perm @ F.conj().T
+
+
+def _conjugate_by_kron(M: np.ndarray, factors) -> np.ndarray:
+    """P M P^+ for P = f_1 (x) ... (x) f_k, one factor at a time; P is never formed.
+
+    Seen as an array of shape (d_1, ..., d_k, d_1, ..., d_k), M takes f_a on
+    its a-th row axis and conj(f_a) on its a-th column axis, because
+    (M P^+)_ij = sum_l M_il conj(P_jl).
+    """
+    dims = [f.shape[0] for f in factors]
+    T = M
+    for lead, conj in ((1, False), (len(M), True)):
+        for a, f in enumerate(factors):
+            f = f.conj() if conj else f
+            X = T.reshape(lead * math.prod(dims[:a]), dims[a], -1)
+            # f batched over the leading axes; on the last axis, a plain right product
+            T = X[..., 0] @ f.T if X.shape[-1] == 1 else f @ X
+    return T.reshape(M.shape)
 
 
 def parity_check(
@@ -498,15 +544,17 @@ def parity_check(
     lam: float = 0.0,
     params: ParticleParams | None = None,
 ) -> tuple[float, float]:
-    """Deviation of H and H' from parity invariance (both should vanish)."""
+    """Deviation of H and H' from parity invariance (both should vanish).
+
+    Parity is P = beta (x) site inversion on every axis; P H P^+ is formed
+    by its Kronecker factors, never as a dense product.
+    """
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     H = build_hamiltonian(case, lattice, lam, params)
     Hfw = eriksen_fw(H)
-    P = parity_operator(lattice)
-    dev_h = float(np.abs(P @ H.matrix @ P.conj().T - H.matrix).max())
-    dev_hp = float(np.abs(P @ Hfw.matrix @ P.conj().T - Hfw.matrix).max())
-    return dev_h, dev_hp
+    factors = [BETA4] + [_site_inversion(lattice)] * lattice.dimension
+    return tuple(float(np.abs(_conjugate_by_kron(M, factors) - M).max()) for M in (H.matrix, Hfw.matrix))
 
 
 def darwin_vs_classical_hd(

@@ -6,7 +6,7 @@ import pytest
 
 from spincorr.checks import CheckResult, run_checks
 from spincorr.cli import _trajectory_rows, main, render_report
-from spincorr.config import SCHEMA, ConfigError, load_config, parse_lines
+from spincorr.config import SCHEMA, SIMULATE_ONLY, ConfigError, load_config, parse_lines
 
 # a short simulate run off the origin, so every field model acts on it
 SIM = {"duration": "0.05", "integrator.step": "0.01", "state.x": "0.3 0.2 0.1", "state.p": "0.1 0.2 0.3"}
@@ -87,7 +87,9 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError) as err:
             load_config("boost", p)
-        assert len(err.value.errors) == 4
+        # the four value errors, and particle.m refused outside simulate
+        assert len(err.value.errors) == 5
+        assert "line 2: particle.m: acts only in simulate mode, not boost" in err.value.errors
 
     def test_missing_file(self):
         with pytest.raises(ConfigError) as err:
@@ -131,6 +133,35 @@ class TestConfigParsing:
         a = load_config("boost", None, {"out": "x"})
         b = load_config("boost", None, {"out": "y"})
         assert a.config_hash() == b.config_hash()
+
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-30", "0", "-1e-10", "nan"])
+    def test_tol_below_floor_rejected(self, tmp_path, capsys, tol):
+        p = tmp_path / "t.cfg"
+        p.write_text(f"integrator.method = rkf45\nintegrator.tol = {tol}\n")
+        message = "line 2: integrator.tol: must be at least 1e-15, the round-off floor of rkf45's error estimate"
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert err.value.errors == [message]
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_rkf45_finishes_at_tol_floor(self):
+        # the floor itself is reachable: a Stern-Gerlach trap runs to T = 10
+        cfg = load_config(
+            "simulate",
+            None,
+            {
+                "field.model": "stern-gerlach",
+                "field.b0": "1.0",
+                "field.grad": "0.2",
+                "state.p": "0.3 0 0",
+                "duration": "10.0",
+                "integrator.method": "rkf45",
+                "integrator.tol": "1e-15",
+            },
+        )
+        rows = _trajectory_rows(cfg)
+        assert rows[-1]["t"] == 10.0
 
     def test_schema_defaults_are_valid(self):
         cfg = load_config("simulate")
@@ -180,6 +211,56 @@ class TestConfigContract:
         for model in ("uniform", "stern-gerlach", "sin-electrostatic", "sin-magnetostatic"):
             for method in ("rk4", "rkf45"):
                 load_config("simulate", None, {"field.model": model, "integrator.method": method})
+
+
+    def test_simulate_only_keys_are_the_simulate_contract(self):
+        simulate_keys = {key for key, (mode, _, _) in CONTRACT.items() if mode == "simulate"}
+        assert {key for key in SCHEMA if key.startswith(SIMULATE_ONLY)} == simulate_keys
+
+    @pytest.mark.parametrize("mode", ["boost", "verify-algebra", "verify-fw", "report"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "particle.m = 1.5\n",
+            "field.model = stern-gerlach\n",
+            "field.b = 0 0 2\n",
+            "state.p = 0.5 0 0\n",
+            "duration = 2.0\n",
+            "integrator.step = 0.01\n",
+        ],
+    )
+    def test_simulate_key_rejected_by_other_modes(self, tmp_path, capsys, mode, text):
+        key = text.split(" = ")[0]
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 3\n" + text)
+        message = f"line 2: {key}: acts only in simulate mode, not {mode}"
+        with pytest.raises(ConfigError) as err:
+            load_config(mode, p)
+        assert err.value.errors == [message]
+        assert main([mode, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        load_config("simulate", p)
+
+    def test_mode_refusal_replaces_selector_refusal(self, tmp_path):
+        # outside simulate the mode is the one reason a field key does nothing
+        p = tmp_path / "c.cfg"
+        p.write_text("integrator.tol = 1e-8\nfield.b0 = 2.0\n")
+        with pytest.raises(ConfigError) as err:
+            load_config("verify-fw", p)
+        assert err.value.errors == [
+            "line 1: integrator.tol: acts only in simulate mode, not verify-fw",
+            "line 2: field.b0: acts only in simulate mode, not verify-fw",
+        ]
+
+    def test_simulate_override_rejected_by_other_modes(self):
+        with pytest.raises(ConfigError, match="^state.s: acts only in simulate mode, not boost$"):
+            load_config("boost", None, {"state.s": "0 1 0"})
+
+    @pytest.mark.parametrize("mode", ["simulate", "boost", "verify-algebra", "verify-fw", "report"])
+    def test_seed_accepted_by_every_mode(self, tmp_path, mode):
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 3\n")
+        assert load_config(mode, p, {"seed": 7}).seed == 7
 
 
 class TestCliDispatch:

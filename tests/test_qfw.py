@@ -23,16 +23,19 @@ from spincorr.qfw import (
     LatticeSpec,
     OddnessError,
     _axis_operators,
+    _conjugate_by_kron,
     _dirac_blocks,
     _hermitize,
     _mul_op,
     _odd_coupling,
     _orbital,
     _scatter,
+    _site_inversion,
     _weyl,
     block_diagonality_defect,
     build_correspondence,
     build_hamiltonian,
+    component_spectrum,
     darwin_coefficient,
     darwin_coefficient_exact,
     darwin_vs_classical_hd,
@@ -40,7 +43,6 @@ from spincorr.qfw import (
     default_params,
     eriksen_fw,
     parity_check,
-    parity_operator,
     residual_scaling,
 )
 
@@ -57,6 +59,19 @@ def dense_eriksen_fw(H):
     w, U = np.linalg.eigh(H.params.mc2 ** 2 * np.eye(O.shape[0]) + O @ O)
     Hp = beta @ ((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
     return 0.5 * (Hp + Hp.conj().T)
+
+
+def parity_operator(lattice):
+    """beta (x) site inversion as one dense matrix in the momentum basis (the oracle)."""
+    N = lattice.n_sites
+    F = np.fft.fft(np.eye(N), norm="ortho")
+    perm = np.zeros((N, N))
+    perm[(N - np.arange(N)) % N, np.arange(N)] = 1.0
+    inv_k = F @ perm @ F.conj().T
+    orb = inv_k
+    for _ in range(lattice.dimension - 1):
+        orb = np.kron(orb, inv_k)
+    return np.kron(BETA4, orb)
 
 
 def hermitian_part(M):
@@ -330,6 +345,85 @@ class TestEriksen:
             eriksen_fw(H)
 
 
+def scattered_blocks(rng, sizes):
+    """A Hermitian matrix whose blocks of `sizes` sit on randomly permuted indices."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    M = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        idx = perm[start:start + size]
+        B = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        M[idx[:, None], idx[None, :]] = B + B.conj().T
+        start += size
+    return M, perm
+
+
+class TestComponentSpectrum:
+    def test_matches_dense_spectrum_on_criterion_9(self):
+        # all eight matrices of the spectrum check: both cases, both amplitudes, H and H'
+        for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
+            for lam in (1e-2, 1e-3):
+                H = build_hamiltonian(case, lat, lam, par)
+                for M in (H.matrix, eriksen_fw(H).matrix):
+                    w, shapes = component_spectrum(M)
+                    assert sum(count * size for count, size in shapes) == lat.matrix_dim
+                    assert np.abs(w - np.linalg.eigvalsh(M)).max() < 1e-11
+
+    def test_lattice_component_counts(self):
+        # the excised Nyquist modes split off H; the transform splits further
+        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        counts = [sum(c for c, _ in component_spectrum(M)[1]) for M in (H.matrix, eriksen_fw(H).matrix)]
+        assert counts == [52, 48]
+
+    def test_permuted_blocks_split_exactly(self):
+        rng = np.random.default_rng(11)
+        M, _ = scattered_blocks(rng, (5, 3, 5, 1, 7))
+        w, shapes = component_spectrum(M)
+        assert shapes == [[1, 1], [1, 3], [2, 5], [1, 7]]
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() < 1e-12
+
+    def test_tiny_entry_merges_two_components(self):
+        rng = np.random.default_rng(12)
+        M, perm = scattered_blocks(rng, (4, 6, 5))
+        # one pair between the first two blocks, far below round-off but not zero
+        i, j = perm[0], perm[4]
+        M[i, j] = M[j, i] = 1e-300
+        w, shapes = component_spectrum(M)
+        assert shapes == [[1, 5], [1, 10]]
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() < 1e-12
+
+    def test_one_sided_entry_links_its_pair(self):
+        # a pair is linked by an entry in either triangle, whichever one eigvalsh reads
+        M, perm = scattered_blocks(np.random.default_rng(13), (3, 3))
+        i, j = perm[0], perm[3]
+        for row, col in ((i, j), (j, i)):
+            one_sided = M.copy()
+            one_sided[row, col] = 1e-300
+            assert component_spectrum(one_sided)[1] == [[1, 6]]
+
+    def test_dense_matrix_is_one_component(self):
+        rng = np.random.default_rng(14)
+        B = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        M = B + B.conj().T
+        w, shapes = component_spectrum(M)
+        assert shapes == [[1, 30]]
+        assert np.abs(w - np.linalg.eigvalsh(M)).max() < 1e-12
+
+    def test_one_eigvalsh_per_component_size(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            sizes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        M, _ = scattered_blocks(np.random.default_rng(15), (2, 4, 2, 4, 4, 1))
+        component_spectrum(M)
+        assert sorted(sizes) == [(1, 1, 1), (2, 2, 2), (3, 4, 4)]
+
+
 class TestBlockedEriksen:
     @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-2])
     @pytest.mark.parametrize("case", [CASE_I, CASE_II])
@@ -525,6 +619,26 @@ class TestParity:
             dev_h, dev_hp = parity_check(case, lat, 1e-2, par)
             assert dev_h < 1e-12
             assert dev_hp < 1e-12
+
+    @pytest.mark.parametrize("case, lat, par", [(CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)])
+    def test_factored_parity_equals_dense_product(self, case, lat, par):
+        P = parity_operator(lat)
+        factors = [BETA4] + [_site_inversion(lat)] * lat.dimension
+        H = build_hamiltonian(case, lat, 1e-2, par)
+        dense_devs = []
+        for M in (H.matrix, eriksen_fw(H).matrix):
+            dense = P @ M @ P.conj().T
+            assert np.abs(_conjugate_by_kron(M, factors) - dense).max() < 1e-13
+            dense_devs.append(float(np.abs(dense - M).max()))
+        assert np.abs(np.subtract(parity_check(case, lat, 1e-2, par), dense_devs)).max() < 1e-13
+
+    def test_factored_conjugation_of_random_factors(self):
+        # no structure of parity assumed: complex factors of three sizes, a non-Hermitian M
+        rng = np.random.default_rng(3)
+        factors = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (4, 3, 5)]
+        P = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        M = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+        assert np.abs(_conjugate_by_kron(M, factors) - P @ M @ P.conj().T).max() < 1e-11
 
 
 class TestDarwin:
