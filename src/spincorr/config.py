@@ -56,9 +56,20 @@ SCHEMA = {
     "out": ("str", ""),
 }
 
-# the keys only `simulate` reads (its particle, field, initial state and
-# integrator); every other mode refuses them, since they would change nothing
-SIMULATE_ONLY = ("particle.", "field.", "state.", "duration", "integrator.")
+# key -> the modes that read it; every other mode refuses the key, since it
+# would change nothing there. seed and out are accepted by every mode, so one
+# command line can drive any of them.
+READ_BY = {
+    # simulate's particle, field, initial state and integrator
+    **{key: ("simulate",) for key in SCHEMA if key.startswith(("particle.", "field.", "state.", "integrator."))},
+    "duration": ("simulate",),
+    "amplitudes": ("boost", "verify-fw"),
+    "boost.beta_max": ("boost",),
+    "order": ("verify-algebra",),
+    "profile": ("verify-fw",),
+    "seed": MODES,
+    "out": MODES,
+}
 
 # rkf45's error estimate carries round-off of about 1e-16 relative to y, so a
 # smaller tol is never met: the stepper crawls at round-off-sized steps
@@ -233,7 +244,7 @@ def _range_errors(values: dict, anchors: dict) -> list:
     return errs
 
 
-def parse_lines(lines, source: str = "<config>"):
+def parse_lines(lines):
     """Parse key = value lines; returns (values, anchors, errors)."""
     values, anchors, errors = {}, {}, []
     for lineno, raw_line in enumerate(lines, start=1):
@@ -279,9 +290,7 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError([f"config file not found: {p}"])
-        values, anchors, errors = parse_lines(
-            p.read_text().splitlines(), source=str(p)
-        )
+        values, anchors, errors = parse_lines(p.read_text().splitlines())
     file_mode = values.pop("mode", None)
     if file_mode is not None and file_mode != mode:
         errors.append(
@@ -302,8 +311,8 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
     errors.extend(_range_errors(effective, anchors))
     for key in values:
         at = f"line {anchors[key]}: " if key in anchors else ""
-        if mode != "simulate" and key.startswith(SIMULATE_ONLY):
-            errors.append(f"{at}{key}: acts only in simulate mode, not {mode}")
+        if mode not in READ_BY[key]:
+            errors.append(f"{at}{key}: acts only in {' or '.join(READ_BY[key])} mode, not {mode}")
         elif key in SELECTED_BY:
             selector, readers = SELECTED_BY[key]
             if effective[selector] not in readers:

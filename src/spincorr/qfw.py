@@ -24,7 +24,7 @@ that read them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -120,14 +120,23 @@ def default_params(case: str, lattice: LatticeSpec) -> ParticleParams:
     return ParticleParams.neutral(mu_prime=0.08, m=m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatticeHamiltonian:
-    matrix: np.ndarray
+    """A lattice operator as (blocks, 4n, 4n) blocks on the dense rows `index`.
+
+    Each block's rows are ordered s n + i for Dirac component s, so its
+    first 2n have beta = +1. The dense matrix is scattered on each read.
+    """
+
+    blocks: np.ndarray
+    index: np.ndarray  # (blocks, 4n) dense index of each block row
     case: str
-    lam: float
     lattice: LatticeSpec
     params: ParticleParams
-    aux: dict = field(default_factory=dict)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _scatter(self.blocks, self.index, self.lattice.matrix_dim)
 
 
 def _dagger(M: np.ndarray) -> np.ndarray:
@@ -266,32 +275,22 @@ def build_hamiltonian(
     lam: float = 0.0,
     params: ParticleParams | None = None,
 ) -> LatticeHamiltonian:
-    """H as one dense matrix, scattered from its blocks."""
+    """H in block form (`_dirac_blocks`)."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
-    rows = _dirac_index(orb)
-    labels = np.empty(lattice.matrix_dim, dtype=int)
-    labels[rows] = np.arange(rows.shape[0])[:, None]
-    aux = {
-        "beta": np.kron(BETA4, np.eye(lattice.orbital_dim)),
-        "coupling": _scatter(orb.coupling, orb.index, lattice.orbital_dim),
-        # block label of each matrix index s * orbital_dim + orbital index
-        "blocks": labels,
-    }
-    H = _scatter(_dirac_blocks(case, orb, params), rows, lattice.matrix_dim)
-    return LatticeHamiltonian(H, case, lam, lattice, params, aux)
-
-
-def _beta_signs(beta: np.ndarray) -> np.ndarray:
-    """The +-1 diagonal of the diagonal matrix beta."""
-    return np.diag(beta).real
+    return LatticeHamiltonian(_dirac_blocks(case, orb, params), _dirac_index(orb), case, lattice, params)
 
 
 def block_diagonality_defect(H: LatticeHamiltonian) -> float:
-    """max |beta H beta - H|, by the sign mask b_i b_j - 1 in {-2, 0}."""
-    b = _beta_signs(H.aux["beta"])
-    return float(np.abs(H.matrix * (np.outer(b, b) - 1.0)).max())
+    """max |beta H beta - H| = 2 max |H_ij| over i, j in opposite beta halves.
+
+    Dense index s * orbital_dim + orbital index has beta = +1 for s < 2,
+    so the beta = +1 half is the first 2 orbital_dim indices.
+    """
+    M = H.matrix
+    h = 2 * H.lattice.orbital_dim
+    return 2.0 * float(max(np.abs(M[:h, h:]).max(), np.abs(M[h:, :h]).max()))
 
 
 def component_spectrum(M: np.ndarray) -> tuple[np.ndarray, list]:
@@ -324,19 +323,6 @@ def component_spectrum(M: np.ndarray) -> tuple[np.ndarray, list]:
         rows = np.array(group)
         spectra.append(np.linalg.eigvalsh(M[rows[:, :, None], rows[:, None, :]]).ravel())
     return np.sort(np.concatenate(spectra)), [[len(g), size] for size, g in sorted(by_size.items())]
-
-
-def _label_blocks(labels: np.ndarray, signs: np.ndarray) -> list:
-    """(rows, half) per stack of blocks: each block's indices, its `half` beta = +1 ones first.
-
-    Blocks whose beta halves have the same sizes share one stack, so each
-    half of a stack is one batched eigh.
-    """
-    groups = {}
-    for label in np.unique(labels):
-        plus, minus = (np.flatnonzero((labels == label) & (s * signs > 0)) for s in (1, -1))
-        groups.setdefault((plus.size, minus.size), []).append(np.concatenate([plus, minus]))
-    return [(np.array(g), half) for (half, _), g in groups.items()]
 
 
 def _odd_coupling(Hb: np.ndarray, half: int, mc2: float) -> np.ndarray:
@@ -373,36 +359,21 @@ def _particle_fw(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray
 
 
 def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
-    """Exact transform H' = beta sqrt(m^2c^4 + O^2) of a dense H, block by block.
+    """Exact transform H' = beta sqrt(m^2c^4 + O^2) of H, block by block.
 
     O keeps the block label and anticommutes with beta, so on the beta = +1
     and beta = -1 halves of a block O = [[0, A], [A^+, 0]] and
     O^2 = diag(A A^+, A^+ A). H' is sqrt(m^2c^4 + A A^+) on the first half
-    and -sqrt(m^2c^4 + A^+ A) on the second. Two guards cover every entry
-    of O: it must not couple two blocks, and within each block it must be
-    odd (`_odd_coupling`).
+    and -sqrt(m^2c^4 + A^+ A) on the second. The layout keeps every block
+    apart; within each, `_odd_coupling` guards that O is odd.
     """
-    beta = H.aux["beta"]
-    labels = H.aux["blocks"]
     mc2 = H.params.mc2
-    # entries between blocks lie off the diagonal, where O = H
-    leak = np.where(labels[:, None] != labels[None, :], np.abs(H.matrix), 0.0)
-    i, j = np.unravel_index(np.argmax(leak), leak.shape)
-    if leak[i, j] > ODDNESS_TOL:
-        raise OddnessError(
-            f"interaction couples blocks {labels[i]} and {labels[j]}: "
-            f"|O[{i}, {j}]| = {leak[i, j]:.2e}"
-        )
-    Hp = np.zeros_like(H.matrix)
-    dims = {}
-    for rows, half in _label_blocks(labels, _beta_signs(beta)):
-        A = _odd_coupling(H.matrix[rows[:, :, None], rows[:, None, :]], half, mc2)
-        for idx, root in ((rows[:, :half], _fw_root(A, mc2)), (rows[:, half:], -_fw_root(_dagger(A), mc2))):
-            Hp[idx[:, :, None], idx[:, None, :]] = root  # Hermitian, as every block is
-            dims[idx.shape[1]] = dims.get(idx.shape[1], 0) + idx.shape[0]
-    # [number of blocks, dimension] of each eigh'd size
-    aux = dict(H.aux, fw_blocks=[[n, d] for d, n in sorted(dims.items())])
-    return LatticeHamiltonian(Hp, H.case, H.lam, H.lattice, H.params, aux)
+    half = H.blocks.shape[-1] // 2
+    A = _odd_coupling(H.blocks, half, mc2)
+    Hp = np.zeros_like(H.blocks)
+    Hp[:, :half, :half] = _fw_root(A, mc2)
+    Hp[:, half:, half:] = -_fw_root(_dagger(A), mc2)
+    return replace(H, blocks=Hp)
 
 
 def _kinetic_root(orb: _Orbital, mc2: float):
@@ -465,12 +436,12 @@ def build_correspondence(
     params: ParticleParams | None = None,
     include_darwin: bool = True,
 ) -> LatticeHamiltonian:
-    """The conjectured block form (`_image_blocks`) as one dense matrix."""
+    """The conjectured block form (`_image_blocks`)."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
-    Hc = _scatter(_image_blocks(case, orb, params, include_darwin), _dirac_index(orb), lattice.matrix_dim)
-    return LatticeHamiltonian(Hc, case, lam, lattice, params)
+    Hc = _image_blocks(case, orb, params, include_darwin)
+    return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
 
 
 def _fit_slope(lambdas, residuals) -> float:

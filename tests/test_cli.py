@@ -5,8 +5,8 @@ import json
 import pytest
 
 from spincorr.checks import CheckResult, run_checks
-from spincorr.cli import _trajectory_rows, main, render_report
-from spincorr.config import SCHEMA, SIMULATE_ONLY, ConfigError, load_config, parse_lines
+from spincorr.cli import _overrides_from_args, _trajectory_rows, build_parser, main, render_report
+from spincorr.config import MODES, READ_BY, SCHEMA, ConfigError, load_config, parse_lines
 
 # a short simulate run off the origin, so every field model acts on it
 SIM = {"duration": "0.05", "integrator.step": "0.01", "state.x": "0.3 0.2 0.1", "state.p": "0.1 0.2 0.3"}
@@ -38,6 +38,18 @@ CONTRACT = {
     "order": ("verify-algebra", {"order": "2"}, "3"),
     "profile": ("verify-fw", {}, "negative-result"),
 }
+
+# a flag or a config line, the key it sets, the modes that read the key, and
+# the modes that refuse it
+FLAG_SCOPE = [
+    (["--order", "3"], "order", "verify-algebra", ("simulate", "boost", "verify-fw", "report")),
+    (["--profile", "negative-result"], "profile", "verify-fw", ("simulate", "boost", "verify-algebra", "report")),
+    (["--lambda-list", "1e-1,1e-2,1e-3"], "amplitudes", "boost or verify-fw", ("simulate", "verify-algebra", "report")),
+]
+LINE_SCOPE = [
+    ("boost.beta_max = 0.3", "boost.beta_max", "boost", ("simulate", "verify-algebra", "verify-fw", "report")),
+    ("amplitudes = 1e-1 1e-2 1e-3", "amplitudes", "boost or verify-fw", ("simulate", "verify-algebra", "report")),
+]
 
 
 def artifacts(mode, overrides):
@@ -215,7 +227,31 @@ class TestConfigContract:
 
     def test_simulate_only_keys_are_the_simulate_contract(self):
         simulate_keys = {key for key, (mode, _, _) in CONTRACT.items() if mode == "simulate"}
-        assert {key for key in SCHEMA if key.startswith(SIMULATE_ONLY)} == simulate_keys
+        assert {key for key, modes in READ_BY.items() if modes == ("simulate",)} == simulate_keys
+
+    def test_mode_table_covers_schema(self):
+        assert set(READ_BY) == set(SCHEMA)
+        assert all(mode in READ_BY[key] for key, (mode, _, _) in CONTRACT.items())
+        assert READ_BY["seed"] == READ_BY["out"] == MODES
+
+    @pytest.mark.parametrize(
+        "flags, key, readers, mode", [(f, k, r, m) for f, k, r, modes in FLAG_SCOPE for m in modes]
+    )
+    def test_flag_refused_by_modes_that_ignore_it(self, tmp_path, capsys, flags, key, readers, mode):
+        assert main([mode, "--seed", "7", *flags, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {key}: acts only in {readers} mode, not {mode}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "line, key, readers, mode", [(t, k, r, m) for t, k, r, modes in LINE_SCOPE for m in modes]
+    )
+    def test_file_key_refused_by_modes_that_ignore_it(self, tmp_path, capsys, line, key, readers, mode):
+        p = tmp_path / "c.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(mode, p)
+        assert err.value.errors == [f"line 1: {key}: acts only in {readers} mode, not {mode}"]
+        assert main([mode, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("mode", ["boost", "verify-algebra", "verify-fw", "report"])
     @pytest.mark.parametrize(
@@ -260,7 +296,8 @@ class TestConfigContract:
     def test_seed_accepted_by_every_mode(self, tmp_path, mode):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 3\n")
-        assert load_config(mode, p, {"seed": 7}).seed == 7
+        args = build_parser().parse_args([mode, "--seed", "7"])
+        assert load_config(mode, p, _overrides_from_args(args)).seed == 7
 
 
 class TestCliDispatch:

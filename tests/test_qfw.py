@@ -1,6 +1,7 @@
 """Lattice Hamiltonians, the exact transform, and amplitude scaling."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from spincorr import ParticleParams
+from spincorr.checks import check_spectrum_preservation
 from spincorr.classical import DiagnosticError
 from spincorr.opalg.core import PI
 from spincorr.opalg.identities import binom_half, binom_minus_half, case_algebra, series_sqrt_expand
@@ -19,7 +21,6 @@ from spincorr.qfw import (
     CASE_II,
     SIGMA4,
     ConfigurationError,
-    LatticeHamiltonian,
     LatticeSpec,
     OddnessError,
     _axis_operators,
@@ -52,9 +53,14 @@ LAT_II = default_lattice(CASE_II)
 PAR_II = default_params(CASE_II, LAT_II)
 
 
+def dense_beta(lattice):
+    """beta (x) 1 on the full matrix: +1 on the first 2 orbital_dim indices."""
+    return np.kron(BETA4, np.eye(lattice.orbital_dim))
+
+
 def dense_eriksen_fw(H):
     """The transform on the full matrix: one eigh of m^2c^4 + O^2 (the oracle)."""
-    beta = H.aux["beta"]
+    beta = dense_beta(H.lattice)
     O = H.matrix - H.params.mc2 * beta
     w, U = np.linalg.eigh(H.params.mc2 ** 2 * np.eye(O.shape[0]) + O @ O)
     Hp = beta @ ((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
@@ -101,12 +107,11 @@ def dense_orbital(case, lattice, lam, params):
 
 def dense_hamiltonian(case, lattice, lam, params):
     """H from the kron assembly, one dense Dirac layer (the oracle of the blocks)."""
-    momenta, P2, _, field_profile = dense_orbital(case, lattice, lam, params)
-    beta = np.kron(BETA4, np.eye(P2.shape[0]))
-    H = params.mc2 * beta + params.c * sum(np.kron(ALPHA4[i], p) for i, p in enumerate(momenta))
+    momenta, _, _, field_profile = dense_orbital(case, lattice, lam, params)
+    H = params.mc2 * dense_beta(lattice) + params.c * sum(np.kron(ALPHA4[i], p) for i, p in enumerate(momenta))
     if case == CASE_II:
         H = H + 1j * params.mu_prime * np.kron(BETA4 @ ALPHA4[0], field_profile)
-    return LatticeHamiltonian(hermitian_part(H), case, lam, lattice, params, aux={"beta": beta})
+    return hermitian_part(H)
 
 
 def weyl_series(w, V, X, mc2, nmax=30):
@@ -297,21 +302,19 @@ class TestBuild:
     def test_interaction_is_odd(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             H = build_hamiltonian(case, lat, 1e-2, par)
-            beta = H.aux["beta"]
+            beta = dense_beta(lat)
             O = H.matrix - par.mc2 * beta
             assert np.abs(beta @ O @ beta + O).max() < 1e-12
 
     def test_magnetic_coupling_is_commutator_of_momenta(self):
-        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
         N = LAT_I.n_sites
         lam = 1e-2
-        from spincorr.qfw import _axis_operators, _mul_op
-
+        orb = _orbital(CASE_I, LAT_I, lam, PAR_I)
         _, F, Q, _, x = _axis_operators(LAT_I, PAR_I.hbar)
         q = 2 * math.pi / LAT_I.length
         A0 = lam * PAR_I.mc2 / abs(PAR_I.e)
         Bmul = np.kron(_mul_op(A0 * q * np.cos(q * x), F, Q), np.eye(N))
-        assert np.abs(H.aux["coupling"] - Bmul).max() < 1e-12
+        assert np.abs(_scatter(orb.coupling, orb.index, LAT_I.orbital_dim) - Bmul).max() < 1e-12
 
 
 class TestEriksen:
@@ -328,7 +331,7 @@ class TestEriksen:
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             H = build_hamiltonian(case, lat, 1e-2, par)
             Hfw = eriksen_fw(H)
-            beta = H.aux["beta"]
+            beta = dense_beta(lat)
             assert np.abs(beta @ Hfw.matrix @ beta - Hfw.matrix).max() < 1e-11
 
     def test_free_case_gives_kinetic_root(self):
@@ -340,7 +343,8 @@ class TestEriksen:
     def test_rejects_non_odd_input(self):
         H = build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II)
         # an even perturbation breaks the closed-form construction
-        H.matrix = H.matrix + 1e-3 * H.aux["beta"]
+        n = H.blocks.shape[-1] // 4
+        H = replace(H, blocks=H.blocks + 1e-3 * np.kron(BETA4, np.eye(n)))
         with pytest.raises(OddnessError):
             eriksen_fw(H)
 
@@ -432,50 +436,30 @@ class TestBlockedEriksen:
         H = build_hamiltonian(case, lat, lam, default_params(case, lat))
         assert np.abs(eriksen_fw(H).matrix - dense_eriksen_fw(H)).max() <= 1e-12
 
-    def test_block_labels(self):
-        labels = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I).aux["blocks"]
-        N = LAT_I.n_sites
-        # index s N^2 + i_x N + i_y carries the label i_y
-        assert np.array_equal(labels, np.arange(4 * N * N) % N)
-        assert set(build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II).aux["blocks"]) == {0}
-
     def test_records_block_shapes(self):
-        Hi = eriksen_fw(build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I))
-        Hii = eriksen_fw(build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II))
-        assert Hi.aux["fw_blocks"] == [[24, 24]]
-        assert Hii.aux["fw_blocks"] == [[2, 128]]
-
-    def test_unequal_blocks_match_dense_transform(self):
-        # merging k_y = 0 and 1 leaves one block of 96 beside ten of 48:
-        # coarser labels are still conserved, and two stacks are solved
-        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
-        H.aux["blocks"] = np.where(H.aux["blocks"] == 1, 0, H.aux["blocks"])
-        Hfw = eriksen_fw(H)
-        assert Hfw.aux["fw_blocks"] == [[20, 24], [2, 48]]
-        assert np.abs(Hfw.matrix - dense_eriksen_fw(H)).max() <= 1e-12
+        # eriksen_fw fills only the two beta halves of each block, and the
+        # spectrum check counts each half as one eigh'd block
+        for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
+            Hfw = eriksen_fw(build_hamiltonian(case, lat, 1e-2, par))
+            half = Hfw.blocks.shape[-1] // 2
+            assert not np.any(Hfw.blocks[:, :half, half:]) and not np.any(Hfw.blocks[:, half:, :half])
+        fw_blocks = check_spectrum_preservation().detail["fw_blocks"]
+        assert fw_blocks == {"case_i": [[24, 24]], "case_ii": [[2, 128]]}
 
     def test_block_diagonality_equals_dense_formula(self):
         H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
-        beta = H.aux["beta"]
-        for M in (eriksen_fw(H).matrix, H.matrix):
-            H.matrix = M
+        beta = dense_beta(LAT_I)
+        Hfw = eriksen_fw(H)
+        # entries between the spin components of one beta half, s = 0, 1 and
+        # s = 2, 3, leave it block-diagonal
+        n = H.blocks.shape[-1] // 4
+        spin = Hfw.blocks.copy()
+        spin[:, [0, n, 2 * n, 3 * n], [n, 0, 3 * n, 2 * n]] = 1.0
+        for X in (Hfw, replace(Hfw, blocks=spin), H):
+            M = X.matrix
             dense = float(np.abs(beta @ M @ beta - M).max())
-            assert block_diagonality_defect(H) == dense
+            assert block_diagonality_defect(X) == dense
         assert dense > 0.0  # H itself is not block-diagonal
-
-    def test_rejects_coupling_between_blocks(self):
-        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
-        labels, b = H.aux["blocks"], np.diag(H.aux["beta"]).real
-        i = np.flatnonzero((labels == 2) & (b > 0))[0]
-        j = np.flatnonzero((labels == 5) & (b < 0))[0]
-        # a Hermitian, odd perturbation between k_y blocks 2 and 5
-        H.matrix[i, j] += 1e-3
-        H.matrix[j, i] += 1e-3
-        beta = H.aux["beta"]
-        O = H.matrix - PAR_I.mc2 * beta
-        assert np.abs(beta @ O @ beta + O).max() < 1e-12
-        with pytest.raises(OddnessError, match=r"couples blocks 2 and 5"):
-            eriksen_fw(H)
 
 
 class TestBlockAssembly:
@@ -500,7 +484,7 @@ class TestBlockAssembly:
         orb = _orbital(case, lat, 1e-2, par)
         _, P2, coupling, _ = dense_orbital(case, lat, 1e-2, par)
         D = lat.orbital_dim
-        assert np.abs(H.matrix - dense_hamiltonian(case, lat, 1e-2, par).matrix).max() <= 1e-15
+        assert np.abs(H.matrix - dense_hamiltonian(case, lat, 1e-2, par)).max() <= 1e-15
         # c^2 pi^2 reaches 50 in case I, where 1e-15 is below one ulp: the
         # per-block and dense products may round their sums differently
         assert np.abs(_scatter(orb.P2, orb.index, D) - P2).max() <= 1e-15 * np.abs(P2).max()
@@ -554,7 +538,8 @@ class TestWeylKernel:
         C = build_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
         dense = dense_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
         assert np.abs(C.matrix - dense).max() <= 1e-13
-        labels = build_hamiltonian(CASE_I, LAT_I, 0.0, PAR_I).aux["blocks"]
+        # index s N^2 + i_x N + i_y carries the block label i_y
+        labels = np.arange(LAT_I.matrix_dim) % LAT_I.n_sites
         assert not np.any(C.matrix[labels[:, None] != labels[None, :]])
 
 
