@@ -35,6 +35,8 @@ ZERO_UNITS: Units = (0, 0, 0, 0, 0)
 # word symbols: ('pi', i) with i in 1..3, or (base, i, derivs) with base
 # in {'B','E'} and derivs a sorted tuple of direction indices (len <= 2)
 PI = "pi"
+# derivative indices a field symbol carries; the Leibniz rule drops the rest
+MAX_DERIVS = 2
 
 _EPS = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -90,10 +92,6 @@ def _fold_i(p: int) -> tuple[int, int]:
     """Reduce a power of i to (power in {0,1}, sign)."""
     p %= 4
     return p % 2, (1 if p < 2 else -1)
-
-
-def is_field(sym: tuple) -> bool:
-    return sym[0] != PI
 
 
 def _is_trace_b(sym: tuple) -> bool:
@@ -230,7 +228,6 @@ class Algebra:
 
     charged: bool = True
     loose: bool = False
-    max_derivs: int = 2
     dropped_derivatives: int = 0
     _word_memo: dict = dc_field(default_factory=dict)
     _pi_even_memo: dict = dc_field(default_factory=dict)
@@ -355,7 +352,7 @@ class Algebra:
         if self.loose:
             room = 0
         else:
-            room = max(self.max_derivs - len(derivs), 0)
+            room = max(MAX_DERIVS - len(derivs), 0)
             self.dropped_derivatives += comb(k1 + k2 + k3, room + 1)
         out = []
         for g1 in range(min(k1, room) + 1):
@@ -456,81 +453,6 @@ class Algebra:
             else:
                 self._pi_even_memo[l] = self.multiply(self.pi_even_power(l - 1), self.pi_squared())
         return self._pi_even_memo[l]
-
-    # -- randomized rewriting (confluence oracle) ----------------------------
-
-    def _applicable_moves(self, word: tuple) -> list:
-        moves = []
-        has_field = word_field_count(word) == 1
-        for p in range(len(word) - 1):
-            a, b = word[p], word[p + 1]
-            if not is_field(a) and is_field(b):
-                moves.append((p, "r1"))
-            elif not is_field(a) and not is_field(b) and a[1] > b[1]:
-                moves.append((p, "swap" if has_field else "r2"))
-        return moves
-
-    def normalize_random(self, expr: OpExpr, rng) -> OpExpr:
-        """Normal form by randomly ordered single rewrite steps.
-
-        Bypasses the memoized canonicalizer entirely; agreement with
-        canonicalize() on random inputs is the confluence check.
-        """
-        out: dict = {}
-        work = [
-            (word, spin, units, ipow, coeff)
-            for (word, spin, units, ipow), coeff in expr.terms.items()
-        ]
-        fuel = 200000
-        while work:
-            fuel -= 1
-            if fuel < 0:
-                raise RuntimeError("randomized rewriting exceeded its step budget")
-            word, spin, units, ipow, coeff = work.pop(rng.randrange(len(work)))
-            if word_field_count(word) > 1:
-                continue
-            moves = self._applicable_moves(word)
-            if not moves:
-                if word and _is_trace_b(word[0]):
-                    for rep in _trace_b_replacements(word[0]):
-                        work.append(((rep,) + word[1:], spin, units, ipow, -coeff))
-                    continue
-                ip, sg = _fold_i(ipow)
-                key = (word, spin, units, ip)
-                s = out.get(key, Fraction(0)) + coeff * sg
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-                continue
-            p, kind = moves[rng.randrange(len(moves))]
-            swapped = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-            work.append((swapped, spin, units, ipow, coeff))
-            if kind == "r1" and not self.loose:
-                i = word[p][1]
-                base, comp, derivs = word[p + 1]
-                if len(derivs) < self.max_derivs:
-                    dsym = (base, comp, tuple(sorted(derivs + (i,))))
-                    u2 = (units[0] + 1,) + units[1:]
-                    work.append(
-                        (word[:p] + (dsym,) + word[p + 2 :], spin, u2, ipow + 1, -coeff)
-                    )
-                else:
-                    self.dropped_derivatives += 1
-            elif kind == "r2" and self.charged and not self.loose:
-                i, j = word[p][1], word[p + 1][1]
-                l = 6 - i - j
-                u2 = (units[0] + 1, units[1] - 1, units[2], units[3] + 1, units[4])
-                work.append(
-                    (
-                        word[:p] + (("B", l, ()),) + word[p + 2 :],
-                        spin,
-                        u2,
-                        ipow + 1,
-                        coeff * eps(i, j, l),
-                    )
-                )
-        return OpExpr(out)
 
     # -- vector helpers -----------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
+    PI,
     Algebra,
     OpExpr,
     Units,
@@ -247,24 +248,33 @@ def _matchup_delta(alg: Algebra) -> list[OpExpr]:
     return out
 
 
+# 4 (pi x (pi x B)-sym)-sym_i = sum over j of these seven words, by the
+# epsilon contraction; each symbol is (base, "i" or "j") for pi_i, B_j, ...
+_DOUBLE_CROSS = (
+    (((PI, "j"), (PI, "i"), ("B", "j")), 1),
+    (((PI, "j"), (PI, "j"), ("B", "i")), -1),
+    (((PI, "j"), ("B", "i"), (PI, "j")), -2),
+    (((PI, "j"), ("B", "j"), (PI, "i")), 1),
+    (((PI, "i"), ("B", "j"), (PI, "j")), 1),
+    ((("B", "j"), (PI, "i"), (PI, "j")), 1),
+    ((("B", "i"), (PI, "j"), (PI, "j")), -1),
+)
+
+
+def _double_cross_words(i: int):
+    """(raw word, coefficient) of 4 (pi x (pi x B)-sym)-sym_i, from _DOUBLE_CROSS."""
+    for j in (1, 2, 3):
+        comp = {"i": i, "j": j}
+        for word, coeff in _DOUBLE_CROSS:
+            yield tuple((b, comp[k]) if b == PI else (b, comp[k], ()) for b, k in word), coeff
+
+
 def _epsilon_expansion_check(alg: Algebra) -> bool:
-    """4 (pi x (pi x B)-sym)-sym_i against its eight-term index expansion."""
-    inner = sym_cross(alg, "B")
-    lhs = sym_cross(alg, inner)
-    p = alg.pi_vec()
-    B = alg.field_vec("B")
+    """4 (pi x (pi x B)-sym)-sym_i against its canonicalized index expansion."""
+    lhs = sym_cross(alg, sym_cross(alg, "B"))
     for i in (1, 2, 3):
-        terms = []
-        for j in (1, 2, 3):
-            pj, pi_, bj, bi = p[j - 1], p[i - 1], B[j - 1], B[i - 1]
-            terms.append(alg.product(pj, pi_, bj))
-            terms.append(-alg.product(pj, pj, bi))
-            terms.append(alg.product(pj, bi, pj).scale(Fraction(-2)))
-            terms.append(alg.product(pj, bj, pi_))
-            terms.append(alg.product(pi_, bj, pj))
-            terms.append(alg.product(bj, pi_, pj))
-            terms.append(-alg.product(bi, pj, pj))
-        if not (expr_sum(terms) - lhs[i - 1].scale(Fraction(4))).is_zero():
+        raw = expr_sum(alg.term(word, coeff=c) for word, c in _double_cross_words(i))
+        if not (alg.canonicalize(raw) - lhs[i - 1].scale(Fraction(4))).is_zero():
             return False
     return True
 
@@ -272,14 +282,15 @@ def _epsilon_expansion_check(alg: Algebra) -> bool:
 def _matchup_raw_delta(alg: Algebra) -> list[OpExpr]:
     """The same difference assembled from raw, uncanonicalized words.
 
-    Uses the epsilon-contraction expansion of the double cross product,
-    the four summands of the quadruple symmetrization, and the two Weyl
-    placements, all as literal word tuples. Feeding this to the shadow
-    representation checks the whole canonicalization end to end.
+    Uses the epsilon-contraction expansion of the double cross product
+    (_DOUBLE_CROSS, times 1/4), the four summands of the quadruple
+    symmetrization, and the two Weyl placements, all as literal word
+    tuples. Feeding this to the shadow representation checks the whole
+    canonicalization end to end.
     """
 
     def p(j):
-        return ("pi", j)
+        return (PI, j)
 
     def B(j):
         return ("B", j, ())
@@ -287,15 +298,8 @@ def _matchup_raw_delta(alg: Algebra) -> list[OpExpr]:
     q = Fraction(1, 4)
     out = []
     for i in (1, 2, 3):
-        parts = []
+        parts = [alg.term(word, coeff=q * c) for word, c in _double_cross_words(i)]
         for j in (1, 2, 3):
-            parts.append(alg.term((p(j), p(i), B(j)), coeff=q))
-            parts.append(alg.term((p(j), p(j), B(i)), coeff=-q))
-            parts.append(alg.term((p(j), B(i), p(j)), coeff=-2 * q))
-            parts.append(alg.term((p(j), B(j), p(i)), coeff=q))
-            parts.append(alg.term((p(i), B(j), p(j)), coeff=q))
-            parts.append(alg.term((B(j), p(i), p(j)), coeff=q))
-            parts.append(alg.term((B(i), p(j), p(j)), coeff=-q))
             parts.append(alg.term((p(j), B(j), p(i)), coeff=-q))
             parts.append(alg.term((B(j), p(j), p(i)), coeff=-q))
             parts.append(alg.term((p(i), p(j), B(j)), coeff=-q))

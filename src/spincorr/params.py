@@ -35,11 +35,6 @@ class ParticleParams:
             )
 
     @property
-    def mu(self) -> float:
-        """Total magnetic moment gamma_m*hbar/2."""
-        return self.gamma_m * self.hbar / 2.0
-
-    @property
     def mc(self) -> float:
         return self.m * self.c
 

@@ -282,14 +282,13 @@ def build_hamiltonian(
     return LatticeHamiltonian(_dirac_blocks(case, orb, params), _dirac_index(orb), case, lattice, params)
 
 
-def block_diagonality_defect(H: LatticeHamiltonian) -> float:
-    """max |beta H beta - H| = 2 max |H_ij| over i, j in opposite beta halves.
+def block_diagonality_defect(M: np.ndarray) -> float:
+    """max |beta M beta - M| = 2 max |M_ij| over i, j in opposite beta halves.
 
-    Dense index s * orbital_dim + orbital index has beta = +1 for s < 2,
-    so the beta = +1 half is the first 2 orbital_dim indices.
+    M is a dense lattice matrix: index s * orbital_dim + orbital index has
+    beta = +1 for s < 2, so the beta = +1 half is its first half.
     """
-    M = H.matrix
-    h = 2 * H.lattice.orbital_dim
+    h = len(M) // 2
     return 2.0 * float(max(np.abs(M[:h, h:]).max(), np.abs(M[h:, :h]).max()))
 
 
@@ -409,7 +408,7 @@ def darwin_coefficient(params: ParticleParams) -> float:
     )
 
 
-def _image_blocks(case: str, orb: _Orbital, params: ParticleParams, include_darwin: bool) -> np.ndarray:
+def _image_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
     """(blocks, 4n, 4n) conjectured block form, in the block layout of H.
 
     Case I keeps the g = 2 magnetic coupling -(e hbar/2mc)(sigma.B/gamma)_W
@@ -424,7 +423,7 @@ def _image_blocks(case: str, orb: _Orbital, params: ParticleParams, include_darw
     if case == CASE_I:
         pref = params.e * params.hbar / (2.0 * params.m * params.c)
         Hc = Hc - pref * _kron_blocks(BETA4 @ SIGMA4[2], _weyl(w, V, orb.coupling, mc2))
-    elif include_darwin:
+    else:
         Hc = Hc + darwin_coefficient(params) * _kron_blocks(np.eye(4), _weyl(w, V, orb.coupling, mc2))
     return _hermitize(Hc)
 
@@ -434,21 +433,32 @@ def build_correspondence(
     lattice: LatticeSpec | None = None,
     lam: float = 0.0,
     params: ParticleParams | None = None,
-    include_darwin: bool = True,
 ) -> LatticeHamiltonian:
     """The conjectured block form (`_image_blocks`)."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
-    Hc = _image_blocks(case, orb, params, include_darwin)
+    Hc = _image_blocks(case, orb, params)
     return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
 
 
-def _fit_slope(lambdas, residuals) -> float:
+def fit_slope(lambdas, residuals) -> float:
+    """Slope of log residual against log amplitude, in the order given."""
     if not all(r > 0.0 and math.isfinite(r) for r in residuals):
         raise DiagnosticError("degenerate residual, cannot fit a scaling slope")
     logs = [[math.log(v) for v in values] for values in (lambdas, residuals)]
     return float(np.polyfit(*logs, 1)[0])
+
+
+def _amplitudes(lambdas) -> list:
+    """The amplitude list of a scaling sweep: at least three, geometrically spaced."""
+    lambdas = list(lambdas)
+    if len(lambdas) < 3:
+        raise ConfigurationError("need at least three amplitudes for a slope")
+    ratios = [lambdas[i] / lambdas[i + 1] for i in range(len(lambdas) - 1)]
+    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
+        raise ConfigurationError("amplitudes must be geometrically spaced")
+    return lambdas
 
 
 def residual_scaling(
@@ -456,20 +466,16 @@ def residual_scaling(
     lattice: LatticeSpec | None = None,
     params: ParticleParams | None = None,
     lambdas=(1e-2, 1e-3, 1e-4),
-    include_darwin: bool = True,
 ) -> tuple[list, float]:
     """Particle-half gap between the exact transform and the conjecture.
 
     One orbital assembly per amplitude serves both sides. beta is diagonal
     in the block layout, so each block's particle half is its leading 2n
     rows and columns; the residual is the largest gap over all blocks.
+    The battery sweeps case II through `darwin_vs_classical_hd`, whose
+    `residual_correct` is this case II residual.
     """
-    lambdas = list(lambdas)
-    if len(lambdas) < 3:
-        raise ConfigurationError("need at least three amplitudes for a slope")
-    ratios = [lambdas[i] / lambdas[i + 1] for i in range(len(lambdas) - 1)]
-    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
-        raise ConfigurationError("amplitudes must be geometrically spaced")
+    lambdas = _amplitudes(lambdas)
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
     residuals = []
@@ -477,9 +483,9 @@ def residual_scaling(
         orb = _orbital(case, lattice, lam, params)
         particle = _particle_fw(case, orb, params)
         half = particle.shape[-1]
-        image = _image_blocks(case, orb, params, include_darwin)[:, :half, :half]
+        image = _image_blocks(case, orb, params)[:, :half, :half]
         residuals.append(float(np.abs(particle - image).max()))
-    return residuals, _fit_slope(lambdas, residuals)
+    return residuals, fit_slope(lambdas, residuals)
 
 
 def _site_inversion(lattice: LatticeSpec) -> np.ndarray:
@@ -539,11 +545,13 @@ def darwin_vs_classical_hd(
     smallest amplitude, exactly where both forms agree; the comparison then
     runs over the full lattice spectrum, where the missing 1/gamma weight
     is detectable, and over amplitudes, where omitting Darwin entirely
-    degrades the scaling slope to first order.
+    degrades the scaling slope to first order. This is the battery's one
+    case II sweep: `residual_correct` and `residual_no_darwin`, keyed by
+    amplitude, are also criterion 10's case II residuals.
     """
     lattice = lattice or default_lattice(CASE_II)
     params = params or default_params(CASE_II, lattice)
-    lambdas = sorted(lambdas, reverse=True)
+    lambdas = sorted(_amplitudes(lambdas), reverse=True)
     N = lattice.n_sites
     mc2 = params.mc2
     spin = np.eye(2)
@@ -589,8 +597,8 @@ def darwin_vs_classical_hd(
 
     gap_over_darwin = (res_candidate[lam0] - res_correct[lam0]) / darwin_mag
     ordered = sorted(per_lam)
-    slope_with = _fit_slope(ordered, [res_correct[l] for l in ordered])
-    slope_without = _fit_slope(ordered, [res_without[l] for l in ordered])
+    slope_with = fit_slope(ordered, [res_correct[l] for l in ordered])
+    slope_without = fit_slope(ordered, [res_without[l] for l in ordered])
     required_gap = (gamma_max - 1.0) / 2.0
     return {
         "fitted_coefficient": fitted,

@@ -113,9 +113,8 @@ def test_criterion_10_correspondence_scaling():
     lams = (1e-2, 1e-3, 1e-4)
     _, slope_i = qfw.residual_scaling(qfw.CASE_I, lambdas=lams)
     _, slope_ii = qfw.residual_scaling(qfw.CASE_II, lambdas=lams)
-    _, slope_ii_nod = qfw.residual_scaling(
-        qfw.CASE_II, lambdas=lams, include_darwin=False
-    )
+    rep = qfw.darwin_vs_classical_hd(lambdas=lams)
+    slope_ii_nod = qfw.fit_slope(lams, [rep["residual_no_darwin"][lam] for lam in lams])
     value = {"case_i": slope_i, "case_ii": slope_ii, "case_ii_no_darwin": slope_ii_nod}
     ok = (
         abs(slope_i - 2.0) <= 0.1

@@ -63,10 +63,6 @@ class TestParticleParams:
         with pytest.raises(ValueError):
             ParticleParams(m=-1.0, e=0.0, gamma_m=0.0, mu_prime=0.0)
 
-    def test_total_moment_split(self):
-        p = ParticleParams.from_moment(m=2.0, e=0.5, mu_prime=0.25)
-        assert p.mu == pytest.approx(p.e * p.hbar / (2 * p.m * p.c) + p.mu_prime, abs=1e-15)
-
     def test_dirac_preset_has_g2(self):
         p = ParticleParams.dirac(m=1.5, e=0.9)
         assert p.gamma_m == pytest.approx(p.e / (p.m * p.c), rel=1e-15)

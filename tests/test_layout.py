@@ -1,11 +1,13 @@
-"""Layout guard: every module-level name in src/spincorr has a caller outside the tests.
+"""Layout guard: every module-level name in src/spincorr, and every method of
+a module-level class there, has a caller outside the tests.
 
 A name counts as used when some file in src/ or perfbench/ references it:
 an `ast.Name` or `ast.Attribute` that reads it, or a string constant equal
 to it (perfbench wraps functions by name through getattr). Re-exports do
 not count: an import is not a use, and neither is an entry of `__all__`.
 `check_*` functions are exempt, because `run_checks` dispatches them by
-name. Code that only the tests call belongs in the tests.
+name, and so are dunder methods, which Python calls. Code that only the
+tests call belongs in the tests.
 """
 
 import ast
@@ -22,17 +24,27 @@ def _is_all(node):
     )
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree):
-    """Names of the module-level functions, classes and assigned variables."""
+    """(name, line, label) of the module-level functions, classes and assigned
+    variables, and of the methods of each module-level class but its dunders.
+    """
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, node.name
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for item in methods:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(item.name):
+                    yield item.name, item.lineno, f"{node.name}.{item.name}"
         elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not _is_all(node):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id, node.lineno
+                        yield name.id, node.lineno, name.id
 
 
 def references(tree):
@@ -53,9 +65,9 @@ def test_every_module_level_name_has_a_caller():
         for path in sorted(root.rglob("*.py")):
             used.update(references(ast.parse(path.read_text(), str(path))))
     unused = [
-        f"{path.relative_to(ROOT)}:{line}: {name}"
+        f"{path.relative_to(ROOT)}:{line}: {label}"
         for path in sorted(PACKAGE.rglob("*.py"))
-        for name, line in definitions(ast.parse(path.read_text(), str(path)))
+        for name, line, label in definitions(ast.parse(path.read_text(), str(path)))
         if name not in used and not name.startswith("check_")
     ]
-    assert not unused, "module-level names no file in src/ or perfbench/ uses:\n" + "\n".join(unused)
+    assert not unused, "module-level names and methods no file in src/ or perfbench/ uses:\n" + "\n".join(unused)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from spincorr import ParticleParams
-from spincorr.checks import check_spectrum_preservation
+from spincorr import qfw as qfw_module
+from spincorr.checks import check_correspondence_scaling, check_spectrum_preservation, run_checks
 from spincorr.classical import DiagnosticError
 from spincorr.opalg.core import PI
 from spincorr.opalg.identities import binom_half, binom_minus_half, case_algebra, series_sqrt_expand
@@ -43,6 +44,7 @@ from spincorr.qfw import (
     default_lattice,
     default_params,
     eriksen_fw,
+    fit_slope,
     parity_check,
     residual_scaling,
 )
@@ -458,7 +460,7 @@ class TestBlockedEriksen:
         for X in (Hfw, replace(Hfw, blocks=spin), H):
             M = X.matrix
             dense = float(np.abs(beta @ M @ beta - M).max())
-            assert block_diagonality_defect(X) == dense
+            assert block_diagonality_defect(M) == dense
         assert dense > 0.0  # H itself is not block-diagonal
 
 
@@ -495,7 +497,11 @@ class TestBlockAssembly:
         lat = default_lattice(case)
         par = default_params(case, lat)
         lams = (1e-2, 1e-3, 1e-4)
-        res, _ = residual_scaling(case, lat, par, lams, include_darwin=darwin)
+        if darwin:
+            res, _ = residual_scaling(case, lat, par, lams)
+        else:
+            rep = darwin_vs_classical_hd(lat, par, lams)
+            res = [rep["residual_no_darwin"][lam] for lam in lams]
         half = 2 * lat.orbital_dim
         for lam, r in zip(lams, res):
             Hfw = eriksen_fw(build_hamiltonian(case, lat, lam, par))
@@ -580,9 +586,9 @@ class TestCorrespondence:
         assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_dropping_darwin_costs_an_order(self):
-        _, slope = residual_scaling(
-            CASE_II, LAT_II, PAR_II, (1e-2, 1e-3, 1e-4), include_darwin=False
-        )
+        lams = (1e-2, 1e-3, 1e-4)
+        rep = darwin_vs_classical_hd(LAT_II, PAR_II, lams)
+        slope = fit_slope(lams, [rep["residual_no_darwin"][lam] for lam in lams])
         assert slope == pytest.approx(1.0, abs=0.1)
 
     def test_rejects_short_amplitude_list(self):
@@ -592,6 +598,50 @@ class TestCorrespondence:
     def test_rejects_non_geometric_amplitudes(self):
         with pytest.raises(ConfigurationError):
             residual_scaling(CASE_II, LAT_II, PAR_II, (1e-2, 1e-3, 2e-4))
+
+    @pytest.mark.parametrize("lams", [(1e-2, 1e-3), (1e-2, 1e-3, 2e-4)])
+    def test_darwin_report_rejects_what_residual_scaling_rejects(self, lams):
+        with pytest.raises(ConfigurationError) as scaling:
+            residual_scaling(CASE_II, LAT_II, PAR_II, lams)
+        with pytest.raises(ConfigurationError) as report:
+            darwin_vs_classical_hd(LAT_II, PAR_II, lams)
+        assert str(report.value) == str(scaling.value)
+
+
+class TestOneCaseIISweep:
+    """Criteria 10 and 11 read one Darwin report; residual_scaling is its case II oracle."""
+
+    def test_verify_fw_sweeps_case_ii_once(self, monkeypatch):
+        calls = {"report": 0, "scaling": []}
+        report, scaling = qfw_module.darwin_vs_classical_hd, qfw_module.residual_scaling
+
+        def counted_report(*args, **kwargs):
+            calls["report"] += 1
+            return report(*args, **kwargs)
+
+        def counted_scaling(case, *args, **kwargs):
+            calls["scaling"].append(case)
+            return scaling(case, *args, **kwargs)
+
+        monkeypatch.setattr(qfw_module, "darwin_vs_classical_hd", counted_report)
+        monkeypatch.setattr(qfw_module, "residual_scaling", counted_scaling)
+        results = run_checks("verify-fw", 7, 8, (1e-2, 1e-3, 1e-4), "default")
+        assert all(r.passed for r in results)
+        assert calls == {"report": 1, "scaling": [CASE_I]}
+
+    @pytest.mark.parametrize("lams", [(1e-2, 1e-3, 1e-4), (1e-4, 1e-3, 1e-2), (3e-3, 1e-3, 1e-3 / 3, 1e-3 / 9)])
+    def test_case_ii_residuals_match_residual_scaling(self, lams):
+        r = check_correspondence_scaling(lams)
+        res, slope = residual_scaling(CASE_II, LAT_II, PAR_II, lams)
+        assert np.abs(np.subtract(r.detail["residuals"]["case_ii"], res)).max() <= 1e-13
+        assert abs(r.value["case_ii_slope"] - slope) <= 1e-9
+
+    def test_negative_result_profile_reads_residual_no_darwin(self):
+        lams = (1e-2, 1e-3, 1e-4)
+        r = check_correspondence_scaling(lams, "negative-result")
+        rep = darwin_vs_classical_hd(LAT_II, PAR_II, lams)
+        assert r.detail["residuals"]["case_ii"] == [rep["residual_no_darwin"][lam] for lam in lams]
+        assert r.expected_fail and not r.detail["darwin_included"]
 
 
 class TestParity:
@@ -655,9 +705,7 @@ class TestDarwin:
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(DiagnosticError):
-            from spincorr.qfw import _fit_slope
-
-            _fit_slope([1e-2, 1e-3, 1e-4], [1.0, 0.0, 1.0])
+            fit_slope([1e-2, 1e-3, 1e-4], [1.0, 0.0, 1.0])
 
 
 class TestSymbolicCrossCheck:
