@@ -9,6 +9,7 @@ experiment that owns them.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -22,16 +23,24 @@ from .classical import (
     bmt_consistency_residual,
     covariance_scaling,
     eom_rhs,
+    fit_slope,
     h_total_blocked,
     integrate,
 )
+from .config import SCHEMA
 from .fields import SternGerlach, Uniform, sample_field
 from .kinematics import PhaseState, gamma_pi, kinematic_momentum
 from .params import ParticleParams
 from . import qfw
 
-DEFAULT_SEED = 20260814
-DEFAULT_LAMBDAS = (1e-2, 1e-3, 1e-4)
+# check parameter -> the config key whose value run_checks passes to it
+RUN_PARAMS = {
+    "seed": "seed",
+    "order": "order",
+    "lambdas": "amplitudes",
+    "profile": "profile",
+    "beta_max": "boost.beta_max",
+}
 # leading terms of a nonzero exact residual written to a failing check's detail
 RESIDUAL_TERMS_SHOWN = 5
 
@@ -184,7 +193,7 @@ def check_bmt_consistency() -> CheckResult:
         for n in steps
     ]
     resids = [bmt_consistency_residual(traj, model, NEUTRAL_SLOW) for traj in trajs]
-    order = float(np.polyfit(np.log([T / n for n in steps]), np.log(resids), 1)[0])
+    order = fit_slope([T / n for n in steps], resids)
     # the f-term ratio on the finest run, whose residual with f is resids[-1]
     with_f = resids[-1]
     without_f = bmt_consistency_residual(trajs[-1], model, NEUTRAL_SLOW, include_gradient_force=False)
@@ -197,7 +206,7 @@ def check_bmt_consistency() -> CheckResult:
     )
 
 
-def check_gradient_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_gradient_oracle(seed: int = SCHEMA["seed"][1]) -> CheckResult:
     """Analytic (dx, dp, ds)/dt at random states against central differences of H.
 
     Each state's equations of motion come from one eom_rhs call, the
@@ -240,7 +249,7 @@ def check_gradient_oracle(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult("gradient_oracle", worst, 1e-7, worst < 1e-7, detail=detail)
 
 
-def check_case_equality(order: int = 8) -> CheckResult:
+def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
     """Series equals closed form in both cases; detail holds each case's work counters.
 
     A failing case also gets its leading residual terms as text.
@@ -264,7 +273,7 @@ def check_case_equality(order: int = 8) -> CheckResult:
     return CheckResult("case_equality", residual_terms, 0, ok_all, detail=detail)
 
 
-def check_ordering_identity(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_ordering_identity(seed: int = SCHEMA["seed"][1]) -> CheckResult:
     """The double-cross ordering identity; a failing run also gets, per component,
     the leading terms of the residual's field-derivative-free part as text.
     """
@@ -289,10 +298,10 @@ def check_ordering_identity(seed: int = DEFAULT_SEED) -> CheckResult:
 
 def check_darwin_anchors() -> CheckResult:
     m, e = Fraction(3, 2), Fraction(5, 7)
-    dirac_val = qfw.darwin_coefficient_exact(m, e, gamma_m=e / m)
+    dirac_val = qfw.darwin_coefficient(m, e, gamma_m=e / m)
     dirac_ok = dirac_val == e / (8 * m ** 2)
     mu_p = Fraction(4, 11)
-    neutral_val = qfw.darwin_coefficient_exact(Fraction(2), 0, gamma_m=2 * mu_p)
+    neutral_val = qfw.darwin_coefficient(Fraction(2), 0, gamma_m=2 * mu_p)
     neutral_ok = neutral_val == -mu_p / 4
     value = {"dirac": float(dirac_val), "neutral": float(neutral_val)}
     return CheckResult(
@@ -347,9 +356,9 @@ def _darwin_report(lambdas) -> dict:
 
 
 def check_correspondence_scaling(
-    lambdas=DEFAULT_LAMBDAS, profile: str = "default", darwin=None
+    lambdas=SCHEMA["amplitudes"][1], profile: str = SCHEMA["profile"][1], darwin=None
 ) -> CheckResult:
-    """Residual slopes of both cases; case II's residuals are read from the Darwin report.
+    """Residual slopes of both cases; case II's residuals and slope are read from the Darwin report.
 
     `darwin` returns that report; without it the check computes its own.
     """
@@ -357,9 +366,11 @@ def check_correspondence_scaling(
     res_i, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas)
     drop_darwin = profile == "negative-result"
     rep = darwin() if darwin else _darwin_report(lambdas)
-    by_lam = rep["residual_no_darwin" if drop_darwin else "residual_correct"]
-    res_ii = [by_lam[lam] for lam in lambdas]
-    slope_ii = qfw.fit_slope(lambdas, res_ii)
+    residual, slope = (
+        ("residual_no_darwin", "slope_without_darwin") if drop_darwin else ("residual_correct", "slope_with_darwin")
+    )
+    res_ii = [rep[residual][lam] for lam in lambdas]
+    slope_ii = rep[slope]
     value = {"case_i_slope": slope_i, "case_ii_slope": slope_ii}
     target_ii = 1.0 if drop_darwin else 2.0
     tol = {"case_i_slope": [1.9, 2.1], "case_ii_slope": [target_ii - 0.1, target_ii + 0.1]}
@@ -384,7 +395,7 @@ def check_correspondence_scaling(
     )
 
 
-def check_negative_result(lambdas=DEFAULT_LAMBDAS, darwin=None) -> CheckResult:
+def check_negative_result(lambdas=SCHEMA["amplitudes"][1], darwin=None) -> CheckResult:
     """The flat Darwin candidate against the 1/gamma form, from the Darwin report.
 
     `darwin` returns that report; without it the check computes its own.
@@ -419,7 +430,9 @@ def check_parity() -> CheckResult:
 
 
 def check_boost_covariance(
-    seed: int = DEFAULT_SEED, lambdas=DEFAULT_LAMBDAS, beta_max: float = 0.5
+    seed: int = SCHEMA["seed"][1],
+    lambdas=SCHEMA["amplitudes"][1],
+    beta_max: float = SCHEMA["boost.beta_max"][1],
 ) -> CheckResult:
     """Rest-boost covariance defect at three random boosts; its slope in the amplitude must be 2.
 
@@ -434,7 +447,7 @@ def check_boost_covariance(
         beta_mag = rng.uniform(0.1, beta_max)
         pi = direction * beta_mag / math.sqrt(1.0 - beta_mag ** 2) * pr.mc
         s, E, B = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        resid, slope = covariance_scaling(pi, s, E, B, pr, list(lambdas))
+        resid, slope = covariance_scaling(pi, s, E, B, pr, lambdas)
         slopes.append(float(slope))
         residuals.append([float(r) for r in resid])
     value = {"slopes": slopes}
@@ -464,29 +477,21 @@ MODE_CHECKS = {
 }
 
 
-def run_checks(
-    mode: str, seed: int, order: int, lambdas, profile: str, beta_max: float = 0.5
-) -> list:
-    """Execute the checks a mode owns, in their declared order."""
-    # criteria 10 and 11 read one case II report, computed within whichever runs first
-    darwin = functools.cache(lambda: _darwin_report(lambdas))
+def run_checks(cfg) -> list:
+    """Execute the checks of the run's mode, in their declared order.
+
+    Each check gets the run parameters its signature names (`RUN_PARAMS`),
+    read from the RunConfig `cfg`. Criteria 10 and 11 read one case II
+    report, computed within whichever runs first.
+    """
+    args = {param: cfg[key] for param, key in RUN_PARAMS.items()}
+    args["darwin"] = functools.cache(lambda: _darwin_report(cfg["amplitudes"]))
     out = []
-    for name in MODE_CHECKS[mode]:
+    for name in MODE_CHECKS[cfg.mode]:
+        check = globals()[f"check_{name}"]
+        kwargs = {param: args[param] for param in inspect.signature(check).parameters}
         t0 = time.perf_counter()
-        if name == "gradient_oracle":
-            r = check_gradient_oracle(seed)
-        elif name == "case_equality":
-            r = check_case_equality(order)
-        elif name == "ordering_identity":
-            r = check_ordering_identity(seed)
-        elif name == "correspondence_scaling":
-            r = check_correspondence_scaling(lambdas, profile, darwin)
-        elif name == "negative_result":
-            r = check_negative_result(lambdas, darwin)
-        elif name == "boost_covariance":
-            r = check_boost_covariance(seed, lambdas, beta_max)
-        else:
-            r = globals()[f"check_{name}"]()
+        r = check(**kwargs)
         r.wall_s = time.perf_counter() - t0
         out.append(r)
     return out

@@ -37,6 +37,31 @@ class DiagnosticError(RuntimeError):
     """A trajectory diagnostic cannot be evaluated on the given input."""
 
 
+def scaling_amplitudes(lambdas, error=ValueError) -> list:
+    """The amplitude list of a scaling fit, refused with `error` unless it
+    holds at least three finite, positive, geometrically spaced values.
+    """
+    lambdas = list(lambdas)
+    if len(lambdas) < 3:
+        raise error("amplitudes: need at least three values")
+    if not all(math.isfinite(a) for a in lambdas):
+        raise error("amplitudes: must all be finite")
+    if not all(a > 0 for a in lambdas):
+        raise error("amplitudes: must all be positive")
+    ratios = [lambdas[i] / lambdas[i + 1] for i in range(len(lambdas) - 1)]
+    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
+        raise error("amplitudes: must be geometrically spaced (constant successive ratio)")
+    return lambdas
+
+
+def fit_slope(xs, residuals) -> float:
+    """Slope of log residual against log x, in the order given."""
+    if not all(r > 0.0 and math.isfinite(r) for r in residuals):
+        raise DiagnosticError("degenerate residual, cannot fit a scaling slope")
+    logs = [[math.log(v) for v in values] for values in (xs, residuals)]
+    return float(np.polyfit(*logs, 1)[0])
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian and its gradient
 
@@ -458,12 +483,9 @@ def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas, drop_spin_e
     the amplitude; the dropped remainder is exactly what the weak-field
     replacement neglects.
     """
-    lambdas = list(lambdas)
-    if len(lambdas) < 3:
-        raise ValueError("need at least 3 amplitudes")
+    lambdas = scaling_amplitudes(lambdas)
     resid = [
         rest_frame_covariance_residual(pi, s, lam * np.asarray(E, float), lam * np.asarray(B, float), params, drop_spin_energy)
         for lam in lambdas
     ]
-    slope = float(np.polyfit(np.log(lambdas), np.log(resid), 1)[0])
-    return resid, slope
+    return resid, fit_slope(lambdas, resid)

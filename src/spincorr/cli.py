@@ -101,7 +101,7 @@ def _overrides_from_args(args) -> dict:
 
 
 def _run_id(cfg: RunConfig) -> str:
-    tag = f"{cfg.config_hash()}:{cfg.mode}:{cfg.seed}:{cfg.profile}"
+    tag = f"{cfg.config_hash()}:{cfg.mode}:{cfg['seed']}:{cfg['profile']}"
     return hashlib.sha256(tag.encode()).hexdigest()[:12]
 
 
@@ -168,14 +168,12 @@ def render_report(record: dict) -> str:
 
 def _execute(cfg: RunConfig, out_dir: Path) -> dict:
     t0 = time.perf_counter()
-    results = run_checks(
-        cfg.mode, cfg.seed, cfg.order, cfg.amplitudes, cfg.profile, cfg["boost.beta_max"]
-    )
+    results = run_checks(cfg)
     record = {
         "run_id": _run_id(cfg),
         "mode": cfg.mode,
-        "profile": cfg.profile,
-        "seed": cfg.seed,
+        "profile": cfg["profile"],
+        "seed": cfg["seed"],
         "config_hash": cfg.config_hash(),
         "checks": [r.to_json() for r in results],
         "pass": all(r.passed for r in results),

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import TABLEAUX, IntegratorSpec
+from .classical import TABLEAUX, IntegratorSpec, scaling_amplitudes
 from .fields import (
     SinusoidalElectrostatic,
     SinusoidalMagnetostatic,
@@ -96,19 +96,25 @@ class ConfigError(Exception):
         super().__init__("\n".join(self.errors))
 
 
+def _finite(tok: str) -> float:
+    v = float(tok)
+    if not math.isfinite(v):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return v
+
+
 def _parse_value(kind: str, raw: str):
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "int":
-        v = int(raw, 0)
-        return v
+        return int(raw, 0)
     if kind == "vec3":
-        parts = [float(tok) for tok in raw.split()]
+        parts = [_finite(tok) for tok in raw.split()]
         if len(parts) != 3:
             raise ValueError("expected exactly 3 components")
         return tuple(parts)
     if kind == "floats":
-        parts = [float(tok) for tok in raw.replace(",", " ").split()]
+        parts = [_finite(tok) for tok in raw.replace(",", " ").split()]
         if not parts:
             raise ValueError("expected at least one number")
         return tuple(parts)
@@ -127,22 +133,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
-    @property
-    def order(self) -> int:
-        return self.values["order"]
-
-    @property
-    def profile(self) -> str:
-        return self.values["profile"]
-
-    @property
-    def amplitudes(self) -> tuple:
-        return self.values["amplitudes"]
 
     @property
     def out(self) -> str:
@@ -225,18 +215,10 @@ def _range_errors(values: dict, anchors: dict) -> list:
         )
     if values["field.period"] <= 0:
         errs.append(f"{at('field.period')}field.period: must be positive")
-    amps = values["amplitudes"]
-    if len(amps) < 3:
-        errs.append(f"{at('amplitudes')}amplitudes: need at least three values")
-    if any(a <= 0 for a in amps):
-        errs.append(f"{at('amplitudes')}amplitudes: must all be positive")
-    elif len(amps) >= 3:
-        ratios = [amps[i] / amps[i + 1] for i in range(len(amps) - 1)]
-        if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
-            errs.append(
-                f"{at('amplitudes')}amplitudes: must be geometrically spaced "
-                "(constant successive ratio)"
-            )
+    try:
+        scaling_amplitudes(values["amplitudes"])
+    except ValueError as exc:
+        errs.append(f"{at('amplitudes')}{exc}")
     if values["seed"] < 0 or values["seed"] >= 2 ** 64:
         errs.append(f"{at('seed')}seed: must fit in an unsigned 64-bit integer")
     if values["order"] < 1:

@@ -84,10 +84,6 @@ def spin_sigma(i: int) -> int:
     return i
 
 
-def spin_alpha(i: int) -> int:
-    return 4 + i
-
-
 def _fold_i(p: int) -> tuple[int, int]:
     """Reduce a power of i to (power in {0,1}, sign)."""
     p %= 4
@@ -267,9 +263,6 @@ class Algebra:
 
     def beta(self) -> OpExpr:
         return self.term((), spin=SPIN_BETA)
-
-    def alpha(self, i: int) -> OpExpr:
-        return self.term((), spin=spin_alpha(i))
 
     def pi_vec(self) -> tuple[OpExpr, OpExpr, OpExpr]:
         return self.pi(1), self.pi(2), self.pi(3)
@@ -455,9 +448,6 @@ class Algebra:
         return self._pi_even_memo[l]
 
     # -- vector helpers -----------------------------------------------------
-
-    def dot(self, a: tuple, b: tuple) -> OpExpr:
-        return expr_sum(self.multiply(a[i], b[i]) for i in range(3))
 
     def cross(self, a: tuple, b: tuple) -> tuple:
         comps = []

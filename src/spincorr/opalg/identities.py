@@ -351,7 +351,7 @@ def _solve_defect_decomposition(
     return ok, (c1, c2)
 
 
-def matchup_report(trials: int = 8, seed: int = 20260814) -> dict:
+def matchup_report(trials: int, seed: int) -> dict:
     """Prove the double-cross ordering identity and report each sub-check.
 
     The strict residual is decomposed against the two independent ways of

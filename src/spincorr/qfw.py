@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from .classical import DiagnosticError
+from .classical import fit_slope, scaling_amplitudes
 from .params import ParticleParams
 
 CASE_I = "I"
@@ -62,7 +61,7 @@ SIGMA4 = (np.kron(_s0, _sx), np.kron(_s0, _sy), np.kron(_s0, _sz))
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic lattice of n_sites per axis and period `length`.
+    """Periodic lattice of n_sites per axis and period 2 pi.
 
     Momenta are spectral, so the lattice fixes only the largest momentum,
     `p_max`; the mass, and with it how relativistic that momentum is, comes
@@ -71,19 +70,16 @@ class LatticeSpec:
 
     dimension: int = 1
     n_sites: int = 64
-    length: float = 2.0 * math.pi
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ConfigurationError("lattice dimension must be 1 or 2")
         if self.n_sites < 8 or self.n_sites % 2:
             raise ConfigurationError("n_sites must be even and at least 8")
-        if not self.length > 0.0:
-            raise ConfigurationError("lattice period must be positive")
 
     @property
     def spacing(self) -> float:
-        return self.length / self.n_sites
+        return 2.0 * math.pi / self.n_sites
 
     @property
     def orbital_dim(self) -> int:
@@ -94,11 +90,10 @@ class LatticeSpec:
         return 4 * self.orbital_dim
 
     def axis_wavenumbers(self) -> np.ndarray:
-        """Fourier wavenumbers with the unpaired Nyquist mode zeroed."""
+        """Fourier wavenumbers, integers on the 2 pi period, with the unpaired Nyquist mode zeroed."""
         N = self.n_sites
         kint = np.fft.fftfreq(N, d=1.0 / N)
-        kint = np.where(kint == -N // 2, 0.0, kint)
-        return 2.0 * math.pi / self.length * kint
+        return np.where(kint == -N // 2, 0.0, kint)
 
     def p_max(self, hbar: float = 1.0) -> float:
         return math.sqrt(self.dimension) * hbar * float(np.abs(self.axis_wavenumbers()).max())
@@ -221,7 +216,7 @@ def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams
     k, F, Q, p1, x = _axis_operators(lattice, hbar)
     # A_y(x) in case I, E_x(x) in case II; both act on the x axis
     charge = abs(params.e) if case == CASE_I else abs(params.mu_prime)
-    profile = _mul_op(lam * params.mc2 / charge * np.sin(2.0 * math.pi / lattice.length * x), F, Q)
+    profile = _mul_op(lam * params.mc2 / charge * np.sin(x), F, Q)
     index = _block_index(case, lattice)
     blocks, N = index.shape
     if case == CASE_I:
@@ -394,18 +389,9 @@ def _weyl(w: np.ndarray, V: np.ndarray, X: np.ndarray, mc2: float) -> np.ndarray
     return V @ ((_dagger(V) @ X @ V) * G) @ _dagger(V)
 
 
-def darwin_coefficient_exact(m, e, gamma_m, hbar=1, c=1) -> Fraction:
-    """(hbar^2/4mc)(3e/2mc - gamma_m), exactly, for rational inputs."""
-    m, e, gamma_m, hbar, c = (Fraction(v) for v in (m, e, gamma_m, hbar, c))
+def darwin_coefficient(m, e, gamma_m, hbar=1, c=1):
+    """(hbar^2/4mc)(3e/2mc - gamma_m): exact for Fraction inputs, a float for floats."""
     return hbar ** 2 / (4 * m * c) * (3 * e / (2 * m * c) - gamma_m)
-
-
-def darwin_coefficient(params: ParticleParams) -> float:
-    return (
-        params.hbar ** 2
-        / (4.0 * params.m * params.c)
-        * (1.5 * params.e / (params.m * params.c) - params.gamma_m)
-    )
 
 
 def _image_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
@@ -424,7 +410,8 @@ def _image_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarra
         pref = params.e * params.hbar / (2.0 * params.m * params.c)
         Hc = Hc - pref * _kron_blocks(BETA4 @ SIGMA4[2], _weyl(w, V, orb.coupling, mc2))
     else:
-        Hc = Hc + darwin_coefficient(params) * _kron_blocks(np.eye(4), _weyl(w, V, orb.coupling, mc2))
+        coeff = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
+        Hc = Hc + coeff * _kron_blocks(np.eye(4), _weyl(w, V, orb.coupling, mc2))
     return _hermitize(Hc)
 
 
@@ -442,31 +429,7 @@ def build_correspondence(
     return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
 
 
-def fit_slope(lambdas, residuals) -> float:
-    """Slope of log residual against log amplitude, in the order given."""
-    if not all(r > 0.0 and math.isfinite(r) for r in residuals):
-        raise DiagnosticError("degenerate residual, cannot fit a scaling slope")
-    logs = [[math.log(v) for v in values] for values in (lambdas, residuals)]
-    return float(np.polyfit(*logs, 1)[0])
-
-
-def _amplitudes(lambdas) -> list:
-    """The amplitude list of a scaling sweep: at least three, geometrically spaced."""
-    lambdas = list(lambdas)
-    if len(lambdas) < 3:
-        raise ConfigurationError("need at least three amplitudes for a slope")
-    ratios = [lambdas[i] / lambdas[i + 1] for i in range(len(lambdas) - 1)]
-    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
-        raise ConfigurationError("amplitudes must be geometrically spaced")
-    return lambdas
-
-
-def residual_scaling(
-    case: str,
-    lattice: LatticeSpec | None = None,
-    params: ParticleParams | None = None,
-    lambdas=(1e-2, 1e-3, 1e-4),
-) -> tuple[list, float]:
+def residual_scaling(case: str, lattice: LatticeSpec, params: ParticleParams, lambdas) -> tuple[list, float]:
     """Particle-half gap between the exact transform and the conjecture.
 
     One orbital assembly per amplitude serves both sides. beta is diagonal
@@ -475,9 +438,7 @@ def residual_scaling(
     The battery sweeps case II through `darwin_vs_classical_hd`, whose
     `residual_correct` is this case II residual.
     """
-    lambdas = _amplitudes(lambdas)
-    lattice = lattice or default_lattice(case)
-    params = params or default_params(case, lattice)
+    lambdas = scaling_amplitudes(lambdas, ConfigurationError)
     residuals = []
     for lam in lambdas:
         orb = _orbital(case, lattice, lam, params)
@@ -534,11 +495,7 @@ def parity_check(
     return tuple(float(np.abs(_conjugate_by_kron(M, factors) - M).max()) for M in (H.matrix, Hfw.matrix))
 
 
-def darwin_vs_classical_hd(
-    lattice: LatticeSpec | None = None,
-    params: ParticleParams | None = None,
-    lambdas=(1e-2, 1e-3, 1e-4),
-) -> dict:
+def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas) -> dict:
     """Pit the flat Darwin candidate c A_D div(E) against the 1/gamma form.
 
     The candidate coefficient is fitted on the near-rest sub-block at the
@@ -547,14 +504,14 @@ def darwin_vs_classical_hd(
     is detectable, and over amplitudes, where omitting Darwin entirely
     degrades the scaling slope to first order. This is the battery's one
     case II sweep: `residual_correct` and `residual_no_darwin`, keyed by
-    amplitude, are also criterion 10's case II residuals.
+    amplitude, and their slopes, fit in the order given, are also
+    criterion 10's case II residuals and slope.
     """
-    lattice = lattice or default_lattice(CASE_II)
-    params = params or default_params(CASE_II, lattice)
-    lambdas = sorted(_amplitudes(lambdas), reverse=True)
+    lambdas = scaling_amplitudes(lambdas, ConfigurationError)
     N = lattice.n_sites
     mc2 = params.mc2
     spin = np.eye(2)
+    analytic = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
     # particle halves, block by block: transform, kinetic root, Darwin
     # term and the flat candidate's div E, on one orbital assembly per lam
@@ -562,7 +519,7 @@ def darwin_vs_classical_hd(
     for lam in lambdas:
         orb = _orbital(CASE_II, lattice, lam, params)
         w, V, root = _kinetic_root(orb, mc2)
-        darwin = darwin_coefficient(params) * _weyl(w, V, orb.coupling, mc2)
+        darwin = analytic * _weyl(w, V, orb.coupling, mc2)
         per_lam[lam] = (
             _particle_fw(CASE_II, orb, params),
             _hermitize(_kron_blocks(spin, root)),
@@ -574,8 +531,7 @@ def darwin_vs_classical_hd(
     gamma_max = float(np.sqrt(1.0 + (params.hbar * np.abs(k)) ** 2 * params.c ** 2 / mc2 ** 2).max())
 
     # near-rest modes: |k| within three fundamental harmonics
-    q = 2.0 * math.pi / lattice.length
-    sel = np.where(np.abs(k) <= 3.0 * q)[0]
+    sel = np.where(np.abs(k) <= 3.0)[0]
     Ps2 = np.kron(spin, np.eye(N)[:, sel])
 
     lam0 = min(lambdas)
@@ -583,7 +539,6 @@ def darwin_vs_classical_hd(
     Rs = Ps2.conj().T @ (Hfw_u - C0_u) @ Ps2
     Ds = Ps2.conj().T @ D0_u @ Ps2
     fitted = float(np.real(np.vdot(Ds, Rs) / np.vdot(Ds, Ds)))
-    analytic = darwin_coefficient(params)
     darwin_mag = float(np.abs(Dg_u).max())
     nonrel_diff = float(
         np.abs(Ps2.conj().T @ (Dg_u - fitted * D0_u) @ Ps2).max() / darwin_mag
@@ -596,9 +551,8 @@ def darwin_vs_classical_hd(
         res_without[lam] = float(np.abs(Hfw_u - C0_u).max())
 
     gap_over_darwin = (res_candidate[lam0] - res_correct[lam0]) / darwin_mag
-    ordered = sorted(per_lam)
-    slope_with = fit_slope(ordered, [res_correct[l] for l in ordered])
-    slope_without = fit_slope(ordered, [res_without[l] for l in ordered])
+    slope_with = fit_slope(lambdas, [res_correct[lam] for lam in lambdas])
+    slope_without = fit_slope(lambdas, [res_without[lam] for lam in lambdas])
     required_gap = (gamma_max - 1.0) / 2.0
     return {
         "fitted_coefficient": fitted,

@@ -90,9 +90,9 @@ def test_criterion_07_ordering_identity():
 
 def test_criterion_08_darwin_anchors():
     m, e = Fraction(3, 2), Fraction(5, 7)
-    dirac = qfw.darwin_coefficient_exact(m, e, gamma_m=e / m)
+    dirac = qfw.darwin_coefficient(m, e, gamma_m=e / m)
     mu_p = Fraction(4, 11)
-    neutral = qfw.darwin_coefficient_exact(Fraction(2), 0, gamma_m=2 * mu_p)
+    neutral = qfw.darwin_coefficient(Fraction(2), 0, gamma_m=2 * mu_p)
     ok = dirac == e / (8 * m ** 2) and neutral == -mu_p / 4
     _announce(8, "darwin_anchors", ok, {"dirac": str(dirac), "neutral": str(neutral)})
     assert dirac == e / (8 * m ** 2)
@@ -111,10 +111,11 @@ def test_criterion_09_spectrum_preservation():
 
 def test_criterion_10_correspondence_scaling():
     lams = (1e-2, 1e-3, 1e-4)
-    _, slope_i = qfw.residual_scaling(qfw.CASE_I, lambdas=lams)
-    _, slope_ii = qfw.residual_scaling(qfw.CASE_II, lambdas=lams)
-    rep = qfw.darwin_vs_classical_hd(lambdas=lams)
-    slope_ii_nod = qfw.fit_slope(lams, [rep["residual_no_darwin"][lam] for lam in lams])
+    lat_i, lat_ii = qfw.default_lattice(qfw.CASE_I), qfw.default_lattice(qfw.CASE_II)
+    par_i, par_ii = qfw.default_params(qfw.CASE_I, lat_i), qfw.default_params(qfw.CASE_II, lat_ii)
+    _, slope_i = qfw.residual_scaling(qfw.CASE_I, lat_i, par_i, lams)
+    _, slope_ii = qfw.residual_scaling(qfw.CASE_II, lat_ii, par_ii, lams)
+    slope_ii_nod = qfw.darwin_vs_classical_hd(lat_ii, par_ii, lams)["slope_without_darwin"]
     value = {"case_i": slope_i, "case_ii": slope_ii, "case_ii_no_darwin": slope_ii_nod}
     ok = (
         abs(slope_i - 2.0) <= 0.1

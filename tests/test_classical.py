@@ -34,6 +34,7 @@ from spincorr.classical import (
     _explicit_gradient,
     _local,
 )
+from spincorr.config import SCHEMA
 from spincorr.fields import FieldSample, to_array
 
 RNG = np.random.default_rng(31415926)
@@ -311,7 +312,7 @@ class TestGradients:
 
 
 class TestGradientOracleCheck:
-    @pytest.mark.parametrize("seed", [7, checks.DEFAULT_SEED, 123])
+    @pytest.mark.parametrize("seed", [7, SCHEMA["seed"][1], 123])
     def test_matches_per_state_loop(self, seed):
         r = checks.check_gradient_oracle(seed)
         worst, state, part = gradient_oracle_per_state(seed)
@@ -648,7 +649,7 @@ class TestBoostCovariance:
 
     def test_check_detail_holds_residuals(self):
         r = checks.check_boost_covariance(seed=11)
-        lams = list(checks.DEFAULT_LAMBDAS)
+        lams = list(SCHEMA["amplitudes"][1])
         assert r.detail["seed"] == 11 and len(r.detail["residuals"]) == len(r.value["slopes"]) == 3
         for resid, slope in zip(r.detail["residuals"], r.value["slopes"]):
             assert len(resid) == len(lams) and all(type(v) is float and v > 0 for v in resid)

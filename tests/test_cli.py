@@ -1,12 +1,25 @@
 """Config parsing, CLI dispatch, artifacts, exit codes, determinism."""
 
+import inspect
 import json
 
+import numpy as np
 import pytest
 
-from spincorr.checks import CheckResult, run_checks
+from spincorr import checks
+from spincorr.checks import MODE_CHECKS, RUN_PARAMS, CheckResult, run_checks
+from spincorr.classical import covariance_scaling
 from spincorr.cli import _overrides_from_args, _trajectory_rows, build_parser, main, render_report
 from spincorr.config import MODES, READ_BY, SCHEMA, ConfigError, load_config, parse_lines
+from spincorr.params import ParticleParams
+from spincorr.qfw import (
+    CASE_II,
+    ConfigurationError,
+    darwin_vs_classical_hd,
+    default_lattice,
+    default_params,
+    residual_scaling,
+)
 
 # a short simulate run off the origin, so every field model acts on it
 SIM = {"duration": "0.05", "integrator.step": "0.01", "state.x": "0.3 0.2 0.1", "state.p": "0.1 0.2 0.3"}
@@ -51,14 +64,44 @@ LINE_SCOPE = [
     ("amplitudes = 1e-1 1e-2 1e-3", "amplitudes", "boost or verify-fw", ("simulate", "verify-algebra", "report")),
 ]
 
+# a non-finite number for every float, vec3 and floats key: (mode, config text, line, key, token)
+NON_FINITE = [
+    ("simulate", "particle.m = nan\n", 1, "particle.m", "nan"),
+    ("simulate", "particle.e = nan\n", 1, "particle.e", "nan"),
+    ("simulate", "particle.mu_prime = inf\n", 1, "particle.mu_prime", "inf"),
+    ("simulate", "field.b = 0 -inf 1\n", 1, "field.b", "-inf"),
+    ("simulate", "field.e = nan 0 0\n", 1, "field.e", "nan"),
+    ("simulate", "field.model = stern-gerlach\nfield.b0 = inf\n", 2, "field.b0", "inf"),
+    ("simulate", "field.model = stern-gerlach\nfield.grad = nan\n", 2, "field.grad", "nan"),
+    ("simulate", "field.model = sin-electrostatic\nfield.lam = nan\n", 2, "field.lam", "nan"),
+    ("simulate", "field.model = sin-electrostatic\nfield.period = nan\n", 2, "field.period", "nan"),
+    ("simulate", "state.x = 0 0 1e400\n", 1, "state.x", "1e400"),
+    ("simulate", "state.p = nan 0 0\n", 1, "state.p", "nan"),
+    ("simulate", "state.s = 1 nan 0\n", 1, "state.s", "nan"),
+    ("simulate", "duration = nan\n", 1, "duration", "nan"),
+    ("simulate", "integrator.step = nan\n", 1, "integrator.step", "nan"),
+    ("simulate", "integrator.method = rkf45\nintegrator.tol = nan\n", 2, "integrator.tol", "nan"),
+    ("boost", "boost.beta_max = nan\n", 1, "boost.beta_max", "nan"),
+    ("verify-fw", "amplitudes = 1e-2 nan 1e-4\n", 1, "amplitudes", "nan"),
+]
+
+# amplitude lists every caller refuses: (list, the rule's message, the token refused at parse time)
+BAD_AMPLITUDES = [
+    ("1e-2 1e-3", "amplitudes: need at least three values", None),
+    ("1e-2 0 1e-4", "amplitudes: must all be positive", None),
+    ("1e-2 -1e-3 1e-4", "amplitudes: must all be positive", None),
+    ("1e-2 nan 1e-4", "amplitudes: must all be finite", "nan"),
+    ("1e-2 1e-3 inf", "amplitudes: must all be finite", "inf"),
+    ("1e-2 1e-3 2e-4", "amplitudes: must be geometrically spaced (constant successive ratio)", None),
+]
+
 
 def artifacts(mode, overrides):
     """What a run of `mode` writes that depends on the config, less config_hash and run_id."""
     cfg = load_config(mode, None, overrides)
     if mode == "simulate":
         return _trajectory_rows(cfg)
-    results = run_checks(mode, cfg.seed, cfg.order, cfg.amplitudes, cfg.profile, cfg["boost.beta_max"])
-    return [r.to_json() for r in results]
+    return [r.to_json() for r in run_checks(cfg)]
 
 
 class TestConfigParsing:
@@ -68,8 +111,8 @@ class TestConfigParsing:
         cfg = load_config("simulate", p)
         assert cfg["integrator.method"] == "rk4"
         assert cfg["particle.m"] == 1.0
-        assert cfg.amplitudes == (1e-2, 1e-3, 1e-4)
-        assert cfg.profile == "default"
+        assert cfg["amplitudes"] == (1e-2, 1e-3, 1e-4)
+        assert cfg["profile"] == "default"
 
     def test_no_file_pure_defaults(self):
         cfg = load_config("verify-fw")
@@ -134,8 +177,8 @@ class TestConfigParsing:
         p = tmp_path / "m.cfg"
         p.write_text("seed = 5\n")
         cfg = load_config("boost", p, {"seed": 9, "amplitudes": "1e-1,1e-2,1e-3"})
-        assert cfg.seed == 9
-        assert cfg.amplitudes == (0.1, 0.01, 0.001)
+        assert cfg["seed"] == 9
+        assert cfg["amplitudes"] == (0.1, 0.01, 0.001)
 
     def test_comments_and_blanks_ignored(self):
         values, _, errors = parse_lines(["# header", "", "seed = 3  # trailing"])
@@ -146,7 +189,7 @@ class TestConfigParsing:
         b = load_config("boost", None, {"out": "y"})
         assert a.config_hash() == b.config_hash()
 
-    @pytest.mark.parametrize("tol", ["1e-16", "1e-30", "0", "-1e-10", "nan"])
+    @pytest.mark.parametrize("tol", ["1e-16", "1e-30", "0", "-1e-10"])
     def test_tol_below_floor_rejected(self, tmp_path, capsys, tol):
         p = tmp_path / "t.cfg"
         p.write_text(f"integrator.method = rkf45\nintegrator.tol = {tol}\n")
@@ -156,6 +199,22 @@ class TestConfigParsing:
         assert err.value.errors == [message]
         assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_non_finite_float_key_covers_schema(self):
+        kinds = {key for key, (kind, _) in SCHEMA.items() if kind in ("float", "vec3", "floats")}
+        assert {key for _, _, _, key, _ in NON_FINITE} == kinds
+
+    @pytest.mark.parametrize("mode, text, line, key, token", NON_FINITE)
+    def test_non_finite_number_refused(self, tmp_path, capsys, mode, text, line, key, token):
+        p = tmp_path / "n.cfg"
+        p.write_text(text)
+        message = f"line {line}: {key}: '{token}' is not a finite number"
+        with pytest.raises(ConfigError) as err:
+            load_config(mode, p)
+        assert err.value.errors == [message]
+        assert main([mode, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rkf45_finishes_at_tol_floor(self):
         # the floor itself is reachable: a Stern-Gerlach trap runs to T = 10
@@ -292,12 +351,56 @@ class TestConfigContract:
         with pytest.raises(ConfigError, match="^state.s: acts only in simulate mode, not boost$"):
             load_config("boost", None, {"state.s": "0 1 0"})
 
+    def test_read_by_matches_check_signatures(self):
+        # which modes read each run parameter, worked out from the checks run_checks calls
+        readers = {key: set() for key in ("amplitudes", "order", "profile", "boost.beta_max")}
+        for mode, names in MODE_CHECKS.items():
+            for name in names:
+                for param in inspect.signature(getattr(checks, f"check_{name}")).parameters:
+                    assert param in RUN_PARAMS or param == "darwin", (name, param)
+                    if RUN_PARAMS.get(param) in readers:
+                        readers[RUN_PARAMS[param]].add(mode)
+        assert {key: set(READ_BY[key]) for key in readers} == readers
+
     @pytest.mark.parametrize("mode", ["simulate", "boost", "verify-algebra", "verify-fw", "report"])
     def test_seed_accepted_by_every_mode(self, tmp_path, mode):
         p = tmp_path / "c.cfg"
         p.write_text("seed = 3\n")
         args = build_parser().parse_args([mode, "--seed", "7"])
-        assert load_config(mode, p, _overrides_from_args(args)).seed == 7
+        assert load_config(mode, p, _overrides_from_args(args))["seed"] == 7
+
+
+class TestOneAmplitudeRule:
+    """The config, both lattice sweeps and the boost scan refuse the same amplitude lists."""
+
+    @pytest.mark.parametrize("text, rule, token", BAD_AMPLITUDES)
+    def test_every_caller_refuses(self, tmp_path, capsys, text, rule, token):
+        p = tmp_path / "a.cfg"
+        p.write_text(f"amplitudes = {text}\n")
+        message = f"amplitudes: '{token}' is not a finite number" if token else rule
+        with pytest.raises(ConfigError) as err:
+            load_config("verify-fw", p)
+        assert err.value.errors == [f"line 1: {message}"]
+        assert main(["verify-fw", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: line 1: {message}\n" in capsys.readouterr().err
+        flag = f"flag for {message}" if token else message
+        assert main(["boost", "--lambda-list", text.replace(" ", ","), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {flag}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+        lams = [float(tok) for tok in text.split()]
+        lat = default_lattice(CASE_II)
+        par = default_params(CASE_II, lat)
+        with pytest.raises(ConfigurationError) as refused:
+            residual_scaling(CASE_II, lat, par, lams)
+        assert str(refused.value) == rule
+        with pytest.raises(ConfigurationError) as refused:
+            darwin_vs_classical_hd(lat, par, lams)
+        assert str(refused.value) == rule
+        pr = ParticleParams.neutral(mu_prime=0.08)
+        with pytest.raises(ValueError) as refused:
+            covariance_scaling(np.full(3, 0.1 * pr.mc), np.ones(3), np.ones(3), np.ones(3), pr, lams)
+        assert str(refused.value) == rule
 
 
 class TestCliDispatch:
@@ -366,7 +469,7 @@ class TestCliDispatch:
     def test_failed_check_exit_code(self, tmp_path, monkeypatch, capsys):
         import spincorr.cli as cli_mod
 
-        def fake_checks(mode, seed, order, lambdas, profile, beta_max=0.5):
+        def fake_checks(cfg):
             return [CheckResult("parity", 1.0, 1e-12, False)]
 
         monkeypatch.setattr(cli_mod, "run_checks", fake_checks)
@@ -389,7 +492,7 @@ class TestCliDispatch:
     def test_simulate_writes_trajectory(self, tmp_path, monkeypatch, capsys):
         import spincorr.cli as cli_mod
 
-        def fake_checks(mode, seed, order, lambdas, profile, beta_max=0.5):
+        def fake_checks(cfg):
             return [CheckResult("larmor_limit", 0.0, 1e-6, True)]
 
         monkeypatch.setattr(cli_mod, "run_checks", fake_checks)

@@ -26,6 +26,7 @@ from spincorr.opalg import (
     verify_case,
     weyl_order,
 )
+from spincorr.config import SCHEMA
 from spincorr.checks import RESIDUAL_TERMS_SHOWN, check_case_equality, check_ordering_identity
 from spincorr.opalg import identities
 from spincorr.opalg.core import SPIN_MUL, _fold_i
@@ -34,6 +35,16 @@ from spincorr.opalg.shadow import G_ZERO, g_add, g_mul, spin_matrices
 from test_normal_order import normalize_random
 
 HBAR_E_C = (1, -1, 0, 1, 0)  # units tuple of hbar e / c
+
+
+def alpha(alg, i):
+    """alpha_i = rho_1 (x) sigma_i, spin index 4 + i."""
+    return alg.term((), spin=4 + i)
+
+
+def dot(alg, a, b):
+    """a . b for two operator 3-vectors, each product in the order a_i b_i."""
+    return expr_sum(alg.multiply(a[i], b[i]) for i in range(3))
 
 
 def omega_power(case, n, alg):
@@ -137,10 +148,10 @@ class TestSpinTable:
     def test_anticommutators(self):
         alg = Algebra()
         for i in (1, 2, 3):
-            ab = alg.multiply(alg.beta(), alg.alpha(i))
-            ba = alg.multiply(alg.alpha(i), alg.beta())
+            ab = alg.multiply(alg.beta(), alpha(alg, i))
+            ba = alg.multiply(alpha(alg, i), alg.beta())
             assert (ab + ba).is_zero()
-            assert alg.multiply(alg.alpha(i), alg.alpha(i)) == alg.one()
+            assert alg.multiply(alpha(alg, i), alpha(alg, i)) == alg.one()
         assert alg.multiply(alg.beta(), alg.beta()) == alg.one()
 
 
@@ -301,7 +312,7 @@ class TestVerifyCase:
 
 class TestMatchup:
     def test_report_all_green(self):
-        rep = matchup_report(trials=4)
+        rep = matchup_report(trials=4, seed=SCHEMA["seed"][1])
         assert rep["ok"]
         assert rep["commuting_identity"]
         assert rep["homogeneous_exact"]
@@ -325,7 +336,7 @@ class TestMatchup:
             assert delta[i - 1] == want
 
     def test_defect_coefficients(self):
-        rep = matchup_report(trials=1)
+        rep = matchup_report(trials=1, seed=SCHEMA["seed"][1])
         assert rep["defect_coefficients"] == (Fraction(-1, 2), Fraction(1, 4))
 
 
@@ -340,7 +351,7 @@ class TestPauliIdentity:
         alg = Algebra(charged=True)
 
         def alpha_dot(vec):
-            return expr_sum(alg.multiply(alg.alpha(i), vec[i - 1]) for i in (1, 2, 3))
+            return expr_sum(alg.multiply(alpha(alg, i), vec[i - 1]) for i in (1, 2, 3))
 
         vecs = {"pi": alg.pi_vec(), "E": alg.field_vec("E"), "B": alg.field_vec("B")}
         for a_name, A in vecs.items():
@@ -348,7 +359,7 @@ class TestPauliIdentity:
                 if a_name == b_name != "pi":
                     continue  # two-field products are truncated away
                 cross = alg.cross(A, B)
-                rhs = alg.dot(A, B) + expr_sum(
+                rhs = dot(alg, A, B) + expr_sum(
                     alg.multiply(alg.sigma(k), cross[k - 1]) for k in (1, 2, 3)
                 ).scale(Fraction(1), ipow=1)
                 lhs = alg.multiply(alpha_dot(A), alpha_dot(B))
@@ -363,7 +374,7 @@ class TestPauliIdentity:
         # pi.E - E.pi = -i hbar div E
         E = alg.field_vec("E")
         target = alg.div_e().scale(Fraction(-1), units=(1, 0, 0, 0, 0), ipow=1)
-        assert (alg.dot(p, E) - alg.dot(E, p) - target).is_zero()
+        assert (dot(alg, p, E) - dot(alg, E, p) - target).is_zero()
 
     def test_pi_cross_pi_collapses_to_field(self):
         alg = Algebra(charged=True)
@@ -375,7 +386,7 @@ class TestPauliIdentity:
     def test_divergence_reduction(self):
         alg = Algebra(charged=False)
         p, E = alg.pi_vec(), alg.field_vec("E")
-        comm = alg.dot(p, E) - alg.dot(E, p)
+        comm = dot(alg, p, E) - dot(alg, E, p)
         want = alg.div_e().scale(Fraction(-1), units=(1, 0, 0, 0, 0), ipow=1)
         assert comm == want
 

@@ -11,7 +11,8 @@ import pytest
 from spincorr import ParticleParams
 from spincorr import qfw as qfw_module
 from spincorr.checks import check_correspondence_scaling, check_spectrum_preservation, run_checks
-from spincorr.classical import DiagnosticError
+from spincorr.classical import DiagnosticError, fit_slope
+from spincorr.config import SCHEMA, load_config
 from spincorr.opalg.core import PI
 from spincorr.opalg.identities import binom_half, binom_minus_half, case_algebra, series_sqrt_expand
 from spincorr.opalg.shadow import spin_matrices
@@ -39,12 +40,10 @@ from spincorr.qfw import (
     build_hamiltonian,
     component_spectrum,
     darwin_coefficient,
-    darwin_coefficient_exact,
     darwin_vs_classical_hd,
     default_lattice,
     default_params,
     eriksen_fw,
-    fit_slope,
     parity_check,
     residual_scaling,
 )
@@ -53,6 +52,11 @@ LAT_I = default_lattice(CASE_I)
 PAR_I = default_params(CASE_I, LAT_I)
 LAT_II = default_lattice(CASE_II)
 PAR_II = default_params(CASE_II, LAT_II)
+LAMS = SCHEMA["amplitudes"][1]
+
+
+def float_darwin(params):
+    return darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
 
 def dense_beta(lattice):
@@ -94,7 +98,7 @@ def dense_orbital(case, lattice, lam, params):
     """
     hbar, c = params.hbar, params.c
     k, F, Q, p1, x = _axis_operators(lattice, hbar)
-    q = 2.0 * math.pi / lattice.length
+    q = 1.0  # fundamental wavenumber of the 2 pi period
     if case == CASE_I:
         I_N = np.eye(lattice.n_sites)
         Ay = np.kron(_mul_op(lam * params.mc2 / abs(params.e) * np.sin(q * x), F, Q), I_N)
@@ -146,7 +150,7 @@ def dense_correspondence(case, lattice, lam, params, include_darwin=True):
         pref = params.e * params.hbar / (2.0 * params.m * params.c)
         Hc = Hc - pref * np.kron(BETA4 @ SIGMA4[2], weyl_series(w, V, coupling, mc2)[0])
     elif include_darwin:
-        Hc = Hc + darwin_coefficient(params) * np.kron(np.eye(4), weyl_series(w, V, coupling, mc2)[0])
+        Hc = Hc + float_darwin(params) * np.kron(np.eye(4), weyl_series(w, V, coupling, mc2)[0])
     return hermitian_part(Hc)
 
 
@@ -163,7 +167,7 @@ def instantiate_case_i(expr, lattice, lam, params):
     orb_dim = lattice.orbital_dim
     Px, Py = (_scatter(p, orb.index, orb_dim) for p in orb.momenta)
     _, F, Q, _, x = _axis_operators(lattice, params.hbar)
-    q = 2.0 * math.pi / lattice.length
+    q = 1.0  # fundamental wavenumber of the 2 pi period
     A0 = lam * params.mc2 / abs(params.e)
     zeros = np.zeros((orb_dim, orb_dim), dtype=complex)
 
@@ -313,7 +317,7 @@ class TestBuild:
         lam = 1e-2
         orb = _orbital(CASE_I, LAT_I, lam, PAR_I)
         _, F, Q, _, x = _axis_operators(LAT_I, PAR_I.hbar)
-        q = 2 * math.pi / LAT_I.length
+        q = 1.0  # fundamental wavenumber of the 2 pi period
         A0 = lam * PAR_I.mc2 / abs(PAR_I.e)
         Bmul = np.kron(_mul_op(A0 * q * np.cos(q * x), F, Q), np.eye(N))
         assert np.abs(_scatter(orb.coupling, orb.index, LAT_I.orbital_dim) - Bmul).max() < 1e-12
@@ -531,7 +535,7 @@ class TestWeylKernel:
         orb = _orbital(CASE_II, lat, 1e-3, par)
         w, V = np.linalg.eigh(orb.P2[0])
         closed = _weyl(w, V, orb.coupling[0], par.mc2)
-        pref = abs(darwin_coefficient(par))
+        pref = abs(float_darwin(par))
         misses = []
         for nmax in (8, 30):
             series, tail = weyl_series(w, V, orb.coupling[0], par.mc2, nmax)
@@ -625,7 +629,7 @@ class TestOneCaseIISweep:
 
         monkeypatch.setattr(qfw_module, "darwin_vs_classical_hd", counted_report)
         monkeypatch.setattr(qfw_module, "residual_scaling", counted_scaling)
-        results = run_checks("verify-fw", 7, 8, (1e-2, 1e-3, 1e-4), "default")
+        results = run_checks(load_config("verify-fw"))
         assert all(r.passed for r in results)
         assert calls == {"report": 1, "scaling": [CASE_I]}
 
@@ -635,6 +639,19 @@ class TestOneCaseIISweep:
         res, slope = residual_scaling(CASE_II, LAT_II, PAR_II, lams)
         assert np.abs(np.subtract(r.detail["residuals"]["case_ii"], res)).max() <= 1e-13
         assert abs(r.value["case_ii_slope"] - slope) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "profile, slope", [("default", "slope_with_darwin"), ("negative-result", "slope_without_darwin")]
+    )
+    def test_criteria_10_and_11_report_one_case_ii_slope(self, profile, slope):
+        results = {r.name: r for r in run_checks(load_config("verify-fw", None, {"profile": profile}))}
+        assert results["negative_result"].value[slope] == results["correspondence_scaling"].value["case_ii_slope"]
+
+    @pytest.mark.parametrize("lams", [(1e-2, 1e-3, 1e-4), (1e-4, 1e-3, 1e-2)])
+    def test_report_fits_in_the_order_given(self, lams):
+        rep = darwin_vs_classical_hd(LAT_II, PAR_II, lams)
+        for key, slope in (("residual_correct", "slope_with_darwin"), ("residual_no_darwin", "slope_without_darwin")):
+            assert rep[slope] == fit_slope(lams, [rep[key][lam] for lam in lams])
 
     def test_negative_result_profile_reads_residual_no_darwin(self):
         lams = (1e-2, 1e-3, 1e-4)
@@ -680,19 +697,18 @@ class TestDarwin:
     def test_dirac_coefficient_exact(self):
         # gamma_m = e/mc makes the bracket collapse to hbar^2 e / 8 m^2 c^2
         m, e = Fraction(3, 2), Fraction(5, 7)
-        got = darwin_coefficient_exact(m, e, gamma_m=e / m)
+        got = darwin_coefficient(m, e, gamma_m=e / m)
         assert got == e / (8 * m ** 2)
 
     def test_neutral_coefficient_exact(self):
         mu_p = Fraction(4, 11)
-        got = darwin_coefficient_exact(Fraction(2), 0, gamma_m=2 * mu_p)
+        got = darwin_coefficient(Fraction(2), 0, gamma_m=2 * mu_p)
         assert got == -mu_p / 4
 
     def test_float_matches_exact(self):
-        want = darwin_coefficient_exact(
-            Fraction(PAR_II.m), 0, gamma_m=Fraction(PAR_II.gamma_m)
-        )
-        assert darwin_coefficient(PAR_II) == pytest.approx(float(want), rel=1e-14)
+        want = darwin_coefficient(Fraction(PAR_II.m), 0, gamma_m=Fraction(PAR_II.gamma_m))
+        assert isinstance(want, Fraction)
+        assert float_darwin(PAR_II) == pytest.approx(float(want), rel=1e-14)
 
     def test_flat_candidate_detectably_worse(self):
         rep = darwin_vs_classical_hd(LAT_II, PAR_II, (1e-2, 1e-3, 1e-4))
@@ -725,9 +741,9 @@ class TestLightMass:
     def test_neutral_correspondence(self):
         lat = LatticeSpec(dimension=1, n_sites=128)
         par = ParticleParams.neutral(0.08, m=62.0)
-        _, slope = residual_scaling(CASE_II, lat, par)
+        _, slope = residual_scaling(CASE_II, lat, par, LAMS)
         assert 1.9 <= slope <= 2.1
-        rep = darwin_vs_classical_hd(lat, par)
+        rep = darwin_vs_classical_hd(lat, par, LAMS)
         assert round(rep["gamma_max"], 4) == 1.4257
         assert 1.9 <= rep["slope_with_darwin"] <= 2.1
         assert 0.9 <= rep["slope_without_darwin"] <= 1.1
@@ -737,6 +753,6 @@ class TestLightMass:
         lat = LatticeSpec(dimension=2, n_sites=24)
         par = ParticleParams.dirac(m=14.142, e=1.0)
         assert math.sqrt(1.0 + (lat.p_max() / par.mc2) ** 2) > 1.4
-        res, slope = residual_scaling(CASE_I, lat, par)
+        res, slope = residual_scaling(CASE_I, lat, par, LAMS)
         assert 1.9 <= slope <= 2.1
         assert res[0] == pytest.approx(4.40828e-7, rel=1e-5)
