@@ -37,20 +37,24 @@ class DiagnosticError(RuntimeError):
     """A trajectory diagnostic cannot be evaluated on the given input."""
 
 
-def scaling_amplitudes(lambdas, error=ValueError) -> list:
-    """The amplitude list of a scaling fit, refused with `error` unless it
-    holds at least three finite, positive, geometrically spaced values.
+class ConfigurationError(ValueError):
+    """Lattice or parameter combination outside the validated domain."""
+
+
+def scaling_amplitudes(lambdas) -> list:
+    """The amplitude list of a scaling fit, refused unless it holds at
+    least three finite, positive, geometrically spaced, distinct values.
     """
     lambdas = list(lambdas)
     if len(lambdas) < 3:
-        raise error("amplitudes: need at least three values")
+        raise ConfigurationError("amplitudes: need at least three values")
     if not all(math.isfinite(a) for a in lambdas):
-        raise error("amplitudes: must all be finite")
+        raise ConfigurationError("amplitudes: must all be finite")
     if not all(a > 0 for a in lambdas):
-        raise error("amplitudes: must all be positive")
+        raise ConfigurationError("amplitudes: must all be positive")
     ratios = [lambdas[i] / lambdas[i + 1] for i in range(len(lambdas) - 1)]
-    if any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
-        raise error("amplitudes: must be geometrically spaced (constant successive ratio)")
+    if abs(ratios[0] - 1.0) <= 1e-6 or any(abs(r / ratios[0] - 1.0) > 1e-6 for r in ratios):
+        raise ConfigurationError("amplitudes: must be geometrically spaced (constant successive ratio other than 1)")
     return lambdas
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import fit_slope, scaling_amplitudes
+from .classical import ConfigurationError, fit_slope, scaling_amplitudes
 from .params import ParticleParams
 
 CASE_I = "I"
@@ -39,10 +39,6 @@ _CASES = {CASE_I: (2, "a charged particle with mu' = 0"), CASE_II: (1, "a neutra
 # largest anti-Hermitian part tolerated, relative to the largest entry
 HERMITICITY_TOL = 1e-12
 ODDNESS_TOL = 1e-10
-
-
-class ConfigurationError(ValueError):
-    """Lattice or parameter combination outside the validated domain."""
 
 
 class OddnessError(ValueError):
@@ -438,7 +434,7 @@ def residual_scaling(case: str, lattice: LatticeSpec, params: ParticleParams, la
     The battery sweeps case II through `darwin_vs_classical_hd`, whose
     `residual_correct` is this case II residual.
     """
-    lambdas = scaling_amplitudes(lambdas, ConfigurationError)
+    lambdas = scaling_amplitudes(lambdas)
     residuals = []
     for lam in lambdas:
         orb = _orbital(case, lattice, lam, params)
@@ -507,7 +503,7 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
     amplitude, and their slopes, fit in the order given, are also
     criterion 10's case II residuals and slope.
     """
-    lambdas = scaling_amplitudes(lambdas, ConfigurationError)
+    lambdas = scaling_amplitudes(lambdas)
     N = lattice.n_sites
     mc2 = params.mc2
     spin = np.eye(2)

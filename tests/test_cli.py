@@ -92,7 +92,8 @@ BAD_AMPLITUDES = [
     ("1e-2 -1e-3 1e-4", "amplitudes: must all be positive", None),
     ("1e-2 nan 1e-4", "amplitudes: must all be finite", "nan"),
     ("1e-2 1e-3 inf", "amplitudes: must all be finite", "inf"),
-    ("1e-2 1e-3 2e-4", "amplitudes: must be geometrically spaced (constant successive ratio)", None),
+    ("1e-2 1e-3 2e-4", "amplitudes: must be geometrically spaced (constant successive ratio other than 1)", None),
+    ("1e-2 1e-2 1e-2", "amplitudes: must be geometrically spaced (constant successive ratio other than 1)", None),
 ]
 
 
@@ -398,7 +399,7 @@ class TestOneAmplitudeRule:
             darwin_vs_classical_hd(lat, par, lams)
         assert str(refused.value) == rule
         pr = ParticleParams.neutral(mu_prime=0.08)
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(ConfigurationError) as refused:
             covariance_scaling(np.full(3, 0.1 * pr.mc), np.ones(3), np.ones(3), np.ones(3), pr, lams)
         assert str(refused.value) == rule
 
