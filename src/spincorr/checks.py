@@ -27,7 +27,7 @@ from .classical import (
     h_total_blocked,
     integrate,
 )
-from .config import SCHEMA
+from .config import BETA_FLOOR, SCHEMA
 from .fields import SternGerlach, Uniform, sample_field
 from .kinematics import PhaseState, gamma_pi, kinematic_momentum
 from .params import ParticleParams
@@ -444,7 +444,7 @@ def check_boost_covariance(
     for _ in range(3):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        beta_mag = rng.uniform(0.1, beta_max)
+        beta_mag = rng.uniform(BETA_FLOOR, beta_max)
         pi = direction * beta_mag / math.sqrt(1.0 - beta_mag ** 2) * pr.mc
         s, E, B = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         resid, slope = covariance_scaling(pi, s, E, B, pr, lambdas)

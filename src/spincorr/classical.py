@@ -9,7 +9,10 @@ deliberately dropped; their size is measured, not modeled.
 
 The kernels take x, p and s in the component form of fields, so one code
 path serves one particle and an ensemble; each evaluation computes
-gamma_pi and the weights of F_pi once.
+gamma_pi and the weights of F_pi once. The equations of motion are one
+straight-line kernel, built once per integration (or eom_rhs call) from
+the field model and the particle, with every vector operation written
+out per component.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _vecmat(u, M):
 
 
 def _coefficients(g, params: ParticleParams):
-    """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E), and their g-derivatives.
+    """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E).
 
     a carries the magnetic torque, b the longitudinal-polarization
     correction (proportional to gamma_m - e/mc, vanishing at g = 2) and d
@@ -101,8 +104,7 @@ def _coefficients(g, params: ParticleParams):
     """
     gm, em, mc = params.gamma_m, params.e / params.mc, params.mc
     u, w, kb = 1.0 / g, 1.0 / (g + 1.0), (gm - em) / mc ** 2
-    weights = (gm - em + em * u, kb * u * w, (gm * u - em * w) / mc)
-    return weights, (-em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc)
+    return gm - em + em * u, kb * u * w, (gm * u - em * w) / mc
 
 
 def _local(x, p, model, params):
@@ -114,36 +116,35 @@ def _local(x, p, model, params):
     return f, pi, math_of(g2).sqrt(g2)
 
 
-def _precession(pi, E, B, weights, piB=None):
-    """F_pi in component form; piB is pi.B when the caller has formed it."""
+def _precession(pi, E, B, weights):
+    """F_pi in component form."""
     a, b, d = weights
-    c2 = -b * (_dot(pi, B) if piB is None else piB)
+    c2 = -b * _dot(pi, B)
     return _comb(a, B, c2, pi) if E is ZERO3 else _comb(a, B, c2, pi, -d, _cross(pi, E))
 
 
-def _explicit_gradient(f, pi, s, weights, spi=None, sxpi=None):
+def _explicit_gradient(f, pi, s, weights):
     """d(H_spin)/dx at fixed pi: the field-gradient (Stern-Gerlach) term.
 
     H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E), and s.(pi x dE) =
-    (s x pi).dE. spi and sxpi are s.pi and s x pi when the caller has
-    formed them.
+    (s x pi).dE.
     """
     a, b, d = weights
-    dB = _vecmat(_comb(-a, s, b * (_dot(s, pi) if spi is None else spi), pi), f.grad_B)
+    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
     if f.grad_E is ZERO33:
         return dB
-    return _comb(1.0, dB, d, _vecmat(_cross(s, pi) if sxpi is None else sxpi, f.grad_E))
+    return _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
     """Instantaneous precession angular velocity F_pi(pi, E, B)."""
     pi = np.asarray(pi, dtype=float)
-    return np.array(_precession(pi, E, B, _coefficients(gamma_pi(pi, params), params)[0]))
+    return np.array(_precession(pi, E, B, _coefficients(gamma_pi(pi, params), params)))
 
 
 def _h_total_arrays(x, p, s, model, params):
     f, pi, g = _local(x, p, model, params)
-    F = _precession(pi, f.E, f.B, _coefficients(g, params)[0])
+    F = _precession(pi, f.E, f.B, _coefficients(g, params))
     return g * params.mc2 + params.e * f.phi - _dot(s, F)
 
 
@@ -178,40 +179,88 @@ def h_total_blocked(ys: np.ndarray, model, params: ParticleParams, offsets=None)
     return H if offsets is None else H.reshape(len(ys), k)
 
 
-def _eom_arrays(x, p, s, model, params):
-    """(dx/dt, dp/dt, ds/dt) in component form.
+def _eom_kernel(model, params: ParticleParams):
+    """y = (x, p, s) -> dy/dt = (dH/dpi, dp/dt, ds/dt) of the Hamilton flow with
+    precession, each as nine components, with the parameter ratios formed once.
 
-    s x pi, s.pi and pi.B are formed once, and every E, grad-E and
-    grad-phi term is skipped when the model returns the zero sentinel for
-    it; adding an exact zero would not change a component.
+    _local, _coefficients, _precession and _explicit_gradient written out per
+    component in their operation order, each + 0.0 their zero third term of
+    c1 u + c2 v + c3 w, so a -0.0 rounds as there. s x pi, s.pi and pi.B are
+    formed once, and every E, grad-E and grad-phi term is skipped when the
+    model returns the zero sentinel for it.
     """
-    f, pi, g = _local(x, p, model, params)
-    E, B = f.E, f.B
-    weights, (da, db, dd) = _coefficients(g, params)
-    _, b, d = weights
-    spi, piB, sxpi = _dot(s, pi), _dot(pi, B), _cross(s, pi)
-    # dH/dpi: the velocity v_pi plus the spin term, whose weights depend
-    # on pi through dg/dpi = pi/(g (mc)^2)
-    dHs_dg = -da * _dot(s, B) + db * piB * spi
-    if E is not ZERO3:
-        dHs_dg = dHs_dg + dd * _dot(E, sxpi)
-    dH_dpi = _comb((1.0 / params.m + dHs_dg / params.mc ** 2) / g, pi, b * spi, B, b * piB, s)
-    if E is not ZERO3:
-        dH_dpi = _comb(1.0, dH_dpi, d, _cross(E, s))
-    # canonical x-gradient: scalar potential, explicit field gradients,
-    # and the chain through pi(x) = p - (e/c)A(x)
-    chain = _vecmat(dH_dpi, f.jac_A)
-    grad = _explicit_gradient(f, pi, s, weights, spi, sxpi)
-    if f.grad_phi is ZERO3:
-        dp = _comb(-1.0, grad, params.e / params.c, chain)
-    else:
-        dp = _comb(-params.e, f.grad_phi, -1.0, grad, params.e / params.c, chain)
-    return dH_dpi, dp, _cross(s, _precession(pi, E, B, weights, piB))
+    components, e, gm, mc = model.components, params.e, params.gamma_m, params.mc
+    ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
+    gme, kb = gm - em, (gm - em) / mc_sq
+
+    def rhs(y):
+        x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
+        _, (A0, A1, A2), E, (B0, B1, B2), grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
+        pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
+        g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
+        g = math_of(g2).sqrt(g2)
+        # the weights (a, b, d) of F_pi, as _coefficients, and their g-derivatives
+        u, w = 1.0 / g, 1.0 / (g + 1.0)
+        a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
+        da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
+        spi, piB = s0 * pi0 + s1 * pi1 + s2 * pi2, pi0 * B0 + pi1 * B1 + pi2 * B2
+        sxpi0, sxpi1, sxpi2 = s1 * pi2 - s2 * pi1, s2 * pi0 - s0 * pi2, s0 * pi1 - s1 * pi0
+        # dH/dpi: the velocity v_pi plus the spin term, whose weights depend
+        # on pi through dg/dpi = pi/(g (mc)^2)
+        dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
+        if E is not ZERO3:
+            E0, E1, E2 = E
+            dHs_dg = dHs_dg + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)
+        c1, c2, c3 = (inv_m + dHs_dg / mc_sq) / g, b * spi, b * piB
+        v0, v1, v2 = c1 * pi0 + c2 * B0 + c3 * s0, c1 * pi1 + c2 * B1 + c3 * s1, c1 * pi2 + c2 * B2 + c3 * s2
+        if E is not ZERO3:
+            v0 = v0 + d * (E1 * s2 - E2 * s1) + 0.0
+            v1 = v1 + d * (E2 * s0 - E0 * s2) + 0.0
+            v2 = v2 + d * (E0 * s1 - E1 * s0) + 0.0
+        # canonical x-gradient: scalar potential, explicit field gradients
+        # (H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E)), and the chain
+        # through pi(x) = p - (e/c)A(x)
+        if jac_A is ZERO33:
+            ch0 = ch1 = ch2 = 0.0
+        else:
+            (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = jac_A
+            ch0 = v0 * J00 + v1 * J10 + v2 * J20
+            ch1 = v0 * J01 + v1 * J11 + v2 * J21
+            ch2 = v0 * J02 + v1 * J12 + v2 * J22
+        if grad_B is ZERO33:
+            gr0 = gr1 = gr2 = 0.0
+        else:
+            q0, q1, q2 = -a * s0 + c2 * pi0 + 0.0, -a * s1 + c2 * pi1 + 0.0, -a * s2 + c2 * pi2 + 0.0
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_B
+            gr0 = q0 * G00 + q1 * G10 + q2 * G20
+            gr1 = q0 * G01 + q1 * G11 + q2 * G21
+            gr2 = q0 * G02 + q1 * G12 + q2 * G22
+        if grad_E is not ZERO33:
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_E
+            gr0 = gr0 + d * (sxpi0 * G00 + sxpi1 * G10 + sxpi2 * G20) + 0.0
+            gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
+            gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
+        if grad_phi is ZERO3:
+            dp0, dp1, dp2 = -gr0 + ec * ch0 + 0.0, -gr1 + ec * ch1 + 0.0, -gr2 + ec * ch2 + 0.0
+        else:
+            P0, P1, P2 = grad_phi
+            dp0, dp1, dp2 = -e * P0 - gr0 + ec * ch0, -e * P1 - gr1 + ec * ch1, -e * P2 - gr2 + ec * ch2
+        # ds/dt = s x F_pi, F_pi = a B - b (pi.B) pi - d (pi x E)
+        c4 = -b * piB
+        F0, F1, F2 = a * B0 + c4 * pi0, a * B1 + c4 * pi1, a * B2 + c4 * pi2
+        if E is ZERO3:
+            F0, F1, F2 = F0 + 0.0, F1 + 0.0, F2 + 0.0
+        else:
+            F0, F1, F2 = F0 - d * (pi1 * E2 - pi2 * E1), F1 - d * (pi2 * E0 - pi0 * E2), F2 - d * (pi0 * E1 - pi1 * E0)
+        return [v0, v1, v2, dp0, dp1, dp2, s1 * F2 - s2 * F1, s2 * F0 - s0 * F2, s0 * F1 - s1 * F0]
+
+    return rhs
 
 
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
     """(dx/dt, dp/dt, ds/dt) of the full Hamilton flow with precession."""
-    return tuple(map(np.array, _eom_arrays(state.x.tolist(), state.p.tolist(), state.s.tolist(), model, params)))
+    k = _eom_kernel(model, params)(state.x.tolist() + state.p.tolist() + state.s.tolist())
+    return np.array(k[0:3]), np.array(k[3:6]), np.array(k[6:9])
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +333,20 @@ def _nonzero(weights):
     return tuple((w, j) for j, w in enumerate(weights) if w)
 
 
-def _weighted_sum(pairs, ks):
-    """sum_j w_j k_j per component over the (w_j, j) pairs, added in tableau order."""
+def _point(y, h, pairs, ks):
+    """y + h * (w_1 k_1 + w_2 k_2 + ...) per component over a row's (w_j, j)
+    pairs, the terms added in tableau order."""
     (w, j), rest = pairs[0], pairs[1:]
-    acc = [w * c for c in ks[j]]
+    if not rest:
+        return [yi + h * (w * a) for yi, a in zip(y, ks[j])]
+    acc = [w * a for a in ks[j]]
     for w, j in rest:
-        acc = [a + w * c for a, c in zip(acc, ks[j])]
-    return acc
+        acc = [c + w * a for c, a in zip(acc, ks[j])]
+    return [yi + h * c for yi, c in zip(y, acc)]
 
 
 def _norm3(u):
-    return math.sqrt(_dot(u, u))
+    return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
 
 
 def integrate(state0: PhaseState, model, params: ParticleParams, spec: IntegratorSpec, T: float) -> Trajectory:
@@ -308,8 +360,8 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     underflows: falls below 1e-12 T or the round-off of t.
 
     y = (x, p, s) is carried as nine floats, the components the kernel
-    takes; each stage point is y + h * (w_1 k_1 + w_2 k_2 + ...) over the
-    row's nonzero weights.
+    takes and returns; each stage point is y + h * (w_1 k_1 + w_2 k_2 +
+    ...) over the row's nonzero weights, formed per component.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
@@ -322,6 +374,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     stage_pairs = [_nonzero(row) for row in stages]
     step_pairs = _nonzero(weights)
     err_pairs = None if fixed else _nonzero(err_weights)
+    rhs = _eom_kernel(model, params)
 
     # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
     # accepts at most max_steps steps, and doubles the buffers if it needs
@@ -353,18 +406,17 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
                 raise IntegrationError("step size underflow", trajectory())
         ks = []
         for pairs in stage_pairs:
-            yk = [yi + h * a for yi, a in zip(y, _weighted_sum(pairs, ks))] if pairs else y
-            dx, dp, ds = _eom_arrays(yk[0:3], yk[3:6], yk[6:9], model, params)
-            ks.append(dx + dp + ds)
+            ks.append(rhs(_point(y, h, pairs, ks) if pairs else y))
         accept, factor = True, 1.0
         if not fixed:
-            err = max(abs(h * a) for a in _weighted_sum(err_pairs, ks))
+            # the increment alone, as the point from the origin; abs drops the sign of a zero
+            err = max(map(abs, _point((0.0,) * 9, h, err_pairs, ks)))
             scale = spec.tol * max(1.0, max(map(abs, y)))
             accept = err <= scale
             factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
         if accept:
             mag_before = _norm3(y[6:9])
-            y = [yi + h * a for yi, a in zip(y, _weighted_sum(step_pairs, ks))]
+            y = _point(y, h, step_pairs, ks)
             t = rows * h if fixed else t + h
             raw = _norm3(y[6:9])
             drift_cum += (raw - mag_before) / s0_mag
@@ -424,7 +476,7 @@ def bmt_consistency_residual(
     E, B, pi = (to_array(v, (n,)) for v in (f.E, f.B, pi_c))
     f4 = np.zeros((n, 4))
     if include_gradient_force:
-        grad = _explicit_gradient(f, pi_c, traj.s.T, _coefficients(gammas, params)[0])
+        grad = _explicit_gradient(f, pi_c, traj.s.T, _coefficients(gammas, params))
         f4[:, 1:] = -gammas[:, None] * to_array(grad, (n,))
         f4[:, 0] = np.einsum("ij,ij->i", f4[:, 1:], pi) / (gammas * params.m * params.c)
     S, U = _four_vectors(pi, gammas, traj.s, params)

@@ -75,6 +75,9 @@ READ_BY = {
 # smaller tol is never met: the stepper crawls at round-off-sized steps
 TOL_FLOOR = 1e-15
 
+# boost draws each boost speed |beta| from [BETA_FLOOR, boost.beta_max]
+BETA_FLOOR = 0.1
+
 # key -> (selector, the selector values under which the run reads the key);
 # a key set while its selector ignores it would change nothing, so it is refused
 SELECTED_BY = {
@@ -202,8 +205,10 @@ def _range_errors(values: dict, anchors: dict) -> list:
     errs = []
     if values["particle.m"] <= 0:
         errs.append(f"{at('particle.m')}particle.m: mass must be positive")
-    if not 0.0 <= values["boost.beta_max"] < 1.0:
+    if not values["boost.beta_max"] < 1.0:
         errs.append(f"{at('boost.beta_max')}boost.beta_max: |beta| must be < 1")
+    elif not values["boost.beta_max"] > BETA_FLOOR:
+        errs.append(f"{at('boost.beta_max')}boost.beta_max: must exceed {BETA_FLOOR:g}, the least |beta| boost draws")
     if values["duration"] <= 0:
         errs.append(f"{at('duration')}duration: must be positive")
     if values["integrator.step"] <= 0:

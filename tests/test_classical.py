@@ -35,7 +35,7 @@ from spincorr.classical import (
     _local,
 )
 from spincorr.config import SCHEMA
-from spincorr.fields import FieldSample, to_array
+from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
 
 RNG = np.random.default_rng(31415926)
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
@@ -55,7 +55,7 @@ def flip_spin(st):
 def explicit_gradient(st, model, params=PARAMS):
     """d(H_spin)/dx at fixed pi: minus the Stern-Gerlach force."""
     f, pi, g = _local(st.x.tolist(), st.p.tolist(), model, params)
-    return np.array(_explicit_gradient(f, pi, st.s.tolist(), _coefficients(g, params)[0]))
+    return np.array(_explicit_gradient(f, pi, st.s.tolist(), _coefficients(g, params)))
 
 
 def gradient_oracle_per_state(seed):
@@ -85,16 +85,44 @@ def gradient_oracle_per_state(seed):
 
 # ---------------------------------------------------------------------------
 # oracles: the ndarray stepper and the every-term kernel that the float-native
-# stepper and the shared-term kernel replaced
+# stepper and the straight-line kernel replaced, on their own vector helpers
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _comb(c1, u, c2, v, c3=0.0, w=ZERO3):
+    """c1 u + c2 v + c3 w, componentwise."""
+    return (
+        c1 * u[0] + c2 * v[0] + c3 * w[0],
+        c1 * u[1] + c2 * v[1] + c3 * w[1],
+        c1 * u[2] + c2 * v[2] + c3 * w[2],
+    )
+
+
+def _vecmat(u, M):
+    """u @ M for a 3x3 Jacobian given as rows: sum_i u_i d(component i)/dx_j."""
+    return ZERO3 if M is ZERO33 else _comb(u[0], M[0], u[1], M[1], u[2], M[2])
+
+
+def _weight_derivatives(g, params):
+    """d/dg of the weights (a, b, d) of F_pi."""
+    gm, em, mc = params.gamma_m, params.e / params.mc, params.mc
+    u, w, kb = 1.0 / g, 1.0 / (g + 1.0), (gm - em) / mc ** 2
+    return -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
 
 
 def oracle_eom_arrays(x, p, s, model, params):
     """(dx/dt, dp/dt, ds/dt) in component form, every E and grad-E term formed."""
-    _comb, _cross, _dot, _vecmat = classical._comb, classical._cross, classical._dot, classical._vecmat
     f, pi, g = _local(x, p, model, params)
     E, B = f.E, f.B
-    weights, (da, db, dd) = _coefficients(g, params)
-    a, b, d = weights
+    a, b, d = _coefficients(g, params)
+    da, db, dd = _weight_derivatives(g, params)
     spi, piB = _dot(s, pi), _dot(pi, B)
     dHs_dg = -da * _dot(s, B) + db * piB * spi + dd * _dot(E, _cross(s, pi))
     dH_dpi = _comb((1.0 / params.m + dHs_dg / params.mc ** 2) / g, pi, b * spi, B, b * piB, s)
@@ -527,6 +555,8 @@ def oracle_runs():
         "superposition": (trap, ORACLE_FIELD, PARAMS, IntegratorSpec(step=1e-3), 2.0),
         # an initial step of 0.5 is rejected before the step size settles
         "rkf45": (trap, SternGerlach(B0=1.0, b=0.2), PARAMS, IntegratorSpec(method="rkf45", step=0.5, tol=1e-12), 1.0),
+        # rkf45's multi-pair stage rows with every E, grad-E and grad-phi term present
+        "rkf45_superposition": (trap, ORACLE_FIELD, PARAMS, IntegratorSpec(method="rkf45", step=0.5, tol=1e-12), 1.0),
     }
 
 
@@ -555,7 +585,8 @@ class TestAgainstOracle:
 
         for y in np.random.default_rng(5150).normal(size=(1000, 9)):
             x, p, s = y[0:3], y[3:6], y[6:9]
-            ref = tuple(map(np.array, classical._eom_arrays(x.tolist(), p.tolist(), s.tolist(), SumFromZero(), PARAMS)))
+            k = classical._eom_kernel(SumFromZero(), PARAMS)(y.tolist())
+            ref = tuple(map(np.array, (k[0:3], k[3:6], k[6:9])))
             got = eom_rhs(PhaseState(x, p, s), ORACLE_FIELD, PARAMS)
             assert len(got) == 3
             for a, b in zip(got, ref):
@@ -567,12 +598,14 @@ class TestAgainstOracle:
         # all states as (N,) components
         model = KERNEL_MODELS[name]
         X, P, S = np.random.default_rng(4242).normal(size=(3, 1000, 3))
+        rhs = classical._eom_kernel(model, PARAMS)
         for x, p, s in zip(X.tolist(), P.tolist(), S.tolist()):
-            assert classical._eom_arrays(x, p, s, model, PARAMS) == oracle_eom_arrays(x, p, s, model, PARAMS)
-        new = classical._eom_arrays(X.T, P.T, S.T, model, PARAMS)
+            dx, dp, ds = oracle_eom_arrays(x, p, s, model, PARAMS)
+            assert rhs(x + p + s) == list(dx + dp + ds)
+        new = rhs([*X.T, *P.T, *S.T])
         ref = oracle_eom_arrays(X.T, P.T, S.T, model, PARAMS)
         for k in range(3):
-            assert np.array_equal(to_array(new[k], (1000,)), to_array(ref[k], (1000,)))
+            assert np.array_equal(to_array(tuple(new[3 * k : 3 * k + 3]), (1000,)), to_array(ref[k], (1000,)))
 
 
 class TestBmtConsistency:

@@ -244,6 +244,26 @@ class TestConfigParsing:
         cfg.state0()
 
 
+class TestBoostSpeedFloor:
+    """boost draws each |beta| from [0.1, boost.beta_max], so a beta_max at or below 0.1 is a config error."""
+
+    @pytest.mark.parametrize("beta_max", ["0.05", "0.1", "0.0", "-0.2"])
+    def test_refused_with_exit_2(self, tmp_path, capsys, beta_max):
+        p = tmp_path / "b.cfg"
+        p.write_text(f"boost.beta_max = {beta_max}\n")
+        message = "line 1: boost.beta_max: must exceed 0.1, the least |beta| boost draws"
+        with pytest.raises(ConfigError) as err:
+            load_config("boost", p)
+        assert err.value.errors == [message]
+        assert main(["boost", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_just_above_the_floor_runs(self):
+        [result] = run_checks(load_config("boost", None, {"boost.beta_max": "0.11"}))
+        assert result.passed
+
+
 class TestConfigContract:
     def test_table_covers_schema(self):
         assert set(CONTRACT) == set(SCHEMA) - {"out"}
