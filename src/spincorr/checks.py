@@ -318,14 +318,15 @@ def _qfw_defaults(case):
     return lat, qfw.default_params(case, lat)
 
 
-def check_spectrum_preservation() -> CheckResult:
+def check_spectrum_preservation(transforms=None) -> CheckResult:
+    """(H, H') at two amplitudes per case, from `transforms` (a fresh table when not given)."""
+    transforms = transforms or qfw.TransformTable()
     worst_spec, worst_block = 0.0, 0.0
     fw_blocks, components = {}, {}
     for case in (qfw.CASE_I, qfw.CASE_II):
         lat, par = _qfw_defaults(case)
         for lam in (1e-2, 1e-3):
-            H = qfw.build_hamiltonian(case, lat, lam, par)
-            Hfw = qfw.eriksen_fw(H)
+            H, Hfw = transforms.pair(case, lat, lam, par)
             # spectra and block defect from each dense matrix alone: a
             # measurement independent of the transform's block bookkeeping
             M = Hfw.matrix
@@ -350,22 +351,23 @@ def check_spectrum_preservation() -> CheckResult:
     )
 
 
-def _darwin_report(lambdas) -> dict:
+def _darwin_report(lambdas, transforms=None) -> dict:
     """Case II's correspondence sweep on its default lattice; criteria 10 and 11 both read it."""
-    return qfw.darwin_vs_classical_hd(*_qfw_defaults(qfw.CASE_II), lambdas)
+    return qfw.darwin_vs_classical_hd(*_qfw_defaults(qfw.CASE_II), lambdas, transforms)
 
 
 def check_correspondence_scaling(
-    lambdas=SCHEMA["amplitudes"][1], profile: str = SCHEMA["profile"][1], darwin=None
+    lambdas=SCHEMA["amplitudes"][1], profile: str = SCHEMA["profile"][1], darwin=None, transforms=None
 ) -> CheckResult:
     """Residual slopes of both cases; case II's residuals and slope are read from the Darwin report.
 
-    `darwin` returns that report; without it the check computes its own.
+    `darwin` returns that report and `transforms` holds the exact
+    transforms; without them the check computes its own.
     """
     lat1, par1 = _qfw_defaults(qfw.CASE_I)
-    res_i, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas)
+    res_i, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas, transforms)
     drop_darwin = profile == "negative-result"
-    rep = darwin() if darwin else _darwin_report(lambdas)
+    rep = darwin() if darwin else _darwin_report(lambdas, transforms)
     residual, slope = (
         ("residual_no_darwin", "slope_without_darwin") if drop_darwin else ("residual_correct", "slope_with_darwin")
     )
@@ -418,12 +420,14 @@ def check_negative_result(lambdas=SCHEMA["amplitudes"][1], darwin=None) -> Check
     return CheckResult("negative_result", value, tol, passed)
 
 
-def check_parity() -> CheckResult:
+def check_parity(transforms=None) -> CheckResult:
+    """(H, H') at amplitude 1e-2 per case, from `transforms` (a fresh table when not given)."""
+    transforms = transforms or qfw.TransformTable()
     worst = 0.0
     per_case = {}
     for case in (qfw.CASE_I, qfw.CASE_II):
         lat, par = _qfw_defaults(case)
-        dev_h, dev_hp = qfw.parity_check(case, lat, 1e-2, par)
+        dev_h, dev_hp = qfw.parity_check(*transforms.pair(case, lat, 1e-2, par))
         per_case[case] = {"H": dev_h, "H_transformed": dev_hp}
         worst = max(worst, dev_h, dev_hp)
     return CheckResult("parity", worst, 1e-12, worst < 1e-12, detail=per_case)
@@ -481,11 +485,15 @@ def run_checks(cfg) -> list:
     """Execute the checks of the run's mode, in their declared order.
 
     Each check gets the run parameters its signature names (`RUN_PARAMS`),
-    read from the RunConfig `cfg`. Criteria 10 and 11 read one case II
-    report, computed within whichever runs first.
+    read from the RunConfig `cfg`. The lattice checks share one table of
+    exact transforms (`transforms`): each (case, lattice, amplitude, params)
+    is transformed once, within the first check that reads it. Criteria 10
+    and 11 read one case II report, computed from that table within
+    whichever runs first.
     """
     args = {param: cfg[key] for param, key in RUN_PARAMS.items()}
-    args["darwin"] = functools.cache(lambda: _darwin_report(cfg["amplitudes"]))
+    args["transforms"] = qfw.TransformTable()
+    args["darwin"] = functools.cache(lambda: _darwin_report(cfg["amplitudes"], args["transforms"]))
     out = []
     for name in MODE_CHECKS[cfg.mode]:
         check = globals()[f"check_{name}"]

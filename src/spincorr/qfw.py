@@ -265,11 +265,13 @@ def build_hamiltonian(
     lattice: LatticeSpec | None = None,
     lam: float = 0.0,
     params: ParticleParams | None = None,
+    orbital: _Orbital | None = None,
 ) -> LatticeHamiltonian:
-    """H in block form (`_dirac_blocks`)."""
+    """H in block form (`_dirac_blocks`) on `orbital`, the orbital assembly of
+    (case, lattice, lam, params), which is built here when not given."""
     lattice = lattice or default_lattice(case)
     params = params or default_params(case, lattice)
-    orb = _orbital(case, lattice, lam, params)
+    orb = orbital or _orbital(case, lattice, lam, params)
     return LatticeHamiltonian(_dirac_blocks(case, orb, params), _dirac_index(orb), case, lattice, params)
 
 
@@ -305,7 +307,8 @@ def component_spectrum(M: np.ndarray) -> tuple[np.ndarray, list]:
             break
         label = nxt
     by_size = {}
-    for root in np.unique(label):
+    # a converged label is its component's smallest index: the roots are the fixed points
+    for root in np.flatnonzero(label == np.arange(n)):
         idx = np.flatnonzero(label == root)
         by_size.setdefault(idx.size, []).append(idx)
     spectra = []
@@ -342,12 +345,6 @@ def _fw_root(A: np.ndarray, mc2: float) -> np.ndarray:
     return _hermitize((U * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _dagger(U))
 
 
-def _particle_fw(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
-    """(blocks, 2n, 2n) beta = +1 half of the exact transform of each H block."""
-    Hb = _dirac_blocks(case, orb, params)
-    return _fw_root(_odd_coupling(Hb, Hb.shape[-1] // 2, params.mc2), params.mc2)
-
-
 def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
     """Exact transform H' = beta sqrt(m^2c^4 + O^2) of H, block by block.
 
@@ -364,6 +361,50 @@ def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
     Hp[:, :half, :half] = _fw_root(A, mc2)
     Hp[:, half:, half:] = -_fw_root(_dagger(A), mc2)
     return replace(H, blocks=Hp)
+
+
+@dataclass(frozen=True)
+class _Transform:
+    """One entry of a TransformTable: the orbital assembly and H' on it."""
+
+    orbital: _Orbital
+    fw: LatticeHamiltonian
+
+    @property
+    def particle(self) -> np.ndarray:
+        """(blocks, 2n, 2n) beta = +1 half of each H' block, a read-only view."""
+        half = self.fw.blocks.shape[-1] // 2
+        return self.fw.blocks[:, :half, :half]
+
+
+class TransformTable:
+    """The exact transforms of one run, keyed by (case, lattice, lam, params).
+
+    An entry holds the orbital assembly and H' = eriksen_fw(H), built on first
+    use; every array in it is read-only, so no reader can change what the next
+    one sees. H itself is not kept: `pair` rebuilds it from the stored orbital,
+    one Dirac layer and no eigh. Keys are values (frozen dataclasses and a
+    float), so equal runs build equal entries.
+    """
+
+    def __init__(self):
+        self._entries = {}
+
+    def entry(self, case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Transform:
+        """The entry at one key: orbital assembly and transform on its first read."""
+        key = (case, lattice, lam, params)
+        if key not in self._entries:
+            orb = _orbital(case, lattice, lam, params)
+            Hfw = eriksen_fw(build_hamiltonian(case, lattice, lam, params, orb))
+            for a in (*orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index, Hfw.blocks, Hfw.index):
+                a.flags.writeable = False
+            self._entries[key] = _Transform(orb, Hfw)
+        return self._entries[key]
+
+    def pair(self, case: str, lattice: LatticeSpec, lam: float, params: ParticleParams):
+        """(H, H') at one key, H rebuilt from the stored orbital."""
+        t = self.entry(case, lattice, lam, params)
+        return build_hamiltonian(case, lattice, lam, params, t.orbital), t.fw
 
 
 def _kinetic_root(orb: _Orbital, mc2: float):
@@ -425,22 +466,26 @@ def build_correspondence(
     return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
 
 
-def residual_scaling(case: str, lattice: LatticeSpec, params: ParticleParams, lambdas) -> tuple[list, float]:
+def residual_scaling(
+    case: str, lattice: LatticeSpec, params: ParticleParams, lambdas, transforms: TransformTable | None = None
+) -> tuple[list, float]:
     """Particle-half gap between the exact transform and the conjecture.
 
-    One orbital assembly per amplitude serves both sides. beta is diagonal
-    in the block layout, so each block's particle half is its leading 2n
-    rows and columns; the residual is the largest gap over all blocks.
-    The battery sweeps case II through `darwin_vs_classical_hd`, whose
+    Each amplitude's entry of `transforms` (a fresh table when not given)
+    serves both sides with one orbital assembly. beta is diagonal in the
+    block layout, so each block's particle half is its leading 2n rows and
+    columns; the residual is the largest gap over all blocks. The battery
+    sweeps case II through `darwin_vs_classical_hd`, whose
     `residual_correct` is this case II residual.
     """
     lambdas = scaling_amplitudes(lambdas)
+    transforms = transforms or TransformTable()
     residuals = []
     for lam in lambdas:
-        orb = _orbital(case, lattice, lam, params)
-        particle = _particle_fw(case, orb, params)
+        t = transforms.entry(case, lattice, lam, params)
+        particle = t.particle
         half = particle.shape[-1]
-        image = _image_blocks(case, orb, params)[:, :half, :half]
+        image = _image_blocks(case, t.orbital, params)[:, :half, :half]
         residuals.append(float(np.abs(particle - image).max()))
     return residuals, fit_slope(lambdas, residuals)
 
@@ -472,26 +517,26 @@ def _conjugate_by_kron(M: np.ndarray, factors) -> np.ndarray:
     return T.reshape(M.shape)
 
 
-def parity_check(
-    case: str,
-    lattice: LatticeSpec | None = None,
-    lam: float = 0.0,
-    params: ParticleParams | None = None,
-) -> tuple[float, float]:
-    """Deviation of H and H' from parity invariance (both should vanish).
+def _parity_defect(M: np.ndarray, factors) -> float:
+    """max |P M P^+ - M|; a matrix passed as a temporary is freed on return."""
+    return float(np.abs(_conjugate_by_kron(M, factors) - M).max())
+
+
+def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float, float]:
+    """Deviation of H and its transform H' from parity invariance (both should vanish).
 
     Parity is P = beta (x) site inversion on every axis; P H P^+ is formed
-    by its Kronecker factors, never as a dense product.
+    by its Kronecker factors, never as a dense product. The two dense
+    matrices are scattered one at a time, each dropped before the next.
     """
-    lattice = lattice or default_lattice(case)
-    params = params or default_params(case, lattice)
-    H = build_hamiltonian(case, lattice, lam, params)
-    Hfw = eriksen_fw(H)
+    lattice = H.lattice
     factors = [BETA4] + [_site_inversion(lattice)] * lattice.dimension
-    return tuple(float(np.abs(_conjugate_by_kron(M, factors) - M).max()) for M in (H.matrix, Hfw.matrix))
+    return tuple(_parity_defect(op.matrix, factors) for op in (H, Hfw))
 
 
-def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas) -> dict:
+def darwin_vs_classical_hd(
+    lattice: LatticeSpec, params: ParticleParams, lambdas, transforms: TransformTable | None = None
+) -> dict:
     """Pit the flat Darwin candidate c A_D div(E) against the 1/gamma form.
 
     The candidate coefficient is fitted on the near-rest sub-block at the
@@ -510,14 +555,17 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
     analytic = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
     # particle halves, block by block: transform, kinetic root, Darwin
-    # term and the flat candidate's div E, on one orbital assembly per lam
+    # term and the flat candidate's div E, on each amplitude's entry of
+    # `transforms` (a fresh table when not given)
+    transforms = transforms or TransformTable()
     per_lam = {}
     for lam in lambdas:
-        orb = _orbital(CASE_II, lattice, lam, params)
+        t = transforms.entry(CASE_II, lattice, lam, params)
+        orb = t.orbital
         w, V, root = _kinetic_root(orb, mc2)
         darwin = analytic * _weyl(w, V, orb.coupling, mc2)
         per_lam[lam] = (
-            _particle_fw(CASE_II, orb, params),
+            t.particle,
             _hermitize(_kron_blocks(spin, root)),
             _hermitize(_kron_blocks(spin, darwin)),
             _kron_blocks(spin, orb.coupling),

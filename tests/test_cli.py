@@ -378,7 +378,7 @@ class TestConfigContract:
         for mode, names in MODE_CHECKS.items():
             for name in names:
                 for param in inspect.signature(getattr(checks, f"check_{name}")).parameters:
-                    assert param in RUN_PARAMS or param == "darwin", (name, param)
+                    assert param in RUN_PARAMS or param in ("darwin", "transforms"), (name, param)
                     if RUN_PARAMS.get(param) in readers:
                         readers[RUN_PARAMS[param]].add(mode)
         assert {key: set(READ_BY[key]) for key in readers} == readers

@@ -196,3 +196,49 @@ def test_h_blocked_offsets_match_per_state_rows():
     for y, row in zip(ys, H):
         d = y + offsets
         assert_close(row, h_total_rows(d[:, 0:3], d[:, 3:6], d[:, 6:9], model, PARAMS))
+
+
+# ---------------------------------------------------------------------------
+# signed zeros: each "+ 0.0" of the kernel turns a -0.0 into +0.0, which
+# == and np.array_equal do not see; these states pin the sign bit of every
+# output. Each "+ 0.0" of _eom_kernel, removed on its own, flips at least one.
+
+NEUTRAL = ParticleParams.neutral(mu_prime=0.11)
+NEGATIVE = ParticleParams.from_moment(m=1.0, e=-0.7, mu_prime=0.13)
+SG = SternGerlach(B0=1.0, b=0.2)
+SG_E = Superposition(SG, Uniform(E0=np.array([0.3, -0.2, 0.1])))
+SG_SIN_E = Superposition(SG, SinusoidalElectrostatic(lam=0.4, L=2.0))
+SIGNED_ZERO_STATES = [
+    # (model, particle, y = (x, p, s), sign of each dy/dt component)
+    (SG, PARAMS, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5), "+++++++++"),
+    (SG, PARAMS, (0.0, 0.0, 0.0, 0.0, -0.0, -0.5, 0.0, 0.0, 0.0), "+--++++++"),
+    (SternGerlach(B0=-0.0, b=0.2), PARAMS, (0.0, 0.0, -0.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0), "+-+++++++"),
+    (Uniform(B0=np.array([0.0, 0.0, 1.0])), PARAMS, (0.0, 0.0, 0.0, 0.0, 0.0, -0.5, 0.5, 0.5, 0.0), "---++++-+"),
+    (
+        Superposition(SG, Uniform(E0=np.array([0.0, -0.0, 0.1]))),
+        NEUTRAL,
+        (0.0, -0.5, 0.0, -0.0, -0.5, 0.0, 0.0, 0.0, 0.5),
+        "+--+-+-++",
+    ),
+    (SG_E, NEUTRAL, (0.0, 0.0, 0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0), "++++++-++"),
+    (SG_E, NEUTRAL, (0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0), "++++++-+-"),
+    (SG_E, NEUTRAL, (0.0, 0.0, 0.0, 0.0, -0.0, 0.5, 0.5, 0.0, 0.5), "+-+-+++--"),
+    (SG_E, NEUTRAL, (0.0, 0.0, 0.0, 0.5, 0.0, -0.0, 0.5, 0.0, 0.0), "+++--++-+"),
+    (SG_SIN_E, NEGATIVE, (0.0, -0.5, 2.0, -0.125, 0.0, 0.0, -0.0, -0.125, -0.5), "+++-+++-+"),
+    (SG_SIN_E, NEUTRAL, (4.0, 4.0, 0.5, -0.5, -0.0, 4.0, 4.0, -0.0, -0.5), "+++--+---"),
+    (
+        Superposition(SternGerlach(B0=1.0, b=-0.2), SinusoidalElectrostatic(lam=0.4, L=2.0)),
+        NEUTRAL,
+        (0.0, -0.5, 0.0, 0.5, -0.5, 0.0, 0.5, -0.0, -0.0),
+        "+-+++----",
+    ),
+]
+
+
+@pytest.mark.parametrize("model, params, y, signs", SIGNED_ZERO_STATES)
+def test_kernel_signed_zeros(model, params, y, signs):
+    rhs = classical._eom_kernel(model, params)
+    expected = [s == "-" for s in signs]
+    assert [bool(np.signbit(v)) for v in rhs(list(y))] == expected
+    # the (N,) array path rounds its zeros as the float path does
+    assert [bool(np.signbit(v).all()) for v in rhs([np.array([c]) for c in y])] == expected

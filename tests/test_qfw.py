@@ -1,16 +1,22 @@
 """Lattice Hamiltonians, the exact transform, and amplitude scaling."""
 
+import inspect
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spincorr import ParticleParams
 from spincorr import qfw as qfw_module
-from spincorr.checks import check_correspondence_scaling, check_spectrum_preservation, run_checks
+from spincorr import checks
+from spincorr.checks import RUN_PARAMS, check_correspondence_scaling, check_spectrum_preservation, run_checks
 from spincorr.classical import DiagnosticError, fit_slope
 from spincorr.config import SCHEMA, load_config
 from spincorr.opalg.core import PI
@@ -28,6 +34,7 @@ from spincorr.qfw import (
     _axis_operators,
     _conjugate_by_kron,
     _dirac_blocks,
+    _fw_root,
     _hermitize,
     _mul_op,
     _odd_coupling,
@@ -44,6 +51,7 @@ from spincorr.qfw import (
     default_lattice,
     default_params,
     eriksen_fw,
+    TransformTable,
     parity_check,
     residual_scaling,
 )
@@ -661,6 +669,90 @@ class TestOneCaseIISweep:
         assert r.expected_fail and not r.detail["darwin_included"]
 
 
+def verify_fw_config(profile, lams):
+    return load_config("verify-fw", None, {"profile": profile, "amplitudes": lams})
+
+
+class TestTransformTable:
+    """verify-fw transforms each (case, lattice, amplitude, params) once, in one run-scoped table."""
+
+    @pytest.mark.parametrize("lams", [LAMS, (1e-1, 1e-4, 1e-7)])
+    @pytest.mark.parametrize("profile", ["default", "negative-result"])
+    def test_each_check_alone_equals_its_run(self, profile, lams):
+        # the last list shares no amplitude with the spectrum and parity checks' 1e-2 and 1e-3
+        cfg = verify_fw_config(profile, lams)
+        for r in run_checks(cfg):
+            check = getattr(checks, f"check_{r.name}")
+            params = [p for p in inspect.signature(check).parameters if p in RUN_PARAMS]
+            alone = check(**{p: cfg[RUN_PARAMS[p]] for p in params})
+            assert (alone.value, alone.detail) == (r.value, r.detail), r.name
+
+    def test_one_assembly_and_transform_per_key(self, monkeypatch):
+        calls = {"eigh": 0, "orbital": 0}
+        eigh, orbital = np.linalg.eigh, qfw_module._orbital
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_orbital(*args, **kwargs):
+            calls["orbital"] += 1
+            return orbital(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(qfw_module, "_orbital", counted_orbital)
+        assert all(r.passed for r in run_checks(load_config("verify-fw")))
+        # six keys: each case at 1e-2, 1e-3 and 1e-4. Each entry's transform
+        # is two eigh; each amplitude's image adds one for its kinetic root
+        assert calls == {"orbital": 6, "eigh": 6 * 2 + 2 * 3}
+
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_entry_matches_direct_build(self, case):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        table = TransformTable()
+        H, Hfw = table.pair(case, lat, 1e-2, par)
+        direct = build_hamiltonian(case, lat, 1e-2, par)
+        assert np.array_equal(H.blocks, direct.blocks) and np.array_equal(H.index, direct.index)
+        assert np.array_equal(Hfw.blocks, eriksen_fw(direct).blocks)
+        # the particle half is the beta = +1 root of the same blocks, bit for bit
+        half = H.blocks.shape[-1] // 2
+        root = _fw_root(_odd_coupling(direct.blocks, half, par.mc2), par.mc2)
+        assert np.array_equal(table.entry(case, lat, 1e-2, par).particle, root)
+
+    def test_keys_are_values(self):
+        table = TransformTable()
+        first = table.entry(CASE_I, LAT_I, 1e-2, PAR_I)
+        lat = LatticeSpec(dimension=2, n_sites=12)
+        assert lat is not LAT_I
+        assert table.entry(CASE_I, lat, 1e-2, default_params(CASE_I, lat)) is first
+        assert table.entry(CASE_I, LAT_I, 1e-3, PAR_I) is not first
+
+    def test_arrays_are_read_only(self):
+        t = TransformTable().entry(CASE_I, LAT_I, 1e-2, PAR_I)
+        orb = t.orbital
+        arrays = (t.fw.blocks, t.fw.index, t.particle, *orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+
+    def test_verify_fw_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use; component_spectrum no longer calls it
+        script = (
+            "import sys\n"
+            "from spincorr.checks import run_checks\n"
+            "from spincorr.config import load_config\n"
+            "cfg = load_config('verify-fw')\n"
+            "before = set(sys.modules)\n"
+            "assert all(r.passed for r in run_checks(cfg))\n"
+            "print(sorted(m for m in set(sys.modules) - before if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+
 class TestParity:
     def test_parity_squares_to_identity(self):
         P = parity_operator(LAT_II)
@@ -668,7 +760,8 @@ class TestParity:
 
     def test_both_hamiltonians_commute_with_parity(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            dev_h, dev_hp = parity_check(case, lat, 1e-2, par)
+            H = build_hamiltonian(case, lat, 1e-2, par)
+            dev_h, dev_hp = parity_check(H, eriksen_fw(H))
             assert dev_h < 1e-12
             assert dev_hp < 1e-12
 
@@ -677,12 +770,13 @@ class TestParity:
         P = parity_operator(lat)
         factors = [BETA4] + [_site_inversion(lat)] * lat.dimension
         H = build_hamiltonian(case, lat, 1e-2, par)
+        Hfw = eriksen_fw(H)
         dense_devs = []
-        for M in (H.matrix, eriksen_fw(H).matrix):
+        for M in (H.matrix, Hfw.matrix):
             dense = P @ M @ P.conj().T
             assert np.abs(_conjugate_by_kron(M, factors) - dense).max() < 1e-13
             dense_devs.append(float(np.abs(dense - M).max()))
-        assert np.abs(np.subtract(parity_check(case, lat, 1e-2, par), dense_devs)).max() < 1e-13
+        assert np.abs(np.subtract(parity_check(H, Hfw), dense_devs)).max() < 1e-13
 
     def test_factored_conjugation_of_random_factors(self):
         # no structure of parity assumed: complex factors of three sizes, a non-Hermitian M
