@@ -318,15 +318,15 @@ def _qfw_defaults(case):
     return lat, qfw.default_params(case, lat)
 
 
-def check_spectrum_preservation(transforms=None) -> CheckResult:
-    """(H, H') at two amplitudes per case, from `transforms` (a fresh table when not given)."""
-    transforms = transforms or qfw.TransformTable()
+def check_spectrum_preservation(transforms=qfw.exact_transform) -> CheckResult:
+    """(H, H') at two amplitudes per case, H' from `transforms` and H rebuilt on its orbital."""
     worst_spec, worst_block = 0.0, 0.0
     fw_blocks, components = {}, {}
     for case in (qfw.CASE_I, qfw.CASE_II):
         lat, par = _qfw_defaults(case)
         for lam in (1e-2, 1e-3):
-            H, Hfw = transforms.pair(case, lat, lam, par)
+            orb, Hfw = transforms(case, lat, lam, par)
+            H = qfw.build_hamiltonian(case, lat, lam, par, orb)
             # spectra and block defect from each dense matrix alone: a
             # measurement independent of the transform's block bookkeeping
             M = Hfw.matrix
@@ -351,23 +351,17 @@ def check_spectrum_preservation(transforms=None) -> CheckResult:
     )
 
 
-def _darwin_report(lambdas, transforms=None) -> dict:
-    """Case II's correspondence sweep on its default lattice; criteria 10 and 11 both read it."""
-    return qfw.darwin_vs_classical_hd(*_qfw_defaults(qfw.CASE_II), lambdas, transforms)
-
-
 def check_correspondence_scaling(
-    lambdas=SCHEMA["amplitudes"][1], profile: str = SCHEMA["profile"][1], darwin=None, transforms=None
+    lambdas=SCHEMA["amplitudes"][1],
+    profile: str = SCHEMA["profile"][1],
+    darwin=qfw.darwin_vs_classical_hd,
+    transforms=qfw.exact_transform,
 ) -> CheckResult:
-    """Residual slopes of both cases; case II's residuals and slope are read from the Darwin report.
-
-    `darwin` returns that report and `transforms` holds the exact
-    transforms; without them the check computes its own.
-    """
+    """Residual slopes of both cases; case II's residuals and slope are read from the Darwin report `darwin`."""
     lat1, par1 = _qfw_defaults(qfw.CASE_I)
     res_i, slope_i = qfw.residual_scaling(qfw.CASE_I, lat1, par1, lambdas, transforms)
     drop_darwin = profile == "negative-result"
-    rep = darwin() if darwin else _darwin_report(lambdas, transforms)
+    rep = darwin(*_qfw_defaults(qfw.CASE_II), lambdas, transforms)
     residual, slope = (
         ("residual_no_darwin", "slope_without_darwin") if drop_darwin else ("residual_correct", "slope_with_darwin")
     )
@@ -397,12 +391,11 @@ def check_correspondence_scaling(
     )
 
 
-def check_negative_result(lambdas=SCHEMA["amplitudes"][1], darwin=None) -> CheckResult:
-    """The flat Darwin candidate against the 1/gamma form, from the Darwin report.
-
-    `darwin` returns that report; without it the check computes its own.
-    """
-    rep = darwin() if darwin else _darwin_report(lambdas)
+def check_negative_result(
+    lambdas=SCHEMA["amplitudes"][1], darwin=qfw.darwin_vs_classical_hd, transforms=qfw.exact_transform
+) -> CheckResult:
+    """The flat Darwin candidate against the 1/gamma form, from the Darwin report `darwin`."""
+    rep = darwin(*_qfw_defaults(qfw.CASE_II), lambdas, transforms)
     value = {
         "gap_over_darwin": rep["gap_over_darwin"],
         "required_gap": rep["required_gap"],
@@ -420,14 +413,14 @@ def check_negative_result(lambdas=SCHEMA["amplitudes"][1], darwin=None) -> Check
     return CheckResult("negative_result", value, tol, passed)
 
 
-def check_parity(transforms=None) -> CheckResult:
-    """(H, H') at amplitude 1e-2 per case, from `transforms` (a fresh table when not given)."""
-    transforms = transforms or qfw.TransformTable()
+def check_parity(transforms=qfw.exact_transform) -> CheckResult:
+    """(H, H') at amplitude 1e-2 per case, H' from `transforms` and H rebuilt on its orbital."""
     worst = 0.0
     per_case = {}
     for case in (qfw.CASE_I, qfw.CASE_II):
         lat, par = _qfw_defaults(case)
-        dev_h, dev_hp = qfw.parity_check(*transforms.pair(case, lat, 1e-2, par))
+        orb, Hfw = transforms(case, lat, 1e-2, par)
+        dev_h, dev_hp = qfw.parity_check(qfw.build_hamiltonian(case, lat, 1e-2, par, orb), Hfw)
         per_case[case] = {"H": dev_h, "H_transformed": dev_hp}
         worst = max(worst, dev_h, dev_hp)
     return CheckResult("parity", worst, 1e-12, worst < 1e-12, detail=per_case)
@@ -485,15 +478,16 @@ def run_checks(cfg) -> list:
     """Execute the checks of the run's mode, in their declared order.
 
     Each check gets the run parameters its signature names (`RUN_PARAMS`),
-    read from the RunConfig `cfg`. The lattice checks share one table of
-    exact transforms (`transforms`): each (case, lattice, amplitude, params)
-    is transformed once, within the first check that reads it. Criteria 10
-    and 11 read one case II report, computed from that table within
-    whichever runs first.
+    read from the RunConfig `cfg`. The lattice checks get a fresh cache of
+    `transforms` and `darwin`, each read from qfw at call time, so each
+    (case, lattice, amplitude, params) is transformed once and criteria 10
+    and 11 read one case II report. Only `args` holds the caches: they are
+    freed when the run returns. The checks call both positionally, so equal
+    calls share a key.
     """
     args = {param: cfg[key] for param, key in RUN_PARAMS.items()}
-    args["transforms"] = qfw.TransformTable()
-    args["darwin"] = functools.cache(lambda: _darwin_report(cfg["amplitudes"], args["transforms"]))
+    args["transforms"] = functools.cache(qfw.exact_transform)
+    args["darwin"] = functools.cache(qfw.darwin_vs_classical_hd)
     out = []
     for name in MODE_CHECKS[cfg.mode]:
         check = globals()[f"check_{name}"]

@@ -531,17 +531,17 @@ def rest_frame_covariance_residual(pi, s, E, B, params: ParticleParams, drop_spi
     return float(np.abs(lhs - rhs).max())
 
 
-def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas, drop_spin_energy: bool = False):
+def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
     """Residual-vs-amplitude scan of the rest-frame covariance defect.
 
-    Returns (residuals, slope) with slope fit on log-log axes. Keeping
-    the spin energy in the momentum rule makes the defect quadratic in
-    the amplitude; the dropped remainder is exactly what the weak-field
+    Returns (residuals, slope) with slope fit on log-log axes. The spin
+    energy stays in the momentum rule, which makes the defect quadratic in
+    the amplitude; that remainder is exactly what the weak-field
     replacement neglects.
     """
     lambdas = scaling_amplitudes(lambdas)
     resid = [
-        rest_frame_covariance_residual(pi, s, lam * np.asarray(E, float), lam * np.asarray(B, float), params, drop_spin_energy)
+        rest_frame_covariance_residual(pi, s, lam * np.asarray(E, float), lam * np.asarray(B, float), params)
         for lam in lambdas
     ]
     return resid, fit_slope(lambdas, resid)

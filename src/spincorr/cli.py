@@ -196,30 +196,29 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
     return record
 
 
-def _report_mode(cfg: RunConfig) -> int:
+def _read_results(cfg: RunConfig) -> tuple[dict, str]:
+    """The record of a previous run and its report; a missing or malformed record is a ConfigError."""
     path = Path(cfg.out) / "results.json"
     if not path.is_file():
-        print(f"no results found at {path}", file=sys.stderr)
-        return EXIT_CONFIG
-    record = json.loads(path.read_text())
-    sys.stdout.write(render_report(record))
-    return EXIT_PASS if record["pass"] else EXIT_CHECK_FAILED
+        raise ConfigError([f"no results found at {path}"])
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        return record, render_report(record)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError([f"{path} is not a results record: {type(exc).__name__}: {exc}"]) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.mode, args.config, _overrides_from_args(args))
-    except ConfigError as err:
-        for line in err.errors:
-            print(f"config error: {line}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.mode == "report":
-        return _report_mode(cfg)
-    out_dir = Path(cfg.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        record = _execute(cfg, out_dir)
+        if args.mode == "report":
+            record, report = _read_results(cfg)
+        else:
+            out_dir = Path(cfg.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            record = _execute(cfg, out_dir)
+            report = render_report(record)
     except ConfigError as err:
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the contract maps these to 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    sys.stdout.write(render_report(record))
+    sys.stdout.write(report)
     return EXIT_PASS if record["pass"] else EXIT_CHECK_FAILED
 
 

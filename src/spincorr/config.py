@@ -205,6 +205,9 @@ def _range_errors(values: dict, anchors: dict) -> list:
     errs = []
     if values["particle.m"] <= 0:
         errs.append(f"{at('particle.m')}particle.m: mass must be positive")
+    # the squares are summed as PhaseState sums them, so the same spins pass
+    if not 0.0 < sum(c * c for c in values["state.s"]) < math.inf:
+        errs.append(f"{at('state.s')}state.s: spin must be nonzero, and |s|^2 must not overflow or underflow")
     if not values["boost.beta_max"] < 1.0:
         errs.append(f"{at('boost.beta_max')}boost.beta_max: |beta| must be < 1")
     elif not values["boost.beta_max"] > BETA_FLOOR:
@@ -277,7 +280,11 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
         p = Path(path)
         if not p.is_file():
             raise ConfigError([f"config file not found: {p}"])
-        values, anchors, errors = parse_lines(p.read_text().splitlines())
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config file {p} is not UTF-8 text: {exc}"]) from None
+        values, anchors, errors = parse_lines(text.splitlines())
     file_mode = values.pop("mode", None)
     if file_mode is not None and file_mode != mode:
         errors.append(
@@ -289,7 +296,11 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
             continue
         kind, _ = SCHEMA[key]
         try:
-            values[key] = raw if not isinstance(raw, str) else _parse_value(kind, raw)
+            if isinstance(raw, str):
+                values[key] = _parse_value(kind, raw)
+            else:
+                # a vector or list is kept as a tuple, as parsed ones are: hashable, and hashed alike
+                values[key] = tuple(raw) if kind in ("vec3", "floats") else raw
             anchors.pop(key, None)  # flag overrides have no line anchor
         except ValueError as exc:
             errors.append(f"flag for {key}: {exc}")

@@ -60,8 +60,8 @@ class LatticeSpec:
     """Periodic lattice of n_sites per axis and period 2 pi.
 
     Momenta are spectral, so the lattice fixes only the largest momentum,
-    `p_max`; the mass, and with it how relativistic that momentum is, comes
-    from ParticleParams alone.
+    `p_max` (hbar = 1); the mass, and with it how relativistic that momentum
+    is, comes from ParticleParams alone.
     """
 
     dimension: int = 1
@@ -91,8 +91,8 @@ class LatticeSpec:
         kint = np.fft.fftfreq(N, d=1.0 / N)
         return np.where(kint == -N // 2, 0.0, kint)
 
-    def p_max(self, hbar: float = 1.0) -> float:
-        return math.sqrt(self.dimension) * hbar * float(np.abs(self.axis_wavenumbers()).max())
+    def p_max(self) -> float:
+        return math.sqrt(self.dimension) * float(np.abs(self.axis_wavenumbers()).max())
 
 
 def default_lattice(case: str) -> LatticeSpec:
@@ -261,16 +261,10 @@ def _scatter(blocks: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
 
 
 def build_hamiltonian(
-    case: str,
-    lattice: LatticeSpec | None = None,
-    lam: float = 0.0,
-    params: ParticleParams | None = None,
-    orbital: _Orbital | None = None,
+    case: str, lattice: LatticeSpec, lam: float, params: ParticleParams, orbital: _Orbital | None = None
 ) -> LatticeHamiltonian:
     """H in block form (`_dirac_blocks`) on `orbital`, the orbital assembly of
     (case, lattice, lam, params), which is built here when not given."""
-    lattice = lattice or default_lattice(case)
-    params = params or default_params(case, lattice)
     orb = orbital or _orbital(case, lattice, lam, params)
     return LatticeHamiltonian(_dirac_blocks(case, orb, params), _dirac_index(orb), case, lattice, params)
 
@@ -363,48 +357,21 @@ def eriksen_fw(H: LatticeHamiltonian) -> LatticeHamiltonian:
     return replace(H, blocks=Hp)
 
 
-@dataclass(frozen=True)
-class _Transform:
-    """One entry of a TransformTable: the orbital assembly and H' on it."""
+def exact_transform(
+    case: str, lattice: LatticeSpec, lam: float, params: ParticleParams
+) -> tuple[_Orbital, LatticeHamiltonian]:
+    """(orbital, H') at (case, lattice, lam, params): the orbital assembly and H' = eriksen_fw(H).
 
-    orbital: _Orbital
-    fw: LatticeHamiltonian
-
-    @property
-    def particle(self) -> np.ndarray:
-        """(blocks, 2n, 2n) beta = +1 half of each H' block, a read-only view."""
-        half = self.fw.blocks.shape[-1] // 2
-        return self.fw.blocks[:, :half, :half]
-
-
-class TransformTable:
-    """The exact transforms of one run, keyed by (case, lattice, lam, params).
-
-    An entry holds the orbital assembly and H' = eriksen_fw(H), built on first
-    use; every array in it is read-only, so no reader can change what the next
-    one sees. H itself is not kept: `pair` rebuilds it from the stored orbital,
-    one Dirac layer and no eigh. Keys are values (frozen dataclasses and a
-    float), so equal runs build equal entries.
+    Every array in both is read-only, so where a run shares one result
+    through a cache, no reader can change what the next one sees. H itself
+    is not returned: `build_hamiltonian(case, lattice, lam, params, orbital)`
+    rebuilds it, one Dirac layer and no eigh.
     """
-
-    def __init__(self):
-        self._entries = {}
-
-    def entry(self, case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> _Transform:
-        """The entry at one key: orbital assembly and transform on its first read."""
-        key = (case, lattice, lam, params)
-        if key not in self._entries:
-            orb = _orbital(case, lattice, lam, params)
-            Hfw = eriksen_fw(build_hamiltonian(case, lattice, lam, params, orb))
-            for a in (*orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index, Hfw.blocks, Hfw.index):
-                a.flags.writeable = False
-            self._entries[key] = _Transform(orb, Hfw)
-        return self._entries[key]
-
-    def pair(self, case: str, lattice: LatticeSpec, lam: float, params: ParticleParams):
-        """(H, H') at one key, H rebuilt from the stored orbital."""
-        t = self.entry(case, lattice, lam, params)
-        return build_hamiltonian(case, lattice, lam, params, t.orbital), t.fw
+    orb = _orbital(case, lattice, lam, params)
+    Hfw = eriksen_fw(build_hamiltonian(case, lattice, lam, params, orb))
+    for a in (*orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index, Hfw.blocks, Hfw.index):
+        a.flags.writeable = False
+    return orb, Hfw
 
 
 def _kinetic_root(orb: _Orbital, mc2: float):
@@ -452,41 +419,32 @@ def _image_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarra
     return _hermitize(Hc)
 
 
-def build_correspondence(
-    case: str,
-    lattice: LatticeSpec | None = None,
-    lam: float = 0.0,
-    params: ParticleParams | None = None,
-) -> LatticeHamiltonian:
+def build_correspondence(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> LatticeHamiltonian:
     """The conjectured block form (`_image_blocks`)."""
-    lattice = lattice or default_lattice(case)
-    params = params or default_params(case, lattice)
     orb = _orbital(case, lattice, lam, params)
     Hc = _image_blocks(case, orb, params)
     return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
 
 
 def residual_scaling(
-    case: str, lattice: LatticeSpec, params: ParticleParams, lambdas, transforms: TransformTable | None = None
+    case: str, lattice: LatticeSpec, params: ParticleParams, lambdas, transforms=exact_transform
 ) -> tuple[list, float]:
     """Particle-half gap between the exact transform and the conjecture.
 
-    Each amplitude's entry of `transforms` (a fresh table when not given)
-    serves both sides with one orbital assembly. beta is diagonal in the
-    block layout, so each block's particle half is its leading 2n rows and
-    columns; the residual is the largest gap over all blocks. The battery
-    sweeps case II through `darwin_vs_classical_hd`, whose
-    `residual_correct` is this case II residual.
+    `transforms` gives each amplitude's (orbital, H'), so one orbital
+    assembly serves both sides. beta is diagonal in the block layout, so
+    each block's particle half is its leading 2n rows and columns; the
+    residual is the largest gap over all blocks. The battery sweeps case II
+    through `darwin_vs_classical_hd`, whose `residual_correct` is this
+    case II residual.
     """
     lambdas = scaling_amplitudes(lambdas)
-    transforms = transforms or TransformTable()
     residuals = []
     for lam in lambdas:
-        t = transforms.entry(case, lattice, lam, params)
-        particle = t.particle
-        half = particle.shape[-1]
-        image = _image_blocks(case, t.orbital, params)[:, :half, :half]
-        residuals.append(float(np.abs(particle - image).max()))
+        orb, Hfw = transforms(case, lattice, lam, params)
+        half = Hfw.blocks.shape[-1] // 2
+        image = _image_blocks(case, orb, params)[:, :half, :half]
+        residuals.append(float(np.abs(Hfw.blocks[:, :half, :half] - image).max()))
     return residuals, fit_slope(lambdas, residuals)
 
 
@@ -534,9 +492,7 @@ def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float,
     return tuple(_parity_defect(op.matrix, factors) for op in (H, Hfw))
 
 
-def darwin_vs_classical_hd(
-    lattice: LatticeSpec, params: ParticleParams, lambdas, transforms: TransformTable | None = None
-) -> dict:
+def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas, transforms=exact_transform) -> dict:
     """Pit the flat Darwin candidate c A_D div(E) against the 1/gamma form.
 
     The candidate coefficient is fitted on the near-rest sub-block at the
@@ -555,17 +511,16 @@ def darwin_vs_classical_hd(
     analytic = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
     # particle halves, block by block: transform, kinetic root, Darwin
-    # term and the flat candidate's div E, on each amplitude's entry of
-    # `transforms` (a fresh table when not given)
-    transforms = transforms or TransformTable()
+    # term and the flat candidate's div E, on each amplitude's (orbital, H')
+    # from `transforms`
     per_lam = {}
     for lam in lambdas:
-        t = transforms.entry(CASE_II, lattice, lam, params)
-        orb = t.orbital
+        orb, Hfw = transforms(CASE_II, lattice, lam, params)
         w, V, root = _kinetic_root(orb, mc2)
         darwin = analytic * _weyl(w, V, orb.coupling, mc2)
+        half = Hfw.blocks.shape[-1] // 2
         per_lam[lam] = (
-            t.particle,
+            Hfw.blocks[:, :half, :half],
             _hermitize(_kron_blocks(spin, root)),
             _hermitize(_kron_blocks(spin, darwin)),
             _kron_blocks(spin, orb.coupling),

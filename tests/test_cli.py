@@ -181,6 +181,13 @@ class TestConfigParsing:
         assert cfg["seed"] == 9
         assert cfg["amplitudes"] == (0.1, 0.01, 0.001)
 
+    def test_list_override_is_kept_as_a_tuple(self):
+        # run_checks caches on the amplitudes, and config_hash formats tuples
+        cfg = load_config("verify-fw", None, {"amplitudes": [1e-2, 1e-3, 1e-4]})
+        assert cfg["amplitudes"] == (1e-2, 1e-3, 1e-4)
+        assert cfg.config_hash() == load_config("verify-fw").config_hash()
+        assert all(r.passed for r in run_checks(cfg))
+
     def test_comments_and_blanks_ignored(self):
         values, _, errors = parse_lines(["# header", "", "seed = 3  # trailing"])
         assert not errors and values["seed"] == 3
@@ -262,6 +269,25 @@ class TestBoostSpeedFloor:
     def test_just_above_the_floor_runs(self):
         [result] = run_checks(load_config("boost", None, {"boost.beta_max": "0.11"}))
         assert result.passed
+
+
+class TestSpinRefusedAtLoad:
+    """PhaseState refuses a spin whose |s|^2 is 0 or inf, so simulate refuses it before any check runs."""
+
+    @pytest.mark.parametrize("spin", ["0 0 0", "-0.0 0 0", "1e-200 0 0", "0 1e200 0"])
+    def test_refused_with_exit_2(self, tmp_path, capsys, spin):
+        p = tmp_path / "s.cfg"
+        p.write_text(f"duration = 0.1\nstate.s = {spin}\n")
+        message = "line 2: state.s: spin must be nonzero, and |s|^2 must not overflow or underflow"
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert err.value.errors == [message]
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_smallest_accepted_spin_builds_its_state(self):
+        load_config("simulate", None, {"state.s": "1e-150 0 0"}).state0()
 
 
 class TestConfigContract:
@@ -539,6 +565,34 @@ class TestCliDispatch:
 
     def test_report_missing_results(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "void")]) == 2
+
+    @pytest.mark.parametrize(
+        "cut, error",
+        [(lambda text: text[: len(text) // 2], "JSONDecodeError"), (lambda text: "{}", "KeyError: 'run_id'")],
+        ids=["truncated", "incomplete"],
+    )
+    def test_report_on_a_malformed_record_is_a_config_error(self, tmp_path, capsys, cut, error):
+        d = tmp_path / "r"
+        assert main(["boost", "--out", str(d), "--seed", "3"]) == 0
+        path = d / "results.json"
+        path.write_text(cut(path.read_text()))
+        capsys.readouterr()
+        assert main(["report", "--out", str(d)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"config error: {path} is not a results record: {error}")
+        assert captured.out == ""
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes("# r\xe9glage\nduration = 0.1\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        [message] = err.value.errors
+        assert message.startswith(f"config file {p} is not UTF-8 text")
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"config error: {message}"
 
     def test_render_marks_expected_fail(self):
         rec = {

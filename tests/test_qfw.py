@@ -1,13 +1,15 @@
 """Lattice Hamiltonians, the exact transform, and amplitude scaling."""
 
+import gc
 import inspect
 import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,7 @@ from spincorr.qfw import (
     default_lattice,
     default_params,
     eriksen_fw,
-    TransformTable,
+    exact_transform,
     parity_check,
     residual_scaling,
 )
@@ -673,8 +675,8 @@ def verify_fw_config(profile, lams):
     return load_config("verify-fw", None, {"profile": profile, "amplitudes": lams})
 
 
-class TestTransformTable:
-    """verify-fw transforms each (case, lattice, amplitude, params) once, in one run-scoped table."""
+class TestRunScopedTransforms:
+    """verify-fw transforms each (case, lattice, amplitude, params) once, through run-scoped caches."""
 
     @pytest.mark.parametrize("lams", [LAMS, (1e-1, 1e-4, 1e-7)])
     @pytest.mark.parametrize("profile", ["default", "negative-result"])
@@ -706,32 +708,54 @@ class TestTransformTable:
         # is two eigh; each amplitude's image adds one for its kinetic root
         assert calls == {"orbital": 6, "eigh": 6 * 2 + 2 * 3}
 
+    def test_run_frees_its_transforms(self, monkeypatch):
+        # with the collector off only reference counts free memory, so a
+        # reference cycle through the run's caches, or a cache that outlives
+        # the run, keeps these arrays alive
+        blocks = []
+
+        def recorded(*args):
+            orb, Hfw = exact_transform(*args)
+            blocks.append((weakref.ref(orb.P2), weakref.ref(Hfw.blocks)))
+            return orb, Hfw
+
+        monkeypatch.setattr(qfw_module, "exact_transform", recorded)
+        cfg = load_config("verify-fw")
+        gc.disable()
+        try:
+            assert all(r.passed for r in run_checks(cfg))
+            alive = [ref() is not None for pair in blocks for ref in pair]
+        finally:
+            gc.enable()
+        assert len(blocks) == 6 and not any(alive)
+
     @pytest.mark.parametrize("case", [CASE_I, CASE_II])
-    def test_entry_matches_direct_build(self, case):
+    def test_exact_transform_matches_direct_build(self, case):
         lat = default_lattice(case)
         par = default_params(case, lat)
-        table = TransformTable()
-        H, Hfw = table.pair(case, lat, 1e-2, par)
+        orb, Hfw = exact_transform(case, lat, 1e-2, par)
+        H = build_hamiltonian(case, lat, 1e-2, par, orb)
         direct = build_hamiltonian(case, lat, 1e-2, par)
         assert np.array_equal(H.blocks, direct.blocks) and np.array_equal(H.index, direct.index)
         assert np.array_equal(Hfw.blocks, eriksen_fw(direct).blocks)
         # the particle half is the beta = +1 root of the same blocks, bit for bit
         half = H.blocks.shape[-1] // 2
         root = _fw_root(_odd_coupling(direct.blocks, half, par.mc2), par.mc2)
-        assert np.array_equal(table.entry(case, lat, 1e-2, par).particle, root)
+        assert np.array_equal(Hfw.blocks[:, :half, :half], root)
 
     def test_keys_are_values(self):
-        table = TransformTable()
-        first = table.entry(CASE_I, LAT_I, 1e-2, PAR_I)
+        transforms = cache(exact_transform)
+        first = transforms(CASE_I, LAT_I, 1e-2, PAR_I)
         lat = LatticeSpec(dimension=2, n_sites=12)
         assert lat is not LAT_I
-        assert table.entry(CASE_I, lat, 1e-2, default_params(CASE_I, lat)) is first
-        assert table.entry(CASE_I, LAT_I, 1e-3, PAR_I) is not first
+        assert transforms(CASE_I, lat, 1e-2, default_params(CASE_I, lat)) is first
+        assert transforms(CASE_I, LAT_I, 1e-3, PAR_I) is not first
 
     def test_arrays_are_read_only(self):
-        t = TransformTable().entry(CASE_I, LAT_I, 1e-2, PAR_I)
-        orb = t.orbital
-        arrays = (t.fw.blocks, t.fw.index, t.particle, *orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index)
+        orb, Hfw = exact_transform(CASE_I, LAT_I, 1e-2, PAR_I)
+        half = Hfw.blocks.shape[-1] // 2
+        particle = Hfw.blocks[:, :half, :half]
+        arrays = (Hfw.blocks, Hfw.index, particle, *orb.momenta, orb.P2, orb.coupling, orb.field_profile, orb.index)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
