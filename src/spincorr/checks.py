@@ -326,7 +326,7 @@ def check_spectrum_preservation(transforms=qfw.exact_transform) -> CheckResult:
         lat, par = _qfw_defaults(case)
         for lam in (1e-2, 1e-3):
             orb, Hfw = transforms(case, lat, lam, par)
-            H = qfw.build_hamiltonian(case, lat, lam, par, orb)
+            H = qfw.build_hamiltonian(case, lat, par, orb)
             # spectra and block defect from each dense matrix alone: a
             # measurement independent of the transform's block bookkeeping
             M = Hfw.matrix
@@ -394,22 +394,35 @@ def check_correspondence_scaling(
 def check_negative_result(
     lambdas=SCHEMA["amplitudes"][1], darwin=qfw.darwin_vs_classical_hd, transforms=qfw.exact_transform
 ) -> CheckResult:
-    """The flat Darwin candidate against the 1/gamma form, from the Darwin report `darwin`."""
+    """The flat Darwin candidate against the 1/gamma form, from the Darwin report `darwin`.
+
+    The report holds measurements only; every bound is applied here. The
+    candidate must trail the 1/gamma form by at least (gamma_max - 1)/2 of
+    the Darwin term, match it near rest, and omitting Darwin must cost one
+    order of the slope.
+    """
     rep = darwin(*_qfw_defaults(qfw.CASE_II), lambdas, transforms)
+    required_gap = (rep["gamma_max"] - 1.0) / 2.0
     value = {
         "gap_over_darwin": rep["gap_over_darwin"],
-        "required_gap": rep["required_gap"],
+        "required_gap": required_gap,
         "fit_rel_dev": rep["fit_rel_dev"],
+        "nonrel_form_rel_diff": rep["nonrel_form_rel_diff"],
         "slope_with_darwin": rep["slope_with_darwin"],
         "slope_without_darwin": rep["slope_without_darwin"],
     }
+    tol = {
+        "gap_min": required_gap,
+        "nonrel_form_max": 1e-3,
+        "slope_with_darwin": [1.9, 2.1],
+        "slope_without_darwin": [0.9, 1.1],
+    }
     passed = (
-        rep["candidate_underperforms"]
-        and rep["nonrel_agrees"]
+        rep["gap_over_darwin"] >= tol["gap_min"]
+        and rep["nonrel_form_rel_diff"] < tol["nonrel_form_max"]
         and abs(rep["slope_with_darwin"] - 2.0) <= 0.1
         and abs(rep["slope_without_darwin"] - 1.0) <= 0.1
     )
-    tol = {"gap_min": rep["required_gap"], "nonrel_form_max": 1e-3}
     return CheckResult("negative_result", value, tol, passed)
 
 
@@ -420,7 +433,7 @@ def check_parity(transforms=qfw.exact_transform) -> CheckResult:
     for case in (qfw.CASE_I, qfw.CASE_II):
         lat, par = _qfw_defaults(case)
         orb, Hfw = transforms(case, lat, 1e-2, par)
-        dev_h, dev_hp = qfw.parity_check(qfw.build_hamiltonian(case, lat, 1e-2, par, orb), Hfw)
+        dev_h, dev_hp = qfw.parity_check(qfw.build_hamiltonian(case, lat, par, orb), Hfw)
         per_case[case] = {"H": dev_h, "H_transformed": dev_hp}
         worst = max(worst, dev_h, dev_hp)
     return CheckResult("parity", worst, 1e-12, worst < 1e-12, detail=per_case)

@@ -491,57 +491,36 @@ def bmt_consistency_residual(
 
 
 # ---------------------------------------------------------------------------
-# Boost covariance of the precession vector; pi, s, E, B and beta are 3-vectors
+# Boost covariance of the precession vector; pi, s, E and B are 3-vectors
 
 
-def boosted_precession_pair(pi, s, E, B, beta, params: ParticleParams, drop_spin_energy: bool = True):
-    """(gamma * F_pi(pi, E, B), F_pi(pi', E', B')) under the boost rules.
+def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
+    """Residual-vs-amplitude scan of the covariance defect of the boost into
+    the instantaneous rest frame, beta = v_pi / c.
 
-    The momentum rule boosts (kinetic energy / c, pi) as a 4-vector. With
-    drop_spin_energy the kinetic energy is the orbital part alone, which
-    is the replacement rule's weak-field step; keeping the spin energy
-    exposes the quadratic-in-field remainder instead.
+    At each amplitude the defect is max |gamma F_pi(pi, E, B) - F_pi(pi', E', B')|,
+    with (E', B') the boosted fields and pi' the momentum rule: (kinetic
+    energy / c, pi) boosted as a 4-vector. The kinetic energy keeps the spin
+    energy -s.F_pi, which makes the defect quadratic in the amplitude; that
+    remainder is exactly what the weak-field replacement neglects. Returns
+    (residuals, slope) with slope fit on log-log axes.
     """
-    pi = np.asarray(pi, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    lambdas = scaling_amplitudes(lambdas)
+    pi, s, E, B = (np.asarray(v, dtype=float) for v in (pi, s, E, B))
+    beta = v_pi(pi, params) / params.c
     b2 = float(beta @ beta)
     if b2 >= 1.0:
         raise ValueError("boost speed must satisfy |beta| < 1")
     g = 1.0 / np.sqrt(1.0 - b2)
-    Ep, Bp = boost_fields(E, B, beta)
-    kinetic = gamma_pi(pi, params) * params.mc2
-    if not drop_spin_energy:
-        kinetic += -float(np.asarray(s, float) @ precession_vector(pi, E, B, params))
-    pip = pi.copy()
-    if b2 > 0.0:
-        pip = pip + (g - 1.0) / b2 * (beta @ pi) * beta
-    pip = pip - (g / params.c) * beta * kinetic
-    return g * precession_vector(pi, E, B, params), precession_vector(pip, Ep, Bp, params)
-
-
-def rest_frame_covariance_residual(pi, s, E, B, params: ParticleParams, drop_spin_energy: bool = False) -> float:
-    """Covariance defect for the boost into the instantaneous rest frame.
-
-    For a chargeless particle the boosted precession vector matches
-    gamma * F_pi exactly at linear order; with the spin energy kept in
-    the momentum rule the defect is the genuine quadratic remainder.
-    """
-    beta = v_pi(np.asarray(pi, dtype=float), params) / params.c
-    lhs, rhs = boosted_precession_pair(pi, s, E, B, beta, params, drop_spin_energy)
-    return float(np.abs(lhs - rhs).max())
-
-
-def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
-    """Residual-vs-amplitude scan of the rest-frame covariance defect.
-
-    Returns (residuals, slope) with slope fit on log-log axes. The spin
-    energy stays in the momentum rule, which makes the defect quadratic in
-    the amplitude; that remainder is exactly what the weak-field
-    replacement neglects.
-    """
-    lambdas = scaling_amplitudes(lambdas)
-    resid = [
-        rest_frame_covariance_residual(pi, s, lam * np.asarray(E, float), lam * np.asarray(B, float), params)
-        for lam in lambdas
-    ]
+    orbital_energy = gamma_pi(pi, params) * params.mc2
+    # pi with its component along beta stretched by gamma; the energy term is per amplitude
+    pi_par = pi + (g - 1.0) / b2 * (beta @ pi) * beta if b2 > 0.0 else pi
+    resid = []
+    for lam in lambdas:
+        E_lam, B_lam = lam * E, lam * B
+        F = precession_vector(pi, E_lam, B_lam, params)
+        kinetic = orbital_energy - float(s @ F)
+        Ep, Bp = boost_fields(E_lam, B_lam, beta)
+        Fp = precession_vector(pi_par - (g / params.c) * beta * kinetic, Ep, Bp, params)
+        resid.append(float(np.abs(g * F - Fp).max()))
     return resid, fit_slope(lambdas, resid)

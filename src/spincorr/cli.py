@@ -128,8 +128,9 @@ def _trajectory_rows(cfg: RunConfig):
 
 
 def _write_trajectory(rows, out_dir: Path):
+    # allow_nan=False: NaN and Infinity are not JSON, so a non-finite row raises instead
     (out_dir / "trajectory.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        json.dumps(rows, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     header = [
         "t", "x1", "x2", "x3", "p1", "p2", "p3", "s1", "s2", "s3",
@@ -216,7 +217,10 @@ def main(argv=None) -> int:
             record, report = _read_results(cfg)
         else:
             out_dir = Path(cfg.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError([f"out: cannot make the artifact directory {out_dir}: {exc.strerror}"]) from None
             record = _execute(cfg, out_dir)
             report = render_report(record)
     except ConfigError as err:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import TABLEAUX, IntegratorSpec, scaling_amplitudes
+from .classical import TABLEAUX, IntegratorSpec, h_total, scaling_amplitudes
 from .fields import (
     SinusoidalElectrostatic,
     SinusoidalMagnetostatic,
@@ -216,6 +216,14 @@ def _range_errors(values: dict, anchors: dict) -> list:
         errs.append(f"{at('duration')}duration: must be positive")
     if values["integrator.step"] <= 0:
         errs.append(f"{at('integrator.step')}integrator.step: must be positive")
+    elif values["duration"] > 0 and TABLEAUX[values["integrator.method"]][2] is None:
+        # the step count integrate takes, max(1, round(duration / step)), against its cap
+        ratio = values["duration"] / values["integrator.step"]
+        if ratio == math.inf or max(1, round(ratio)) > IntegratorSpec.max_steps:
+            errs.append(
+                f"{at('integrator.step') or at('duration')}integrator.step: duration / step exceeds "
+                f"{IntegratorSpec.max_steps} fixed steps, the most one integration takes"
+            )
     if not values["integrator.tol"] >= TOL_FLOOR:
         errs.append(
             f"{at('integrator.tol')}integrator.tol: must be at least {TOL_FLOOR:g}, "
@@ -319,4 +327,28 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
                 )
     if errors:
         raise ConfigError(errors)
-    return RunConfig(mode=mode, values=effective)
+    cfg = RunConfig(mode=mode, values=effective)
+    if mode == "simulate":
+        _check_initial_energy(cfg, anchors)
+    return cfg
+
+
+def _check_initial_energy(cfg: RunConfig, anchors: dict):
+    """Refuse a simulate state at which H of the configured particle and field
+    is not finite: its trajectory would hold NaN or infinity from the first row.
+
+    H is evaluated on Python floats, which overflow to inf without a
+    warning; an overflow Python raises instead (mc ** 2, or sin of an
+    infinite phase) counts as not finite too.
+    """
+    state, model, params = cfg.state0(), cfg.field_model(), cfg.particle()
+    try:
+        h = h_total(state, model, params)
+    except (ArithmeticError, ValueError):
+        h = math.nan
+    if not math.isfinite(h):
+        line = next((anchors[k] for k in ("state.p", "state.x") if k in anchors), None)
+        at = f"line {line}: " if line else ""
+        raise ConfigError(
+            [f"{at}state: H is not finite at the initial state (state.x, state.p) for this particle and field"]
+        )

@@ -164,11 +164,10 @@ def omega_base(case: str, alg: Algebra) -> OpExpr:
     return alg.pi_squared() - _field_part(case, alg)
 
 
-def series_sqrt_expand(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
+def series_sqrt_expand(case: str, N: int, alg: Algebra) -> OpExpr:
     """beta mc^2 sum_{n<=N} C(1/2,n) (Omega/m^2c^2)^n, fully canonicalized."""
     if N < 0:
         raise MalformedOperandError("series order must be >= 0")
-    alg = alg or case_algebra(case)
     base = omega_base(case, alg)
     # beta rides in the chain: P_0 = beta, P_n = P_{n-1} Omega = beta Omega^n
     power = alg.beta()
@@ -181,7 +180,7 @@ def series_sqrt_expand(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
     return expr_sum(parts)
 
 
-def claimed_expansion(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
+def claimed_expansion(case: str, N: int, alg: Algebra) -> OpExpr:
     """The closed Weyl-ordered form, expanded to the same order.
 
     Case I:  beta [ kinetic series - (e hbar / 2mc)(sigma.B / gamma)_W ]
@@ -189,7 +188,6 @@ def claimed_expansion(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
              - (mu' hbar / 2mc)((div E)/gamma)_W
     where (Y/gamma)_W means sum_k C(-1/2,k) (Y pi^{2k})_W / (m c)^{2k}.
     """
-    alg = alg or case_algebra(case)
     beta = alg.beta()
     parts = []
     for n in range(N + 1):
@@ -217,15 +215,15 @@ def claimed_expansion(case: str, N: int, alg: Algebra | None = None) -> OpExpr:
     return expr_sum(parts)
 
 
-def verify_case(case: str, N: int, alg: Algebra | None = None) -> tuple[bool, OpExpr]:
+def verify_case(case: str, N: int, alg: Algebra) -> tuple[bool, OpExpr]:
     """Compare the brute-force square-root series against the closed form.
 
     Returns (identically zero?, discrepancy). The cancellation rests on
     (k+1) C(1/2, k+1) = (1/2) C(-1/2, k) applied under the Weyl ordering,
     so a zero discrepancy certifies both the coefficient stream and the
-    ordering bookkeeping.
+    ordering bookkeeping. Both sides share `alg`, the case's algebra
+    (`case_algebra`), so its memo and counters hold the whole comparison.
     """
-    alg = alg or case_algebra(case)
     diff = series_sqrt_expand(case, N, alg) - claimed_expansion(case, N, alg)
     return diff.is_zero(), diff
 

@@ -22,20 +22,19 @@ from spincorr.classical import (
     IntegrationError,
     IntegratorSpec,
     bmt_consistency_residual,
-    boosted_precession_pair,
     covariance_scaling,
     eom_rhs,
     h_total,
     h_total_rows,
     integrate,
     precession_vector,
-    rest_frame_covariance_residual,
     _coefficients,
     _explicit_gradient,
     _local,
 )
 from spincorr.config import SCHEMA
 from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
+from spincorr.lorentz import boost_fields
 
 RNG = np.random.default_rng(31415926)
 PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
@@ -658,21 +657,69 @@ class TestBmtConsistency:
             bmt_consistency_residual(traj, NO_FIELD, self.NEUTRAL)
 
 
+def boosted_precession_pair(pi, s, E, B, beta, params, drop_spin_energy):
+    """(gamma * F_pi(pi, E, B), F_pi(pi', E', B')) under the boost rules, at any beta.
+
+    The momentum rule boosts (kinetic energy / c, pi) as a 4-vector. With
+    drop_spin_energy the kinetic energy is the orbital part alone, which is
+    the replacement rule's weak-field step; keeping the spin energy exposes
+    the quadratic-in-field remainder that covariance_scaling measures. This
+    is the oracle for covariance_scaling, written step by step.
+    """
+    pi = np.asarray(pi, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    b2 = float(beta @ beta)
+    g = 1.0 / np.sqrt(1.0 - b2)
+    Ep, Bp = boost_fields(E, B, beta)
+    kinetic = gamma_pi(pi, params) * params.mc2
+    if not drop_spin_energy:
+        kinetic += -float(np.asarray(s, float) @ precession_vector(pi, E, B, params))
+    pip = pi.copy()
+    if b2 > 0.0:
+        pip = pip + (g - 1.0) / b2 * (beta @ pi) * beta
+    pip = pip - (g / params.c) * beta * kinetic
+    return g * precession_vector(pi, E, B, params), precession_vector(pip, Ep, Bp, params)
+
+
+def rest_frame_residual(pi, s, E, B, params, drop_spin_energy):
+    """max |lhs - rhs| of boosted_precession_pair for the boost into the rest frame, beta = v_pi / c."""
+    beta = v_pi(np.asarray(pi, dtype=float), params) / params.c
+    lhs, rhs = boosted_precession_pair(pi, s, E, B, beta, params, drop_spin_energy)
+    return float(np.abs(lhs - rhs).max())
+
+
 class TestBoostCovariance:
-    def random_inputs(self, max_beta=0.5):
+    def random_inputs(self, max_beta=0.5, rng=RNG):
         pr = ParticleParams.neutral(mu_prime=0.08)
-        direction = RNG.normal(size=3)
+        direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        beta_mag = RNG.uniform(0.1, max_beta)
+        beta_mag = rng.uniform(0.1, max_beta)
         pi = direction * beta_mag / np.sqrt(1 - beta_mag ** 2) * pr.mc
-        return pr, pi, RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)
+        return pr, pi, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
 
     def test_exact_balance_for_neutral_rest_boost(self):
         # with the spin energy dropped, the boosted precession vector
         # reproduces gamma * F_pi identically at linear order
         for _ in range(50):
             pr, pi, s, E, B = self.random_inputs()
-            assert rest_frame_covariance_residual(pi, s, E, B, pr, drop_spin_energy=True) < 1e-13
+            assert rest_frame_residual(pi, s, E, B, pr, drop_spin_energy=True) < 1e-13
+
+    def test_scan_equals_step_by_step_oracle(self):
+        # the scan forms beta, gamma and the beta-parallel momentum term once
+        # and F_pi once per amplitude; each residual is still the oracle's, bit
+        # for bit, at every amplitude of 1000 random rest boosts
+        lams = [1e-2, 1e-3, 1e-4]
+        rng = np.random.default_rng(2718)
+        for _ in range(1000):
+            pr, pi, s, E, B = self.random_inputs(max_beta=0.95, rng=rng)
+            resid, _ = covariance_scaling(pi, s, E, B, pr, lams)
+            assert resid == [rest_frame_residual(pi, s, lam * E, lam * B, pr, drop_spin_energy=False) for lam in lams]
+
+    def test_light_speed_boost_refused(self):
+        # at |pi| = 1e8 mc, beta = v_pi / c rounds to 1
+        pr = ParticleParams.neutral(mu_prime=0.08)
+        with pytest.raises(ValueError, match=r"\|beta\| < 1"):
+            covariance_scaling(np.array([1e8, 0.0, 0.0]), np.ones(3), np.ones(3), np.ones(3), pr, [1e-2, 1e-3, 1e-4])
 
     def test_quadratic_remainder_slope(self):
         for _ in range(5):

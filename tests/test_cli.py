@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from spincorr import checks
+from spincorr import checks, cli
 from spincorr.checks import MODE_CHECKS, RUN_PARAMS, CheckResult, run_checks
 from spincorr.classical import covariance_scaling
-from spincorr.cli import _overrides_from_args, _trajectory_rows, build_parser, main, render_report
+from spincorr.cli import _overrides_from_args, _trajectory_rows, _write_trajectory, build_parser, main, render_report
 from spincorr.config import MODES, READ_BY, SCHEMA, ConfigError, load_config, parse_lines
 from spincorr.params import ParticleParams
 from spincorr.qfw import (
@@ -288,6 +288,94 @@ class TestSpinRefusedAtLoad:
 
     def test_smallest_accepted_spin_builds_its_state(self):
         load_config("simulate", None, {"state.s": "1e-150 0 0"}).state0()
+
+
+class TestStepCountRefusedAtLoad:
+    """A fixed-step run takes max(1, round(duration / step)) steps, which integrate caps at
+    IntegratorSpec.max_steps, so simulate refuses more at load instead of after its checks."""
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("integrator.step = 1e-9\n", 1),
+            ("duration = 10\nintegrator.step = 0.99e-6\n", 2),
+            ("duration = 1e300\nintegrator.step = 1e-300\n", 2),
+        ],
+    )
+    def test_refused_with_exit_2(self, tmp_path, capsys, monkeypatch, text, line):
+        p = tmp_path / "s.cfg"
+        p.write_text(text)
+        message = (
+            f"line {line}: integrator.step: duration / step exceeds 10000000 fixed steps, "
+            "the most one integration takes"
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert err.value.errors == [message]
+        monkeypatch.setattr(cli, "run_checks", _no_checks)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_cap_itself_and_adaptive_steps_accepted(self):
+        cfg = load_config("simulate", None, {"duration": "10", "integrator.step": "1e-6"})
+        assert cfg.integrator().max_steps == 10**7
+        # rkf45 adapts its step, so its configured step sets no count
+        load_config("simulate", None, {"integrator.method": "rkf45", "integrator.step": "1e-9"})
+
+
+def _no_checks(cfg):
+    raise AssertionError("a refused run reached its checks")
+
+
+class TestNonFiniteEnergyRefusedAtLoad:
+    """H overflows at these states, in the momentum or through A of the uniform field,
+    so the trajectory would hold NaN and Infinity from its first row."""
+
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            ("state.p = 1e200 0 0\n", "line 2: "),
+            ("state.x = 0 1e200 0\n", "line 2: "),
+            # (mc)^2 overflows, which Python raises rather than rounding to inf
+            ("particle.m = 1e200\n", ""),
+            # the phase k x of sin(k x) overflows to inf
+            ("field.model = sin-electrostatic\nfield.period = 1.0\nstate.x = 1e308 0 0\n", "line 4: "),
+        ],
+    )
+    def test_refused_with_exit_2(self, tmp_path, capsys, monkeypatch, text, at):
+        p = tmp_path / "s.cfg"
+        p.write_text(f"duration = 0.1\n{text}")
+        message = f"{at}state: H is not finite at the initial state (state.x, state.p) for this particle and field"
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert err.value.errors == [message]
+        monkeypatch.setattr(cli, "run_checks", _no_checks)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_trajectory_json_refuses_non_finite_rows(self, tmp_path):
+        row = {"t": 0.0, "x": [0.0] * 3, "p": [float("inf"), 0.0, 0.0], "s": [1.0, 0.0, 0.0]}
+        row.update(h_total=float("nan"), s_mag=1.0, h_drift=float("nan"), s_drift=0.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_trajectory([row], tmp_path)
+        assert not (tmp_path / "trajectory.json").exists()
+
+
+class TestOutNamingAFile:
+    """An --out that names a regular file cannot hold the artifacts: exit 2 in every mode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_refused_with_exit_2(self, tmp_path, capsys, monkeypatch, mode, sub):
+        f = tmp_path / "f"
+        f.write_text("not a directory\n")
+        monkeypatch.setattr(cli, "run_checks", _no_checks)
+        assert main([mode, "--out", str(f / sub if sub else f)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
+        assert f.read_text() == "not a directory\n"
 
 
 class TestConfigContract:

@@ -348,7 +348,7 @@ def test_weyl_orders_match_per_l_sums(kind, operand):
 
 @pytest.mark.parametrize("case", [CASE_I, CASE_II])
 def test_claimed_expansion_matches_per_l_oracle(case):
-    assert claimed_expansion(case, 8) == claimed_expansion_per_l(case, 8, case_algebra(case))
+    assert claimed_expansion(case, 8, case_algebra(case)) == claimed_expansion_per_l(case, 8, case_algebra(case))
 
 
 # verify_case's truncation count on the series side alone

@@ -301,7 +301,7 @@ class TestVerifyCase:
     @pytest.mark.parametrize("case", [CASE_I, CASE_II])
     def test_order_12(self, case):
         """Identity through 1/m^24, with fresh memo tables."""
-        ok, diff = verify_case(case, 12)
+        ok, diff = verify_case(case, 12, case_algebra(case))
         assert ok and diff.is_zero()
 
     def test_coefficient_identity_is_the_mechanism(self):
@@ -556,9 +556,9 @@ class TestCaseEqualityReport:
     def test_failing_case_reports_leading_residual(self, monkeypatch):
         """One changed coefficient (case I) and a doubled closed form (case II)."""
         claimed = identities.claimed_expansion
-        key = min(claimed(CASE_I, 2).terms, key=term_sort_key)
+        key = min(claimed(CASE_I, 2, case_algebra(CASE_I)).terms, key=term_sort_key)
 
-        def wrong_claim(case, N, alg=None):
+        def wrong_claim(case, N, alg):
             good = claimed(case, N, alg)
             if case == CASE_II:
                 return good.scale(Fraction(2))
@@ -572,7 +572,7 @@ class TestCaseEqualityReport:
         text_ii = r.detail["case_ii_leading_residual"]
         assert r.value["case_ii_residual_terms"] > 5
         assert text_ii.count("  +  ") == 4
-        residual_ii = claimed(CASE_II, 2).scale(Fraction(-1))
+        residual_ii = claimed(CASE_II, 2, case_algebra(CASE_II)).scale(Fraction(-1))
         assert text_ii == expr_to_text(leading_terms(residual_ii, 5))
 
 

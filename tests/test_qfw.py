@@ -65,6 +65,11 @@ PAR_II = default_params(CASE_II, LAT_II)
 LAMS = SCHEMA["amplitudes"][1]
 
 
+def hamiltonian(case, lattice, lam, params):
+    """H at one amplitude, on a fresh orbital assembly."""
+    return build_hamiltonian(case, lattice, params, _orbital(case, lattice, lam, params))
+
+
 def float_darwin(params):
     return darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
@@ -245,7 +250,7 @@ def opalg_cross_check(order=6, lam=1e-2, lattice=None, params=None):
         raise ConfigurationError(f"series cross-check needs u_max <= {SERIES_U_MAX}, got {umax:.6g}")
     expr = series_sqrt_expand(CASE_I, order, case_algebra(CASE_I))
     M = instantiate_case_i(expr, lattice, lam, params)
-    Hfw = eriksen_fw(build_hamiltonian(CASE_I, lattice, lam, params))
+    Hfw = eriksen_fw(hamiltonian(CASE_I, lattice, lam, params))
     diff = float(np.abs(M - Hfw.matrix).max())
     tail = params.mc2 * abs(float(binom_half(order + 1))) * umax ** (order + 1) / (1.0 - umax)
     return {"difference": diff, "tail_bound": tail, "ok": bool(diff <= 1.5 * tail)}
@@ -276,7 +281,7 @@ class TestLatticeSpec:
         # the lattice itself builds at any mass
         lat = LatticeSpec(dimension=2, n_sites=12)
         par = ParticleParams.dirac(m=lat.p_max() / 0.95, e=1.0)
-        build_hamiltonian(CASE_I, lat, 1e-2, par)
+        hamiltonian(CASE_I, lat, 1e-2, par)
         with pytest.raises(ConfigurationError, match="u_max <= 0.81"):
             opalg_cross_check(lattice=lat, params=par)
 
@@ -296,28 +301,28 @@ class TestLatticeSpec:
 
     def test_case_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_hamiltonian(CASE_I, LAT_II, 0.0, PAR_I)
+            hamiltonian(CASE_I, LAT_II, 0.0, PAR_I)
 
     def test_case_parameter_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_hamiltonian(CASE_II, LAT_II, 0.0, PAR_I)
+            hamiltonian(CASE_II, LAT_II, 0.0, PAR_I)
 
 
 class TestBuild:
     def test_free_spectrum_exact(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 0.0, par)
+            H = hamiltonian(case, lat, 0.0, par)
             got = np.sort(np.linalg.eigvalsh(H.matrix))
             assert np.abs(got - free_energies(lat, par)).max() < 1e-11
 
     def test_hermitian(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 1e-2, par)
+            H = hamiltonian(case, lat, 1e-2, par)
             assert np.abs(H.matrix - H.matrix.conj().T).max() < 1e-12
 
     def test_interaction_is_odd(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 1e-2, par)
+            H = hamiltonian(case, lat, 1e-2, par)
             beta = dense_beta(lat)
             O = H.matrix - par.mc2 * beta
             assert np.abs(beta @ O @ beta + O).max() < 1e-12
@@ -337,7 +342,7 @@ class TestEriksen:
     def test_spectrum_preserved(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             for lam in (1e-2, 1e-3):
-                H = build_hamiltonian(case, lat, lam, par)
+                H = hamiltonian(case, lat, lam, par)
                 Hfw = eriksen_fw(H)
                 a = np.sort(np.linalg.eigvalsh(H.matrix))
                 b = np.sort(np.linalg.eigvalsh(Hfw.matrix))
@@ -345,19 +350,19 @@ class TestEriksen:
 
     def test_block_diagonal(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 1e-2, par)
+            H = hamiltonian(case, lat, 1e-2, par)
             Hfw = eriksen_fw(H)
             beta = dense_beta(lat)
             assert np.abs(beta @ Hfw.matrix @ beta - Hfw.matrix).max() < 1e-11
 
     def test_free_case_gives_kinetic_root(self):
-        H = build_hamiltonian(CASE_II, LAT_II, 0.0, PAR_II)
+        H = hamiltonian(CASE_II, LAT_II, 0.0, PAR_II)
         Hfw = eriksen_fw(H)
         C = build_correspondence(CASE_II, LAT_II, 0.0, PAR_II)
         assert np.abs(Hfw.matrix - C.matrix).max() < 1e-12
 
     def test_rejects_non_odd_input(self):
-        H = build_hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II)
+        H = hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II)
         # an even perturbation breaks the closed-form construction
         n = H.blocks.shape[-1] // 4
         H = replace(H, blocks=H.blocks + 1e-3 * np.kron(BETA4, np.eye(n)))
@@ -384,7 +389,7 @@ class TestComponentSpectrum:
         # all eight matrices of the spectrum check: both cases, both amplitudes, H and H'
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             for lam in (1e-2, 1e-3):
-                H = build_hamiltonian(case, lat, lam, par)
+                H = hamiltonian(case, lat, lam, par)
                 for M in (H.matrix, eriksen_fw(H).matrix):
                     w, shapes = component_spectrum(M)
                     assert sum(count * size for count, size in shapes) == lat.matrix_dim
@@ -392,7 +397,7 @@ class TestComponentSpectrum:
 
     def test_lattice_component_counts(self):
         # the excised Nyquist modes split off H; the transform splits further
-        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        H = hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
         counts = [sum(c for c, _ in component_spectrum(M)[1]) for M in (H.matrix, eriksen_fw(H).matrix)]
         assert counts == [52, 48]
 
@@ -449,21 +454,21 @@ class TestBlockedEriksen:
     @pytest.mark.parametrize("case", [CASE_I, CASE_II])
     def test_matches_dense_transform(self, case, lam):
         lat = default_lattice(case)
-        H = build_hamiltonian(case, lat, lam, default_params(case, lat))
+        H = hamiltonian(case, lat, lam, default_params(case, lat))
         assert np.abs(eriksen_fw(H).matrix - dense_eriksen_fw(H)).max() <= 1e-12
 
     def test_records_block_shapes(self):
         # eriksen_fw fills only the two beta halves of each block, and the
         # spectrum check counts each half as one eigh'd block
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            Hfw = eriksen_fw(build_hamiltonian(case, lat, 1e-2, par))
+            Hfw = eriksen_fw(hamiltonian(case, lat, 1e-2, par))
             half = Hfw.blocks.shape[-1] // 2
             assert not np.any(Hfw.blocks[:, :half, half:]) and not np.any(Hfw.blocks[:, half:, :half])
         fw_blocks = check_spectrum_preservation().detail["fw_blocks"]
         assert fw_blocks == {"case_i": [[24, 24]], "case_ii": [[2, 128]]}
 
     def test_block_diagonality_equals_dense_formula(self):
-        H = build_hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
+        H = hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
         beta = dense_beta(LAT_I)
         Hfw = eriksen_fw(H)
         # entries between the spin components of one beta half, s = 0, 1 and
@@ -496,7 +501,7 @@ class TestBlockAssembly:
     def test_scattered_blocks_match_dense_assembly(self, case):
         lat = default_lattice(case)
         par = default_params(case, lat)
-        H = build_hamiltonian(case, lat, 1e-2, par)
+        H = hamiltonian(case, lat, 1e-2, par)
         orb = _orbital(case, lat, 1e-2, par)
         _, P2, coupling, _ = dense_orbital(case, lat, 1e-2, par)
         D = lat.orbital_dim
@@ -518,7 +523,7 @@ class TestBlockAssembly:
             res = [rep["residual_no_darwin"][lam] for lam in lams]
         half = 2 * lat.orbital_dim
         for lam, r in zip(lams, res):
-            Hfw = eriksen_fw(build_hamiltonian(case, lat, lam, par))
+            Hfw = eriksen_fw(hamiltonian(case, lat, lam, par))
             gap = (Hfw.matrix - dense_correspondence(case, lat, lam, par, darwin))[:half, :half]
             assert abs(r - float(np.abs(gap).max())) <= 1e-13
 
@@ -586,7 +591,7 @@ class TestHermiticityGuard:
 class TestCorrespondence:
     def test_matches_transform_at_zero_amplitude(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            Hfw = eriksen_fw(build_hamiltonian(case, lat, 0.0, par))
+            Hfw = eriksen_fw(hamiltonian(case, lat, 0.0, par))
             C = build_correspondence(case, lat, 0.0, par)
             assert np.abs(Hfw.matrix - C.matrix).max() < 1e-12
 
@@ -734,8 +739,8 @@ class TestRunScopedTransforms:
         lat = default_lattice(case)
         par = default_params(case, lat)
         orb, Hfw = exact_transform(case, lat, 1e-2, par)
-        H = build_hamiltonian(case, lat, 1e-2, par, orb)
-        direct = build_hamiltonian(case, lat, 1e-2, par)
+        H = build_hamiltonian(case, lat, par, orb)
+        direct = hamiltonian(case, lat, 1e-2, par)
         assert np.array_equal(H.blocks, direct.blocks) and np.array_equal(H.index, direct.index)
         assert np.array_equal(Hfw.blocks, eriksen_fw(direct).blocks)
         # the particle half is the beta = +1 root of the same blocks, bit for bit
@@ -784,7 +789,7 @@ class TestParity:
 
     def test_both_hamiltonians_commute_with_parity(self):
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
-            H = build_hamiltonian(case, lat, 1e-2, par)
+            H = hamiltonian(case, lat, 1e-2, par)
             dev_h, dev_hp = parity_check(H, eriksen_fw(H))
             assert dev_h < 1e-12
             assert dev_hp < 1e-12
@@ -793,7 +798,7 @@ class TestParity:
     def test_factored_parity_equals_dense_product(self, case, lat, par):
         P = parity_operator(lat)
         factors = [BETA4] + [_site_inversion(lat)] * lat.dimension
-        H = build_hamiltonian(case, lat, 1e-2, par)
+        H = hamiltonian(case, lat, 1e-2, par)
         Hfw = eriksen_fw(H)
         dense_devs = []
         for M in (H.matrix, Hfw.matrix):
@@ -830,12 +835,40 @@ class TestDarwin:
 
     def test_flat_candidate_detectably_worse(self):
         rep = darwin_vs_classical_hd(LAT_II, PAR_II, (1e-2, 1e-3, 1e-4))
-        assert rep["nonrel_agrees"]
+        # the report holds measurements only: no verdict, and no bound but gamma_max's
+        assert not any(isinstance(v, bool) for v in rep.values())
+        assert "required_gap" not in rep
+        assert rep["nonrel_form_rel_diff"] < 1e-3
         assert rep["fit_rel_dev"] < 1e-3
-        assert rep["gap_over_darwin"] >= rep["required_gap"]
-        assert rep["candidate_underperforms"]
+        assert rep["gap_over_darwin"] >= (rep["gamma_max"] - 1.0) / 2.0
         assert rep["slope_with_darwin"] == pytest.approx(2.0, abs=0.1)
         assert rep["slope_without_darwin"] == pytest.approx(1.0, abs=0.1)
+        # criterion 11 applies every bound it gates on, and reports each
+        r = checks.check_negative_result((1e-2, 1e-3, 1e-4), lambda *args: rep)
+        assert r.passed
+        assert r.value["nonrel_form_rel_diff"] == rep["nonrel_form_rel_diff"]
+        assert r.value["required_gap"] == (rep["gamma_max"] - 1.0) / 2.0
+        assert r.tolerance == {
+            "gap_min": r.value["required_gap"],
+            "nonrel_form_max": 1e-3,
+            "slope_with_darwin": [1.9, 2.1],
+            "slope_without_darwin": [0.9, 1.1],
+        }
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gap_over_darwin", 0.0),
+            ("nonrel_form_rel_diff", 1e-3),
+            ("slope_with_darwin", 1.85),
+            ("slope_with_darwin", 2.15),
+            ("slope_without_darwin", 0.85),
+            ("slope_without_darwin", 1.15),
+        ],
+    )
+    def test_each_bound_gates_the_check(self, key, value):
+        rep = dict(darwin_vs_classical_hd(LAT_II, PAR_II, LAMS), **{key: value})
+        assert not checks.check_negative_result(LAMS, lambda *args: rep).passed
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(DiagnosticError):
