@@ -7,12 +7,9 @@ field-gradient (Stern-Gerlach) force from the spin term, and the spin
 itself precesses as ds/dt = s x F_pi. Quadratic-in-field remainders are
 deliberately dropped; their size is measured, not modeled.
 
-The kernels take x, p and s in the component form of fields, so one code
-path serves one particle and an ensemble; each evaluation computes
-gamma_pi and the weights of F_pi once. The equations of motion are one
-straight-line kernel, built once per integration (or eom_rhs call) from
-the field model and the particle, with every vector operation written
-out per component.
+The Hamiltonian is written once, in one straight-line point kernel of the
+field model and the particle: on x, p and s as components (one particle or
+an ensemble, one code path) it gives H and its parts or the equations of motion.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ZERO3, ZERO33, math_of, to_array
+from .fields import ZERO3, ZERO33, Uniform, math_of, to_array
 from .kinematics import PhaseState, gamma_pi, v_pi
 from .lorentz import bmt_rhs, boost_fields, field_tensor
 from .params import ParticleParams
@@ -70,92 +67,108 @@ def fit_slope(xs, residuals) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and its gradient
+# The Hamiltonian: one point kernel
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+def _eom_kernel(model, params: ParticleParams):
+    """The point kernel of H = gamma_pi mc^2 + e phi - s.F_pi, with the parameter ratios formed once.
 
+    On y = (x, p, s) as nine components it forms the fields, pi, gamma_pi,
+    the weights (a, b, d) of F_pi, F_pi and H, and returns H if eom is None;
+    then grad = d(H_spin)/dx at fixed pi, minus the Stern-Gerlach force, and
+    returns (H, grad, pi, gamma_pi, F_pi) if eom is False; else dy/dt.
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _comb(c1, u, c2, v, c3=0.0, w=ZERO3):
-    """c1 u + c2 v + c3 w, componentwise."""
-    return (
-        c1 * u[0] + c2 * v[0] + c3 * w[0],
-        c1 * u[1] + c2 * v[1] + c3 * w[1],
-        c1 * u[2] + c2 * v[2] + c3 * w[2],
-    )
-
-
-def _vecmat(u, M):
-    """u @ M for a 3x3 Jacobian given as rows: sum_i u_i d(component i)/dx_j."""
-    return ZERO3 if M is ZERO33 else _comb(u[0], M[0], u[1], M[1], u[2], M[2])
-
-
-def _coefficients(g, params: ParticleParams):
-    """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E).
-
-    a carries the magnetic torque, b the longitudinal-polarization
-    correction (proportional to gamma_m - e/mc, vanishing at g = 2) and d
-    the spin-orbit term with its Thomas-precession weight.
+    Vector operations are written out per component, each + 0.0 standing for the
+    zero third term of c1 u + c2 v + c3 w, so that a -0.0 rounds as there. Every
+    E, grad-E and grad-phi term is skipped when the model returns the zero sentinel.
     """
-    gm, em, mc = params.gamma_m, params.e / params.mc, params.mc
-    u, w, kb = 1.0 / g, 1.0 / (g + 1.0), (gm - em) / mc ** 2
-    return gm - em + em * u, kb * u * w, (gm * u - em * w) / mc
+    components, e, gm, mc = model.components, params.e, params.gamma_m, params.mc
+    ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
+    gme, kb = gm - em, (gm - em) / mc_sq
 
+    def kernel(y, eom=True):
+        x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
+        phi, (A0, A1, A2), E, (B0, B1, B2), grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
+        pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
+        g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
+        g = math_of(g2).sqrt(g2)
+        # F_pi = a B - b (pi.B) pi - d (pi x E); b vanishes at g = 2, d has the Thomas weight
+        u, w = 1.0 / g, 1.0 / (g + 1.0)
+        a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
+        piB = pi0 * B0 + pi1 * B1 + pi2 * B2
+        c4 = -b * piB
+        F0, F1, F2 = a * B0 + c4 * pi0, a * B1 + c4 * pi1, a * B2 + c4 * pi2
+        if E is ZERO3:
+            F0, F1, F2 = F0 + 0.0, F1 + 0.0, F2 + 0.0
+        else:
+            E0, E1, E2 = E
+            F0, F1, F2 = F0 - d * (pi1 * E2 - pi2 * E1), F1 - d * (pi2 * E0 - pi0 * E2), F2 - d * (pi0 * E1 - pi1 * E0)
+        H = None if eom else g * params.mc2 + e * phi - (s0 * F0 + s1 * F1 + s2 * F2)
+        if eom is None:
+            return H
+        spi = s0 * pi0 + s1 * pi1 + s2 * pi2
+        sxpi0, sxpi1, sxpi2 = s1 * pi2 - s2 * pi1, s2 * pi0 - s0 * pi2, s0 * pi1 - s1 * pi0
+        c2 = b * spi
+        # grad = d(H_spin)/dx at fixed pi, H_spin = -a s.B + b (pi.B)(s.pi) + d (s x pi).E
+        if grad_B is ZERO33:
+            gr0 = gr1 = gr2 = 0.0
+        else:
+            q0, q1, q2 = -a * s0 + c2 * pi0 + 0.0, -a * s1 + c2 * pi1 + 0.0, -a * s2 + c2 * pi2 + 0.0
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_B
+            gr0 = q0 * G00 + q1 * G10 + q2 * G20
+            gr1 = q0 * G01 + q1 * G11 + q2 * G21
+            gr2 = q0 * G02 + q1 * G12 + q2 * G22
+        if grad_E is not ZERO33:
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_E
+            gr0 = gr0 + d * (sxpi0 * G00 + sxpi1 * G10 + sxpi2 * G20) + 0.0
+            gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
+            gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
+        if not eom:
+            return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2)
+        # dH/dpi: v_pi plus the spin term, whose weights depend on pi through dg/dpi = pi/(g (mc)^2)
+        da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
+        dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
+        if E is not ZERO3:
+            dHs_dg = dHs_dg + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)
+        c1, c3 = (inv_m + dHs_dg / mc_sq) / g, b * piB
+        v0, v1, v2 = c1 * pi0 + c2 * B0 + c3 * s0, c1 * pi1 + c2 * B1 + c3 * s1, c1 * pi2 + c2 * B2 + c3 * s2
+        if E is not ZERO3:
+            v0 = v0 + d * (E1 * s2 - E2 * s1) + 0.0
+            v1 = v1 + d * (E2 * s0 - E0 * s2) + 0.0
+            v2 = v2 + d * (E0 * s1 - E1 * s0) + 0.0
+        # canonical force: scalar potential, grad, and the chain through pi(x) = p - (e/c)A(x)
+        if jac_A is ZERO33:
+            ch0 = ch1 = ch2 = 0.0
+        else:
+            (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = jac_A
+            ch0 = v0 * J00 + v1 * J10 + v2 * J20
+            ch1 = v0 * J01 + v1 * J11 + v2 * J21
+            ch2 = v0 * J02 + v1 * J12 + v2 * J22
+        if grad_phi is ZERO3:
+            dp0, dp1, dp2 = -gr0 + ec * ch0 + 0.0, -gr1 + ec * ch1 + 0.0, -gr2 + ec * ch2 + 0.0
+        else:
+            P0, P1, P2 = grad_phi
+            dp0, dp1, dp2 = -e * P0 - gr0 + ec * ch0, -e * P1 - gr1 + ec * ch1, -e * P2 - gr2 + ec * ch2
+        # ds/dt = s x F_pi
+        return [v0, v1, v2, dp0, dp1, dp2, s1 * F2 - s2 * F1, s2 * F0 - s0 * F2, s0 * F1 - s1 * F0]
 
-def _local(x, p, model, params):
-    """Field components, kinematic momentum pi and gamma_pi at (x, p)."""
-    f = model.components(*x)
-    ec, A = params.e / params.c, f.A
-    pi = (p[0] - ec * A[0], p[1] - ec * A[1], p[2] - ec * A[2])
-    g2 = 1.0 + _dot(pi, pi) / params.mc ** 2
-    return f, pi, math_of(g2).sqrt(g2)
-
-
-def _precession(pi, E, B, weights):
-    """F_pi in component form."""
-    a, b, d = weights
-    c2 = -b * _dot(pi, B)
-    return _comb(a, B, c2, pi) if E is ZERO3 else _comb(a, B, c2, pi, -d, _cross(pi, E))
-
-
-def _explicit_gradient(f, pi, s, weights):
-    """d(H_spin)/dx at fixed pi: the field-gradient (Stern-Gerlach) term.
-
-    H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E), and s.(pi x dE) =
-    (s x pi).dE.
-    """
-    a, b, d = weights
-    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
-    if f.grad_E is ZERO33:
-        return dB
-    return _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
+    return kernel
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
-    """Instantaneous precession angular velocity F_pi(pi, E, B)."""
-    pi = np.asarray(pi, dtype=float)
-    return np.array(_precession(pi, E, B, _coefficients(gamma_pi(pi, params), params)))
-
-
-def _h_total_arrays(x, p, s, model, params):
-    f, pi, g = _local(x, p, model, params)
-    F = _precession(pi, f.E, f.B, _coefficients(g, params))
-    return g * params.mc2 + params.e * f.phi - _dot(s, F)
+    """F_pi(pi, E, B), from the kernel of Uniform(E, B) at the origin, where A = 0 and so p = pi."""
+    y = [0.0, 0.0, 0.0, *np.asarray(pi, dtype=float).tolist(), 0.0, 0.0, 0.0]
+    return np.array(_eom_kernel(Uniform(E, B), params)(y, eom=False)[4])
 
 
 def h_total(state: PhaseState, model, params: ParticleParams) -> float:
     """gamma_pi mc^2 + e phi - s.F_pi at the state's phase-space point."""
-    return _h_total_arrays(state.x.tolist(), state.p.tolist(), state.s.tolist(), model, params)
+    return _eom_kernel(model, params)(state.x.tolist() + state.p.tolist() + state.s.tolist(), eom=None)
 
 
 def h_total_rows(x, p, s, model, params: ParticleParams) -> np.ndarray:
     """H at each row of (N, 3) arrays x, p and s, in one array evaluation."""
-    return _h_total_arrays(x.T, p.T, s.T, model, params)
+    return _eom_kernel(model, params)([*x.T, *p.T, *s.T], eom=None)
 
 
 # rows per array evaluation of H over many states: one call per block, not
@@ -177,84 +190,6 @@ def h_total_blocked(ys: np.ndarray, model, params: ParticleParams, offsets=None)
         hs.append(h_total_rows(b[:, 0:3], b[:, 3:6], b[:, 6:9], model, params))
     H = np.concatenate(hs)
     return H if offsets is None else H.reshape(len(ys), k)
-
-
-def _eom_kernel(model, params: ParticleParams):
-    """y = (x, p, s) -> dy/dt = (dH/dpi, dp/dt, ds/dt) of the Hamilton flow with
-    precession, each as nine components, with the parameter ratios formed once.
-
-    _local, _coefficients, _precession and _explicit_gradient written out per
-    component in their operation order, each + 0.0 their zero third term of
-    c1 u + c2 v + c3 w, so a -0.0 rounds as there. s x pi, s.pi and pi.B are
-    formed once, and every E, grad-E and grad-phi term is skipped when the
-    model returns the zero sentinel for it.
-    """
-    components, e, gm, mc = model.components, params.e, params.gamma_m, params.mc
-    ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
-    gme, kb = gm - em, (gm - em) / mc_sq
-
-    def rhs(y):
-        x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
-        _, (A0, A1, A2), E, (B0, B1, B2), grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
-        pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
-        g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
-        g = math_of(g2).sqrt(g2)
-        # the weights (a, b, d) of F_pi, as _coefficients, and their g-derivatives
-        u, w = 1.0 / g, 1.0 / (g + 1.0)
-        a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
-        da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
-        spi, piB = s0 * pi0 + s1 * pi1 + s2 * pi2, pi0 * B0 + pi1 * B1 + pi2 * B2
-        sxpi0, sxpi1, sxpi2 = s1 * pi2 - s2 * pi1, s2 * pi0 - s0 * pi2, s0 * pi1 - s1 * pi0
-        # dH/dpi: the velocity v_pi plus the spin term, whose weights depend
-        # on pi through dg/dpi = pi/(g (mc)^2)
-        dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
-        if E is not ZERO3:
-            E0, E1, E2 = E
-            dHs_dg = dHs_dg + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)
-        c1, c2, c3 = (inv_m + dHs_dg / mc_sq) / g, b * spi, b * piB
-        v0, v1, v2 = c1 * pi0 + c2 * B0 + c3 * s0, c1 * pi1 + c2 * B1 + c3 * s1, c1 * pi2 + c2 * B2 + c3 * s2
-        if E is not ZERO3:
-            v0 = v0 + d * (E1 * s2 - E2 * s1) + 0.0
-            v1 = v1 + d * (E2 * s0 - E0 * s2) + 0.0
-            v2 = v2 + d * (E0 * s1 - E1 * s0) + 0.0
-        # canonical x-gradient: scalar potential, explicit field gradients
-        # (H_spin = -a s.B + b (pi.B)(s.pi) + d s.(pi x E)), and the chain
-        # through pi(x) = p - (e/c)A(x)
-        if jac_A is ZERO33:
-            ch0 = ch1 = ch2 = 0.0
-        else:
-            (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = jac_A
-            ch0 = v0 * J00 + v1 * J10 + v2 * J20
-            ch1 = v0 * J01 + v1 * J11 + v2 * J21
-            ch2 = v0 * J02 + v1 * J12 + v2 * J22
-        if grad_B is ZERO33:
-            gr0 = gr1 = gr2 = 0.0
-        else:
-            q0, q1, q2 = -a * s0 + c2 * pi0 + 0.0, -a * s1 + c2 * pi1 + 0.0, -a * s2 + c2 * pi2 + 0.0
-            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_B
-            gr0 = q0 * G00 + q1 * G10 + q2 * G20
-            gr1 = q0 * G01 + q1 * G11 + q2 * G21
-            gr2 = q0 * G02 + q1 * G12 + q2 * G22
-        if grad_E is not ZERO33:
-            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_E
-            gr0 = gr0 + d * (sxpi0 * G00 + sxpi1 * G10 + sxpi2 * G20) + 0.0
-            gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
-            gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
-        if grad_phi is ZERO3:
-            dp0, dp1, dp2 = -gr0 + ec * ch0 + 0.0, -gr1 + ec * ch1 + 0.0, -gr2 + ec * ch2 + 0.0
-        else:
-            P0, P1, P2 = grad_phi
-            dp0, dp1, dp2 = -e * P0 - gr0 + ec * ch0, -e * P1 - gr1 + ec * ch1, -e * P2 - gr2 + ec * ch2
-        # ds/dt = s x F_pi, F_pi = a B - b (pi.B) pi - d (pi x E)
-        c4 = -b * piB
-        F0, F1, F2 = a * B0 + c4 * pi0, a * B1 + c4 * pi1, a * B2 + c4 * pi2
-        if E is ZERO3:
-            F0, F1, F2 = F0 + 0.0, F1 + 0.0, F2 + 0.0
-        else:
-            F0, F1, F2 = F0 - d * (pi1 * E2 - pi2 * E1), F1 - d * (pi2 * E0 - pi0 * E2), F2 - d * (pi0 * E1 - pi1 * E0)
-        return [v0, v1, v2, dp0, dp1, dp2, s1 * F2 - s2 * F1, s2 * F0 - s0 * F2, s0 * F1 - s1 * F0]
-
-    return rhs
 
 
 def eom_rhs(state: PhaseState, model, params: ParticleParams):
@@ -360,8 +295,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     underflows: falls below 1e-12 T or the round-off of t.
 
     y = (x, p, s) is carried as nine floats, the components the kernel
-    takes and returns; each stage point is y + h * (w_1 k_1 + w_2 k_2 +
-    ...) over the row's nonzero weights, formed per component.
+    takes and returns; `_point` forms each stage point per component.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
@@ -472,11 +406,11 @@ def bmt_consistency_residual(
         raise DiagnosticError("stencil differentiation needs a uniform time grid")
 
     # fields, pi, gamma_pi and the gradient 4-force at every row at once
-    f, pi_c, gammas = _local(traj.x.T, traj.p.T, model, params)
-    E, B, pi = (to_array(v, (n,)) for v in (f.E, f.B, pi_c))
+    f = model.components(*traj.x.T)
+    _, grad, pi, gammas, _ = _eom_kernel(model, params)([*traj.x.T, *traj.p.T, *traj.s.T], eom=False)
+    E, B, pi = (to_array(v, (n,)) for v in (f.E, f.B, pi))
     f4 = np.zeros((n, 4))
     if include_gradient_force:
-        grad = _explicit_gradient(f, pi_c, traj.s.T, _coefficients(gammas, params))
         f4[:, 1:] = -gammas[:, None] * to_array(grad, (n,))
         f4[:, 0] = np.einsum("ij,ij->i", f4[:, 1:], pi) / (gammas * params.m * params.c)
     S, U = _four_vectors(pi, gammas, traj.s, params)

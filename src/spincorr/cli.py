@@ -105,32 +105,23 @@ def _run_id(cfg: RunConfig) -> str:
     return hashlib.sha256(tag.encode()).hexdigest()[:12]
 
 
-def _trajectory_rows(cfg: RunConfig):
-    traj = integrate(
-        cfg.state0(), cfg.field_model(), cfg.particle(), cfg.integrator(), cfg["duration"]
-    )
-    h0 = traj.h_total[0]
-    rows = []
-    for i in range(len(traj)):
-        rows.append(
-            {
-                "t": float(traj.t[i]),
-                "x": [float(v) for v in traj.x[i]],
-                "p": [float(v) for v in traj.p[i]],
-                "s": [float(v) for v in traj.s[i]],
-                "h_total": float(traj.h_total[i]),
-                "s_mag": float(traj.s_mag[i]),
-                "h_drift": float((traj.h_total[i] - h0) / abs(h0)),
-                "s_drift": float(traj.spin_drift[i]),
-            }
-        )
-    return rows
+def _write_trajectory(traj, out_dir: Path):
+    """trajectory.json, one record per row, and trajectory.csv, from one stack of the Trajectory's columns.
 
-
-def _write_trajectory(rows, out_dir: Path):
+    h_drift is relative to |H| at the first row, which load_config refuses to be zero.
+    """
+    h = traj.h_total
+    table = np.column_stack(
+        [traj.t, traj.x, traj.p, traj.s, h, traj.s_mag, (h - h[0]) / abs(h[0]), traj.spin_drift]
+    ).tolist()
+    records = [
+        {"t": r[0], "x": r[1:4], "p": r[4:7], "s": r[7:10],
+         "h_total": r[10], "s_mag": r[11], "h_drift": r[12], "s_drift": r[13]}
+        for r in table
+    ]
     # allow_nan=False: NaN and Infinity are not JSON, so a non-finite row raises instead
     (out_dir / "trajectory.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        json.dumps(records, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     header = [
         "t", "x1", "x2", "x3", "p1", "p2", "p3", "s1", "s2", "s3",
@@ -139,11 +130,7 @@ def _write_trajectory(rows, out_dir: Path):
     with (out_dir / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in rows:
-            writer.writerow(
-                [r["t"], *r["x"], *r["p"], *r["s"], r["h_total"], r["s_mag"],
-                 r["h_drift"], r["s_drift"]]
-            )
+        writer.writerows(table)
 
 
 def render_report(record: dict) -> str:
@@ -180,7 +167,8 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
         "pass": all(r.passed for r in results),
     }
     if cfg.mode == "simulate":
-        _write_trajectory(_trajectory_rows(cfg), out_dir)
+        traj = integrate(cfg.state0(), cfg.field_model(), cfg.particle(), cfg.integrator(), cfg["duration"])
+        _write_trajectory(traj, out_dir)
     (out_dir / "results.json").write_text(
         json.dumps(record, sort_keys=True, indent=2) + "\n"
     )

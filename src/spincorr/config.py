@@ -335,7 +335,8 @@ def load_config(mode: str, path=None, overrides=None) -> RunConfig:
 
 def _check_initial_energy(cfg: RunConfig, anchors: dict):
     """Refuse a simulate state at which H of the configured particle and field
-    is not finite: its trajectory would hold NaN or infinity from the first row.
+    is not finite, or is zero: its trajectory would hold NaN or infinity from
+    the first row, in H itself or in h_drift, which is relative to |H| there.
 
     H is evaluated on Python floats, which overflow to inf without a
     warning; an overflow Python raises instead (mc ** 2, or sin of an
@@ -346,9 +347,10 @@ def _check_initial_energy(cfg: RunConfig, anchors: dict):
         h = h_total(state, model, params)
     except (ArithmeticError, ValueError):
         h = math.nan
-    if not math.isfinite(h):
+    if h == 0.0 or not math.isfinite(h):
         line = next((anchors[k] for k in ("state.p", "state.x") if k in anchors), None)
         at = f"line {line}: " if line else ""
+        what = "zero, and h_drift is relative to it," if h == 0.0 else "not finite"
         raise ConfigError(
-            [f"{at}state: H is not finite at the initial state (state.x, state.p) for this particle and field"]
+            [f"{at}state: H is {what} at the initial state (state.x, state.p) for this particle and field"]
         )

@@ -28,12 +28,9 @@ from spincorr.classical import (
     h_total_rows,
     integrate,
     precession_vector,
-    _coefficients,
-    _explicit_gradient,
-    _local,
 )
 from spincorr.config import SCHEMA
-from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
+from spincorr.fields import ZERO3, ZERO33, FieldSample, math_of, to_array
 from spincorr.lorentz import boost_fields
 
 RNG = np.random.default_rng(31415926)
@@ -53,8 +50,7 @@ def flip_spin(st):
 
 def explicit_gradient(st, model, params=PARAMS):
     """d(H_spin)/dx at fixed pi: minus the Stern-Gerlach force."""
-    f, pi, g = _local(st.x.tolist(), st.p.tolist(), model, params)
-    return np.array(_explicit_gradient(f, pi, st.s.tolist(), _coefficients(g, params)))
+    return np.array(oracle_point(st.x.tolist(), st.p.tolist(), st.s.tolist(), model, params)[1])
 
 
 def gradient_oracle_per_state(seed):
@@ -84,7 +80,8 @@ def gradient_oracle_per_state(seed):
 
 # ---------------------------------------------------------------------------
 # oracles: the ndarray stepper and the every-term kernel that the float-native
-# stepper and the straight-line kernel replaced, on their own vector helpers
+# stepper and the straight-line kernel replaced, on their own vector helpers,
+# local fields and weights
 
 
 def _dot(u, v):
@@ -107,6 +104,22 @@ def _comb(c1, u, c2, v, c3=0.0, w=ZERO3):
 def _vecmat(u, M):
     """u @ M for a 3x3 Jacobian given as rows: sum_i u_i d(component i)/dx_j."""
     return ZERO3 if M is ZERO33 else _comb(u[0], M[0], u[1], M[1], u[2], M[2])
+
+
+def _local(x, p, model, params):
+    """Field components, kinematic momentum pi and gamma_pi at (x, p)."""
+    f = model.components(*x)
+    ec, A = params.e / params.c, f.A
+    pi = (p[0] - ec * A[0], p[1] - ec * A[1], p[2] - ec * A[2])
+    g2 = 1.0 + _dot(pi, pi) / params.mc ** 2
+    return f, pi, math_of(g2).sqrt(g2)
+
+
+def _coefficients(g, params):
+    """Weights (a, b, d) of F_pi = a B - b (pi.B) pi - d (pi x E)."""
+    gm, em, mc = params.gamma_m, params.e / params.mc, params.mc
+    u, w, kb = 1.0 / g, 1.0 / (g + 1.0), (gm - em) / mc ** 2
+    return gm - em + em * u, kb * u * w, (gm * u - em * w) / mc
 
 
 def _weight_derivatives(g, params):
@@ -132,6 +145,16 @@ def oracle_eom_arrays(x, p, s, model, params):
     dp = _comb(-params.e, f.grad_phi, -1.0, grad, params.e / params.c, chain)
     F = _comb(a, B, -b * _dot(pi, B), pi, -d, _cross(pi, E))
     return dH_dpi, dp, _cross(s, F)
+
+
+def oracle_point(x, p, s, model, params):
+    """(H, d(H_spin)/dx at fixed pi, pi, gamma_pi, F_pi) in component form, every E and grad-E term formed."""
+    f, pi, g = _local(x, p, model, params)
+    a, b, d = _coefficients(g, params)
+    dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
+    grad = _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
+    F = _comb(a, f.B, -b * _dot(pi, f.B), pi, -d, _cross(pi, f.E))
+    return g * params.mc2 + params.e * f.phi - _dot(s, F), grad, pi, g, F
 
 
 def oracle_integrate(state0, model, params, spec, T):
@@ -594,17 +617,28 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
     def test_kernel_matches_oracle(self, name):
         # bit for bit, on 1000 random states: one float state at a time and
-        # all states as (N,) components
+        # all states as (N,) components; the derivatives of kernel(y), the
+        # (H, grad, pi, gamma_pi, F_pi) of kernel(y, eom=False) and the H of
+        # kernel(y, eom=None)
         model = KERNEL_MODELS[name]
         X, P, S = np.random.default_rng(4242).normal(size=(3, 1000, 3))
         rhs = classical._eom_kernel(model, PARAMS)
         for x, p, s in zip(X.tolist(), P.tolist(), S.tolist()):
             dx, dp, ds = oracle_eom_arrays(x, p, s, model, PARAMS)
             assert rhs(x + p + s) == list(dx + dp + ds)
+            point = oracle_point(x, p, s, model, PARAMS)
+            assert rhs(x + p + s, eom=False) == point
+            assert rhs(x + p + s, eom=None) == point[0]
         new = rhs([*X.T, *P.T, *S.T])
         ref = oracle_eom_arrays(X.T, P.T, S.T, model, PARAMS)
         for k in range(3):
             assert np.array_equal(to_array(tuple(new[3 * k : 3 * k + 3]), (1000,)), to_array(ref[k], (1000,)))
+        new = rhs([*X.T, *P.T, *S.T], eom=False)
+        ref = oracle_point(X.T, P.T, S.T, model, PARAMS)
+        assert len(new) == len(ref) == 5
+        for got, want in zip(new, ref):
+            assert np.array_equal(to_array(got, (1000,)), to_array(want, (1000,)))
+        assert np.array_equal(rhs([*X.T, *P.T, *S.T], eom=None), new[0])
 
 
 class TestBmtConsistency:

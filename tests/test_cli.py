@@ -2,14 +2,16 @@
 
 import inspect
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spincorr import checks, cli
 from spincorr.checks import MODE_CHECKS, RUN_PARAMS, CheckResult, run_checks
-from spincorr.classical import covariance_scaling
-from spincorr.cli import _overrides_from_args, _trajectory_rows, _write_trajectory, build_parser, main, render_report
+from spincorr.classical import Trajectory, covariance_scaling, integrate
+from spincorr.cli import _overrides_from_args, _write_trajectory, build_parser, main, render_report
 from spincorr.config import MODES, READ_BY, SCHEMA, ConfigError, load_config, parse_lines
 from spincorr.params import ParticleParams
 from spincorr.qfw import (
@@ -97,11 +99,17 @@ BAD_AMPLITUDES = [
 ]
 
 
+def run_trajectory(cfg):
+    return integrate(cfg.state0(), cfg.field_model(), cfg.particle(), cfg.integrator(), cfg["duration"])
+
+
 def artifacts(mode, overrides):
     """What a run of `mode` writes that depends on the config, less config_hash and run_id."""
     cfg = load_config(mode, None, overrides)
     if mode == "simulate":
-        return _trajectory_rows(cfg)
+        with tempfile.TemporaryDirectory() as out:
+            _write_trajectory(run_trajectory(cfg), Path(out))
+            return [(Path(out) / name).read_bytes() for name in ("trajectory.json", "trajectory.csv")]
     return [r.to_json() for r in run_checks(cfg)]
 
 
@@ -239,8 +247,7 @@ class TestConfigParsing:
                 "integrator.tol": "1e-15",
             },
         )
-        rows = _trajectory_rows(cfg)
-        assert rows[-1]["t"] == 10.0
+        assert run_trajectory(cfg).t[-1] == 10.0
 
     def test_schema_defaults_are_valid(self):
         cfg = load_config("simulate")
@@ -356,11 +363,39 @@ class TestNonFiniteEnergyRefusedAtLoad:
         assert not (tmp_path / "o").exists()
 
     def test_trajectory_json_refuses_non_finite_rows(self, tmp_path):
-        row = {"t": 0.0, "x": [0.0] * 3, "p": [float("inf"), 0.0, 0.0], "s": [1.0, 0.0, 0.0]}
-        row.update(h_total=float("nan"), s_mag=1.0, h_drift=float("nan"), s_drift=0.0)
+        # one row with p = (inf, 0, 0) and H = NaN
+        zero, one, nan = np.zeros(1), np.ones(1), np.full(1, np.nan)
+        x, p, s = np.zeros((1, 3)), np.array([[np.inf, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
+        traj = Trajectory(zero, x, p, s, nan, one, zero, 0, 0)
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _write_trajectory([row], tmp_path)
+            _write_trajectory(traj, tmp_path)
         assert not (tmp_path / "trajectory.json").exists()
+
+
+class TestZeroEnergyRefusedAtLoad:
+    """H is zero at this state (gamma mc^2 = 1 against e phi = -1, no spin
+    coupling), and h_drift is relative to |H| at the first row, so every
+    row's h_drift would be NaN."""
+
+    TEXT = (
+        "particle.e = 1.0\nparticle.mu_prime = 0.0\nfield.model = uniform\nfield.b = 0 0 0\n"
+        "field.e = 1 0 0\nstate.x = 1 0 0\nduration = 0.01\n"
+    )
+
+    def test_refused_with_exit_2(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "z.cfg"
+        p.write_text(self.TEXT)
+        message = (
+            "line 6: state: H is zero, and h_drift is relative to it, at the initial state (state.x, state.p) "
+            "for this particle and field"
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config("simulate", p)
+        assert err.value.errors == [message]
+        monkeypatch.setattr(cli, "run_checks", _no_checks)
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestOutNamingAFile:
@@ -632,7 +667,8 @@ class TestCliDispatch:
 
         monkeypatch.setattr(cli_mod, "run_checks", fake_checks)
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("duration = 0.1\nintegrator.step = 0.01\n")
+        # a moving particle in a gradient trap, so H and h_drift vary in the last digits
+        cfg.write_text("duration = 0.1\nintegrator.step = 0.01\nfield.model = stern-gerlach\nstate.p = 0.3 0.2 0.1\n")
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         rows = json.loads((out / "trajectory.json").read_text())
@@ -641,6 +677,12 @@ class TestCliDispatch:
         csv_lines = (out / "trajectory.csv").read_text().splitlines()
         assert csv_lines[0].startswith("t,x1,x2,x3,p1")
         assert len(csv_lines) == 12
+        # both files hold the same rows, and h_drift is relative to |H| at the first row
+        h0 = rows[0]["h_total"]
+        for r, line in zip(rows, csv_lines[1:]):
+            assert r["h_drift"] == (r["h_total"] - h0) / abs(h0)
+            want = [r["t"], *r["x"], *r["p"], *r["s"], r["h_total"], r["s_mag"], r["h_drift"], r["s_drift"]]
+            assert [float(v) for v in line.split(",")] == want
 
     def test_report_rerenders_and_propagates_verdict(self, tmp_path, capsys):
         d = tmp_path / "r"

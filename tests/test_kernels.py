@@ -139,8 +139,7 @@ class TestAgainstReference:
             for new, ref in zip(eom_rhs(st, model, PARAMS), ref_eom(x, p, s, model, PARAMS)):
                 assert_close(new, ref)
             assert_close(h_total(st, model, PARAMS), ref_h_total(x, p, s, model, PARAMS))
-            f, pi, g = classical._local(x, p, model, PARAMS)
-            grad = classical._explicit_gradient(f, pi, s, classical._coefficients(g, PARAMS))
+            _, grad, _, _, _ = classical._eom_kernel(model, PARAMS)([*x, *p, *s], eom=False)
             assert_close(grad, ref_explicit_gradient(x, p, s, model, PARAMS))
             smp = sample_field(model, x)
             pi = kinematic_momentum(p, smp.A, PARAMS)
@@ -156,9 +155,8 @@ class TestAgainstReference:
             assert_close(to_array(tuple(new[3 * k : 3 * k + 3]), (n,)), [r[k] for r in refs])
         ref_h = [ref_h_total(x, p, s, model, PARAMS) for x, p, s in zip(X, P, S)]
         assert_close(h_total_rows(X, P, S, model, PARAMS), ref_h)
-        # F_pi over the ensemble from the same component kernels
-        f, pi, g = classical._local(X.T, P.T, model, PARAMS)
-        F = classical._precession(pi, f.E, f.B, classical._coefficients(g, PARAMS))
+        # F_pi over the ensemble from the same point kernel
+        F = classical._eom_kernel(model, PARAMS)([*X.T, *P.T, *S.T], eom=False)[4]
         smp = sample_field(model, X)
         pis = kinematic_momentum(P, smp.A, PARAMS)
         assert_close(to_array(F, (n,)), [ref_precession(*row, PARAMS) for row in zip(pis, smp.E, smp.B)])
