@@ -16,7 +16,7 @@ classical counterpart.
 """
 
 from .params import ParticleParams
-from .kinematics import PhaseState, kinematic_momentum, gamma_pi, v_pi
+from .kinematics import PhaseState, kinematic_momentum, gamma_pi
 from .fields import (
     FieldSample,
     Uniform,
@@ -32,7 +32,6 @@ __all__ = [
     "PhaseState",
     "kinematic_momentum",
     "gamma_pi",
-    "v_pi",
     "FieldSample",
     "Uniform",
     "SternGerlach",

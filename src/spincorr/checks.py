@@ -20,6 +20,7 @@ import numpy as np
 from .classical import (
     H_BLOCK,
     IntegratorSpec,
+    _eom_kernel,
     bmt_consistency_residual,
     covariance_scaling,
     eom_rhs,
@@ -28,8 +29,8 @@ from .classical import (
     integrate,
 )
 from .config import BETA_FLOOR, SCHEMA
-from .fields import SternGerlach, Uniform, sample_field
-from .kinematics import PhaseState, gamma_pi, kinematic_momentum
+from .fields import SternGerlach, Uniform
+from .kinematics import PhaseState
 from .params import ParticleParams
 from . import qfw
 
@@ -50,13 +51,13 @@ NEUTRAL_SLOW = ParticleParams.neutral(mu_prime=0.11)
 
 
 def _jsonable(v):
-    """Strip numpy scalar types so the records serialize canonically."""
+    """Strip numpy scalar types so the records serialize canonically; a non-finite float, not JSON, becomes None."""
     if isinstance(v, np.bool_):
         return bool(v)
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -169,14 +170,16 @@ def check_pitch_lock() -> CheckResult:
     pr = ParticleParams.dirac(m=1.0, e=1.0)
     B0 = 1.0
     model = Uniform(B0=np.array([0.0, 0.0, B0]))
+    kernel = _eom_kernel(model, pr)
     p0 = np.array([pr.mc, 0.0, 0.0])
-    g = gamma_pi(p0, pr)
-    Tc = 2.0 * math.pi * g * pr.mc / (pr.e * B0)
     s0 = np.array([0.48, 0.36, 0.0])  # in the orbital plane: s.B = 0
+    g = kernel([0.0, 0.0, 0.0, *p0.tolist(), *s0.tolist()], eom=False)[3]
+    Tc = 2.0 * math.pi * g * pr.mc / (pr.e * B0)
     traj = integrate(
         PhaseState(np.zeros(3), p0, s0), model, pr, IntegratorSpec(step=Tc / 2000), 10 * Tc
     )
-    pi = kinematic_momentum(traj.p, sample_field(model, traj.x).A, pr)
+    # pi over all rows, each component an (N,) array since p is one
+    pi = np.column_stack(kernel([*traj.x.T, *traj.p.T, *traj.s.T], eom=False)[2])
     pitch = np.einsum("ij,ij->i", traj.s, pi) / np.linalg.norm(pi, axis=1)
     dev = float(np.abs(pitch - pitch[0]).max())
     return CheckResult("pitch_lock", dev, 1e-8, dev < 1e-8, detail={**_work(traj), "periods": 10})

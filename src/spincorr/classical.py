@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ZERO3, ZERO33, Uniform, math_of, to_array
-from .kinematics import PhaseState, gamma_pi, v_pi
+from .kinematics import PhaseState
 from .lorentz import bmt_rhs, boost_fields, field_tensor
 from .params import ParticleParams
 
@@ -76,7 +76,8 @@ def _eom_kernel(model, params: ParticleParams):
     On y = (x, p, s) as nine components it forms the fields, pi, gamma_pi,
     the weights (a, b, d) of F_pi, F_pi and H, and returns H if eom is None;
     then grad = d(H_spin)/dx at fixed pi, minus the Stern-Gerlach force, and
-    returns (H, grad, pi, gamma_pi, F_pi) if eom is False; else dy/dt.
+    returns (H, grad, pi, gamma_pi, F_pi, E, B) if eom is False, E and B as the
+    model gave them (E may be the ZERO3 sentinel); else dy/dt.
 
     Vector operations are written out per component, each + 0.0 standing for the
     zero third term of c1 u + c2 v + c3 w, so that a -0.0 rounds as there. Every
@@ -88,7 +89,8 @@ def _eom_kernel(model, params: ParticleParams):
 
     def kernel(y, eom=True):
         x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
-        phi, (A0, A1, A2), E, (B0, B1, B2), grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
+        phi, (A0, A1, A2), E, B, grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
+        B0, B1, B2 = B
         pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
         g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
         g = math_of(g2).sqrt(g2)
@@ -124,8 +126,8 @@ def _eom_kernel(model, params: ParticleParams):
             gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
             gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
         if not eom:
-            return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2)
-        # dH/dpi: v_pi plus the spin term, whose weights depend on pi through dg/dpi = pi/(g (mc)^2)
+            return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2), E, B
+        # dH/dpi: pi/(g m) plus the spin term, whose weights depend on pi through dg/dpi = pi/(g (mc)^2)
         da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
         dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
         if E is not ZERO3:
@@ -166,28 +168,24 @@ def h_total(state: PhaseState, model, params: ParticleParams) -> float:
     return _eom_kernel(model, params)(state.x.tolist() + state.p.tolist() + state.s.tolist(), eom=None)
 
 
-def h_total_rows(x, p, s, model, params: ParticleParams) -> np.ndarray:
-    """H at each row of (N, 3) arrays x, p and s, in one array evaluation."""
-    return _eom_kernel(model, params)([*x.T, *p.T, *s.T], eom=None)
-
-
 # rows per array evaluation of H over many states: one call per block, not
 # per row, with temporaries bounded to the block's size
 H_BLOCK = 1024
 
 
 def h_total_blocked(ys: np.ndarray, model, params: ParticleParams, offsets=None) -> np.ndarray:
-    """H at each row of an (N, 9) array of y = (x, p, s), one h_total_rows call per H_BLOCK rows.
+    """H at each row of an (N, 9) array of y = (x, p, s), one kernel call on the columns per H_BLOCK rows.
 
     With a (K, 9) array of offsets, H at each row plus each offset instead,
     as an (N, K) array; a block then holds H_BLOCK // K rows of ys.
     """
+    kernel = _eom_kernel(model, params)
     k = 1 if offsets is None else len(offsets)
     per = H_BLOCK // k
     hs = []
     for i in range(0, len(ys), per):
         b = ys[i : i + per] if offsets is None else (ys[i : i + per, None, :] + offsets).reshape(-1, 9)
-        hs.append(h_total_rows(b[:, 0:3], b[:, 3:6], b[:, 6:9], model, params))
+        hs.append(kernel(list(b.T), eom=None))
     H = np.concatenate(hs)
     return H if offsets is None else H.reshape(len(ys), k)
 
@@ -375,7 +373,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
 def _four_vectors(pi, gammas, s, params: ParticleParams):
     """Lab spin 4-vectors S and 4-velocities U of N rows, from (N, 3) pi and s and (N,) gamma_pi.
 
-    S boosts the rest-frame (0, s) along v_pi, so U.S = 0 and S.S = -|s|^2;
+    S boosts the rest-frame (0, s) along pi, so U.S = 0 and S.S = -|s|^2;
     U = (gamma_pi c, pi/m). tests/test_lorentz.py holds the per-row oracle.
     """
     g = gammas[:, None]
@@ -394,8 +392,9 @@ def bmt_consistency_residual(
     The lab spin 4-vector is rebuilt along the trajectory, differentiated
     with a five-point fourth-order stencil (dtau = dt/gamma_pi), and
     compared against the covariant precession RHS. The non-Lorentz force
-    enters as f = (f3.v_pi/c, gamma_pi * f3) with f3 the field-gradient
-    force, making f orthogonal to the 4-velocity for static fields.
+    enters as f = (f3.v/c, gamma_pi * f3), with v = pi/(gamma_pi m) and f3
+    the field-gradient force, making f orthogonal to the 4-velocity for
+    static fields.
     """
     n = len(traj)
     if n < 5:
@@ -405,10 +404,9 @@ def bmt_consistency_residual(
     if np.abs(dts - dt).max() > 1e-9 * abs(dt):
         raise DiagnosticError("stencil differentiation needs a uniform time grid")
 
-    # fields, pi, gamma_pi and the gradient 4-force at every row at once
-    f = model.components(*traj.x.T)
-    _, grad, pi, gammas, _ = _eom_kernel(model, params)([*traj.x.T, *traj.p.T, *traj.s.T], eom=False)
-    E, B, pi = (to_array(v, (n,)) for v in (f.E, f.B, pi))
+    # fields, pi, gamma_pi and the gradient 4-force at every row at once, from one field sample
+    _, grad, pi, gammas, _, E, B = _eom_kernel(model, params)([*traj.x.T, *traj.p.T, *traj.s.T], eom=False)
+    E, B, pi = (to_array(v, (n,)) for v in (E, B, pi))
     f4 = np.zeros((n, 4))
     if include_gradient_force:
         f4[:, 1:] = -gammas[:, None] * to_array(grad, (n,))
@@ -430,7 +428,7 @@ def bmt_consistency_residual(
 
 def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
     """Residual-vs-amplitude scan of the covariance defect of the boost into
-    the instantaneous rest frame, beta = v_pi / c.
+    the instantaneous rest frame, beta = pi / (gamma_pi m c).
 
     At each amplitude the defect is max |gamma F_pi(pi, E, B) - F_pi(pi', E', B')|,
     with (E', B') the boosted fields and pi' the momentum rule: (kinetic
@@ -441,12 +439,14 @@ def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
     """
     lambdas = scaling_amplitudes(lambdas)
     pi, s, E, B = (np.asarray(v, dtype=float) for v in (pi, s, E, B))
-    beta = v_pi(pi, params) / params.c
+    # gamma_pi from the field-free kernel at the origin, where A = 0 and so p = pi
+    g_pi = _eom_kernel(Uniform(), params)([0.0, 0.0, 0.0, *pi.tolist(), 0.0, 0.0, 0.0], eom=False)[3]
+    beta = pi / (g_pi * params.m) / params.c
     b2 = float(beta @ beta)
     if b2 >= 1.0:
         raise ValueError("boost speed must satisfy |beta| < 1")
     g = 1.0 / np.sqrt(1.0 - b2)
-    orbital_energy = gamma_pi(pi, params) * params.mc2
+    orbital_energy = g_pi * params.mc2
     # pi with its component along beta stretched by gamma; the energy term is per amplitude
     pi_par = pi + (g - 1.0) / b2 * (beta @ pi) * beta if b2 > 0.0 else pi
     resid = []

@@ -169,8 +169,9 @@ def _execute(cfg: RunConfig, out_dir: Path) -> dict:
     if cfg.mode == "simulate":
         traj = integrate(cfg.state0(), cfg.field_model(), cfg.particle(), cfg.integrator(), cfg["duration"])
         _write_trajectory(traj, out_dir)
+    # the checks write a non-finite value as null, so NaN and Infinity never reach the file
     (out_dir / "results.json").write_text(
-        json.dumps(record, sort_keys=True, indent=2) + "\n"
+        json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
     )
     meta = {
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),

@@ -172,6 +172,7 @@ def to_array(v, shape=()) -> np.ndarray:
     return np.broadcast_to(np.asarray(v, dtype=float), shape)
 
 
+# read outside the tests only by perfbench's probes; the point kernel calls components itself
 def sample_field(model, x: np.ndarray) -> FieldSample:
     """Evaluate a field model at position x (all derivatives analytic).
 

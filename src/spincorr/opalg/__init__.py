@@ -24,7 +24,7 @@ from .identities import (
     weyl_order,
     weyl_orders,
 )
-from .printing import expr_to_records, expr_to_text, leading_terms
+from .printing import expr_to_text, leading_terms
 from .shadow import ShadowRep, shadow_equal, shadow_is_zero
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "claimed_expansion",
     "eps",
     "expr_sum",
-    "expr_to_records",
     "expr_to_text",
     "leading_terms",
     "matchup_report",

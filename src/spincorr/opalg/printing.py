@@ -1,4 +1,4 @@
-"""Deterministic renderers for operator expressions (text and JSON-ready)."""
+"""Deterministic text rendering of operator expressions."""
 
 from __future__ import annotations
 
@@ -48,37 +48,22 @@ def leading_terms(expr: OpExpr, k: int) -> OpExpr:
     return OpExpr({key: expr.terms[key] for key in keys})
 
 
-def expr_to_records(expr: OpExpr) -> list[dict]:
-    """Stable list-of-dicts form used by the JSON reports."""
-    records = []
-    for key in sorted(expr.terms, key=term_sort_key):
-        word, spin, units, ipow = key
-        coeff = expr.terms[key]
-        records.append(
-            {
-                "coeff": str(coeff),
-                "i_power": ipow,
-                "units": {n: k for n, k in zip(UNIT_NAMES, units) if k},
-                "word": [symbol_name(s) for s in word],
-                "spin": spin_name(spin),
-            }
-        )
-    return records
-
-
 def expr_to_text(expr: OpExpr) -> str:
+    """The terms in printing order, joined by "  +  ": each its coefficient,
+    i if odd in i, its units, its word, and its spin in brackets unless 1."""
     if expr.is_zero():
         return "0"
     chunks = []
-    for rec in expr_to_records(expr):
-        factors = [rec["coeff"]]
-        if rec["i_power"]:
+    for key in sorted(expr.terms, key=term_sort_key):
+        word, spin, units, ipow = key
+        factors = [str(expr.terms[key])]
+        if ipow:
             factors.append("i")
-        u = _unit_str(tuple(rec["units"].get(n, 0) for n in UNIT_NAMES))
+        u = _unit_str(units)
         if u:
             factors.append(u)
-        factors.extend(rec["word"])
-        if rec["spin"] != "1":
-            factors.append(f"[{rec['spin']}]")
+        factors.extend(symbol_name(s) for s in word)
+        if spin:
+            factors.append(f"[{spin_name(spin)}]")
         chunks.append(" ".join(factors))
     return "  +  ".join(chunks)

@@ -1,5 +1,7 @@
 """Hamiltonians, gradients, integration and covariant diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,8 @@ from spincorr import (
     SternGerlach,
     Superposition,
     Uniform,
-    gamma_pi,
     kinematic_momentum,
     sample_field,
-    v_pi,
 )
 from spincorr import checks, classical
 from spincorr.classical import (
@@ -25,7 +25,6 @@ from spincorr.classical import (
     covariance_scaling,
     eom_rhs,
     h_total,
-    h_total_rows,
     integrate,
     precession_vector,
 )
@@ -38,6 +37,18 @@ PARAMS = ParticleParams.from_moment(m=1.0, e=0.7, mu_prime=0.13)
 NO_FIELD = Uniform()
 # the gradient oracle's field: a Stern-Gerlach trap plus a sinusoidal E
 ORACLE_FIELD = Superposition(SternGerlach(B0=1.0, b=0.3), SinusoidalElectrostatic(lam=0.4, L=2.0))
+
+
+def gamma_pi(pi, params):
+    """sqrt(1 + |pi|^2/(mc)^2), |pi|^2 summed per component as the point kernel sums it."""
+    pi0, pi1, pi2 = np.asarray(pi, dtype=float).tolist()
+    return math.sqrt(1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / params.mc ** 2)
+
+
+def v_pi(pi, params):
+    """pi / (gamma_pi m), below c in magnitude."""
+    pi = np.asarray(pi, dtype=float)
+    return pi / (gamma_pi(pi, params) * params.m)
 
 
 def random_state(scale_p=1.0):
@@ -60,6 +71,7 @@ def gradient_oracle_per_state(seed):
     Returns (worst, worst_state, worst_part).
     """
     model = ORACLE_FIELD
+    h_rows = classical._eom_kernel(model, checks.CANONICAL)
     rng = np.random.default_rng(seed)
     h = 1e-6
     offsets = np.zeros((18, 9))
@@ -69,7 +81,7 @@ def gradient_oracle_per_state(seed):
         st = PhaseState(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
         dx, dp, ds = eom_rhs(st, model, checks.CANONICAL)
         ys = np.concatenate([st.x, st.p, st.s]) + offsets
-        H = h_total_rows(ys[:, 0:3], ys[:, 3:6], ys[:, 6:9], model, checks.CANONICAL)
+        H = h_rows(list(ys.T), eom=None)
         fd = (H[0::2] - H[1::2]) / (2 * h)
         fd_x, fd_p, grad_s = fd[0:3], fd[3:6], fd[6:9]
         err = np.abs(np.concatenate([dx - fd_p, dp + fd_x, ds - np.cross(grad_s, st.s)]))
@@ -148,13 +160,14 @@ def oracle_eom_arrays(x, p, s, model, params):
 
 
 def oracle_point(x, p, s, model, params):
-    """(H, d(H_spin)/dx at fixed pi, pi, gamma_pi, F_pi) in component form, every E and grad-E term formed."""
+    """(H, d(H_spin)/dx at fixed pi, pi, gamma_pi, F_pi, E, B) in component form, every E and grad-E term
+    formed; E and B as the model gives them."""
     f, pi, g = _local(x, p, model, params)
     a, b, d = _coefficients(g, params)
     dB = _vecmat(_comb(-a, s, b * _dot(s, pi), pi), f.grad_B)
     grad = _comb(1.0, dB, d, _vecmat(_cross(s, pi), f.grad_E))
     F = _comb(a, f.B, -b * _dot(pi, f.B), pi, -d, _cross(pi, f.E))
-    return g * params.mc2 + params.e * f.phi - _dot(s, F), grad, pi, g, F
+    return g * params.mc2 + params.e * f.phi - _dot(s, F), grad, pi, g, F, f.E, f.B
 
 
 def oracle_integrate(state0, model, params, spec, T):
@@ -371,21 +384,28 @@ class TestGradientOracleCheck:
         assert r.passed
 
     def test_work_counts(self, monkeypatch):
+        # an H call is a kernel call with eom=None, on the columns of its rows
         calls = {"eom": 0, "h": 0, "rows": 0}
-        eom, rows = checks.eom_rhs, classical.h_total_rows
+        eom, make_kernel = checks.eom_rhs, classical._eom_kernel
 
         def counted_eom(*args):
             calls["eom"] += 1
             return eom(*args)
 
-        def counted_rows(x, *args):
-            calls["h"] += 1
-            calls["rows"] += len(x)
-            assert len(x) <= classical.H_BLOCK
-            return rows(x, *args)
+        def counted_kernel(model, params):
+            kernel = make_kernel(model, params)
+
+            def counted(y, eom=True):
+                if eom is None:
+                    calls["h"] += 1
+                    calls["rows"] += len(y[0])
+                    assert len(y[0]) <= classical.H_BLOCK
+                return kernel(y, eom)
+
+            return counted
 
         monkeypatch.setattr(checks, "eom_rhs", counted_eom)
-        monkeypatch.setattr(classical, "h_total_rows", counted_rows)
+        monkeypatch.setattr(classical, "_eom_kernel", counted_kernel)
         d = checks.check_gradient_oracle().detail
         assert (d["eom_calls"], d["h_rows"], d["h_calls"]) == (1000, 18000, 18)
         assert (calls["eom"], calls["rows"], calls["h"]) == (d["eom_calls"], d["h_rows"], d["h_calls"])
@@ -618,8 +638,8 @@ class TestAgainstOracle:
     def test_kernel_matches_oracle(self, name):
         # bit for bit, on 1000 random states: one float state at a time and
         # all states as (N,) components; the derivatives of kernel(y), the
-        # (H, grad, pi, gamma_pi, F_pi) of kernel(y, eom=False) and the H of
-        # kernel(y, eom=None)
+        # (H, grad, pi, gamma_pi, F_pi, E, B) of kernel(y, eom=False) and the
+        # H of kernel(y, eom=None)
         model = KERNEL_MODELS[name]
         X, P, S = np.random.default_rng(4242).normal(size=(3, 1000, 3))
         rhs = classical._eom_kernel(model, PARAMS)
@@ -635,7 +655,7 @@ class TestAgainstOracle:
             assert np.array_equal(to_array(tuple(new[3 * k : 3 * k + 3]), (1000,)), to_array(ref[k], (1000,)))
         new = rhs([*X.T, *P.T, *S.T], eom=False)
         ref = oracle_point(X.T, P.T, S.T, model, PARAMS)
-        assert len(new) == len(ref) == 5
+        assert len(new) == len(ref) == 7
         for got, want in zip(new, ref):
             assert np.array_equal(to_array(got, (1000,)), to_array(want, (1000,)))
         assert np.array_equal(rhs([*X.T, *P.T, *S.T], eom=None), new[0])
@@ -685,6 +705,21 @@ class TestBmtConsistency:
         without_f = bmt_consistency_residual(traj, model, self.NEUTRAL, include_gradient_force=False)
         assert without_f >= 10 * with_f
 
+    def test_one_field_sample_per_call(self):
+        # E and B come from the kernel's own sample of the field
+        model = SternGerlach(B0=5.0, b=0.01)
+        traj = self.make_traj(model, 40, 4.0, p0=np.array([1e-4, 3e-5, -2e-5]) * self.NEUTRAL.mc)
+        calls = []
+
+        class Counted:
+            def components(self, x, y, z):
+                calls.append(len(x))
+                return model.components(x, y, z)
+
+        resid = bmt_consistency_residual(traj, Counted(), self.NEUTRAL)
+        assert calls == [len(traj)]
+        assert resid == bmt_consistency_residual(traj, model, self.NEUTRAL)
+
     def test_too_coarse_rejected(self):
         traj = self.make_traj(NO_FIELD, 3, 1.0, p0=np.zeros(3))
         with pytest.raises(DiagnosticError):
@@ -717,7 +752,7 @@ def boosted_precession_pair(pi, s, E, B, beta, params, drop_spin_energy):
 
 def rest_frame_residual(pi, s, E, B, params, drop_spin_energy):
     """max |lhs - rhs| of boosted_precession_pair for the boost into the rest frame, beta = v_pi / c."""
-    beta = v_pi(np.asarray(pi, dtype=float), params) / params.c
+    beta = v_pi(pi, params) / params.c
     lhs, rhs = boosted_precession_pair(pi, s, E, B, beta, params, drop_spin_energy)
     return float(np.abs(lhs - rhs).max())
 

@@ -693,6 +693,25 @@ class TestCliDispatch:
         assert "boost_covariance" in out
         assert "overall: PASS" in out
 
+    # at these amplitudes div E underflows and the Darwin fit divides by zero, which numpy warns of
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_values_written_as_null(self, tmp_path, capsys):
+        out = tmp_path / "tiny"
+        assert main(["verify-fw", "--lambda-list", "1e-160,1e-161,1e-162", "--out", str(out)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        record = json.loads((out / "results.json").read_text(), parse_constant=refuse)
+        checks = {c["name"]: c for c in record["checks"]}
+        value = checks["negative_result"]["value"]
+        assert [value[k] for k in ("fit_rel_dev", "gap_over_darwin", "nonrel_form_rel_diff")] == [None] * 3
+        assert checks["negative_result"]["pass"] is False and record["pass"] is False
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        assert '"fit_rel_dev": null' in capsys.readouterr().out
+
     def test_report_missing_results(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "void")]) == 2
 

@@ -14,8 +14,8 @@ from spincorr import (
     gamma_pi,
     kinematic_momentum,
     sample_field,
-    v_pi,
 )
+from spincorr.classical import eom_rhs
 from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
 
 RNG = np.random.default_rng(20260814)
@@ -307,6 +307,11 @@ class TestSuperpositionFold:
     def test_empty_is_zero(self):
         for point in ((0.1, 0.2, 0.3), tuple(RNG.normal(size=(3, 5)))):
             assert Superposition().components(*point) == FieldSample.zero()
+
+
+def v_pi(pi, params):
+    """The field-free velocity dx/dt = pi / (gamma_pi m) from the equations of motion at the origin."""
+    return eom_rhs(PhaseState(np.zeros(3), pi, np.array([0.0, 0.0, 1.0])), Uniform(), params)[0]
 
 
 class TestKinematics:

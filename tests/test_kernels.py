@@ -29,7 +29,6 @@ from spincorr.classical import (
     IntegratorSpec,
     eom_rhs,
     h_total,
-    h_total_rows,
     integrate,
     precession_vector,
 )
@@ -139,7 +138,7 @@ class TestAgainstReference:
             for new, ref in zip(eom_rhs(st, model, PARAMS), ref_eom(x, p, s, model, PARAMS)):
                 assert_close(new, ref)
             assert_close(h_total(st, model, PARAMS), ref_h_total(x, p, s, model, PARAMS))
-            _, grad, _, _, _ = classical._eom_kernel(model, PARAMS)([*x, *p, *s], eom=False)
+            grad = classical._eom_kernel(model, PARAMS)([*x, *p, *s], eom=False)[1]
             assert_close(grad, ref_explicit_gradient(x, p, s, model, PARAMS))
             smp = sample_field(model, x)
             pi = kinematic_momentum(p, smp.A, PARAMS)
@@ -154,7 +153,7 @@ class TestAgainstReference:
         for k in range(3):
             assert_close(to_array(tuple(new[3 * k : 3 * k + 3]), (n,)), [r[k] for r in refs])
         ref_h = [ref_h_total(x, p, s, model, PARAMS) for x, p, s in zip(X, P, S)]
-        assert_close(h_total_rows(X, P, S, model, PARAMS), ref_h)
+        assert_close(classical._eom_kernel(model, PARAMS)([*X.T, *P.T, *S.T], eom=None), ref_h)
         # F_pi over the ensemble from the same point kernel
         F = classical._eom_kernel(model, PARAMS)([*X.T, *P.T, *S.T], eom=False)[4]
         smp = sample_field(model, X)
@@ -193,7 +192,7 @@ def test_h_blocked_offsets_match_per_state_rows():
     assert H.shape == (130, 18)
     for y, row in zip(ys, H):
         d = y + offsets
-        assert_close(row, h_total_rows(d[:, 0:3], d[:, 3:6], d[:, 6:9], model, PARAMS))
+        assert_close(row, classical._eom_kernel(model, PARAMS)(list(d.T), eom=None))
 
 
 # ---------------------------------------------------------------------------

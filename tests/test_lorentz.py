@@ -1,15 +1,15 @@
 """Field transforms and the covariant RHS, against per-row Lorentz oracles.
 
-The boost matrix, the tensor-to-field map, the per-row spin 4-vector and
-4-velocity, and the covariant orbital RHS live here: they are the
-independent oracles of `boost_fields`, `classical._four_vectors` and the
-`bmt_rhs` closure.
+The boost matrix, the tensor-to-field map, gamma_pi and v_pi, the per-row
+spin 4-vector and 4-velocity, and the covariant orbital RHS live here: they
+are the independent oracles of `boost_fields`, `classical._four_vectors`
+and the `bmt_rhs` closure.
 """
 
 import numpy as np
 import pytest
 
-from spincorr import ParticleParams, gamma_pi, v_pi
+from spincorr import ParticleParams
 from spincorr.classical import _four_vectors
 from spincorr.lorentz import METRIC, bmt_rhs, boost_fields, field_tensor, minkowski_dot
 
@@ -36,6 +36,18 @@ def fields_from_tensor(F):
     E = np.array([F[1, 0], F[2, 0], F[3, 0]])
     B = np.array([F[3, 2], F[1, 3], F[2, 1]])
     return E, B
+
+
+def gamma_pi(pi, params):
+    """sqrt(1 + (pi/mc)^2)."""
+    r = np.asarray(pi, dtype=float) / params.mc
+    return float(np.sqrt(1.0 + r @ r))
+
+
+def v_pi(pi, params):
+    """pi / (gamma_pi m), below c in magnitude."""
+    pi = np.asarray(pi, dtype=float)
+    return pi / (gamma_pi(pi, params) * params.m)
 
 
 def spin_four_vector_lab(s, pi, params):

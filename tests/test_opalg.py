@@ -15,7 +15,6 @@ from spincorr.opalg import (
     binom_minus_half,
     case_algebra,
     expr_sum,
-    expr_to_records,
     expr_to_text,
     matchup_report,
     omega_base,
@@ -534,11 +533,25 @@ class TestPrinting:
         assert expr_to_text(e) == expr_to_text(alg.canonicalize(e))
         assert expr_to_text(OpExpr()) == "0"
 
-    def test_records_roundtrip_shape(self):
+    def test_pinned_text(self):
+        # fractional coefficients, i, units with negative powers, field words
+        # with derivatives, a spin, and printing order
         alg = Algebra(charged=True)
-        recs = expr_to_records(alg.multiply(alg.pi(1), alg.field("B", 2)))
-        assert all(set(r) == {"coeff", "i_power", "units", "word", "spin"} for r in recs)
-        assert recs == expr_to_records(alg.multiply(alg.pi(1), alg.field("B", 2)))
+        e = (
+            alg.multiply(alg.pi(1), alg.field("B", 2, (3,))).scale(Fraction(-3, 4), (1, -1, 0, 2, 0), 1)
+            + alg.multiply(alg.sigma(3), alg.beta()).scale(Fraction(5, 2), (0, 0, -2, 0, 0))
+            + alg.pi(2).scale(Fraction(1, 3), (0, 0, 0, 0, 1), 1)
+        )
+        assert expr_to_text(e) == (
+            "5/2 m^-2 [beta*sigma3]  +  -3/4 hbar^2 c^-1 e^2 d1d3_B2  +  1/3 i mu' pi2"
+            "  +  -3/4 i hbar c^-1 e^2 d3_B2 pi1"
+        )
+
+    def test_records_roundtrip_shape(self):
+        # the same text on repeated calls, from equal expressions built apart
+        alg = Algebra(charged=True)
+        text = expr_to_text(alg.multiply(alg.pi(1), alg.field("B", 2)))
+        assert text == expr_to_text(alg.multiply(alg.pi(1), alg.field("B", 2))) == "-1 i hbar d1_B2  +  1 B2 pi1"
 
 
 class TestCaseEqualityReport:

@@ -864,11 +864,21 @@ class TestDarwin:
             ("slope_with_darwin", 2.15),
             ("slope_without_darwin", 0.85),
             ("slope_without_darwin", 1.15),
+            # a centred band gates abs(slope - centre) <= 0.1, which rounds above
+            # 0.1 at these edges of the recorded bands
+            ("slope_with_darwin", 1.9),
+            ("slope_with_darwin", 2.1),
+            ("slope_without_darwin", 1.1),
         ],
     )
     def test_each_bound_gates_the_check(self, key, value):
         rep = dict(darwin_vs_classical_hd(LAT_II, PAR_II, LAMS), **{key: value})
         assert not checks.check_negative_result(LAMS, lambda *args: rep).passed
+
+    def test_lower_edge_of_the_linear_band_passes(self):
+        # abs(0.9 - 1.0) rounds below 0.1
+        rep = dict(darwin_vs_classical_hd(LAT_II, PAR_II, LAMS), slope_without_darwin=0.9)
+        assert checks.check_negative_result(LAMS, lambda *args: rep).passed
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(DiagnosticError):
