@@ -51,12 +51,13 @@ NEUTRAL_SLOW = ParticleParams.neutral(mu_prime=0.11)
 
 
 def _jsonable(v):
-    """Strip numpy scalar types so the records serialize canonically; a non-finite float, not JSON, becomes None."""
+    """Strip numpy scalar types so the records serialize canonically, and write a Fraction as its float;
+    a non-finite float, not JSON, becomes None."""
     if isinstance(v, np.bool_):
         return bool(v)
     if isinstance(v, np.integer):
         return int(v)
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, (float, np.floating, Fraction)):
         return float(v) if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
@@ -65,23 +66,63 @@ def _jsonable(v):
     return v
 
 
+# bound kind -> its verdict on a value v, given the limits (a, b)
+VERDICTS = {
+    "<": lambda v, a, b: v < a,
+    ">=": lambda v, a, b: v >= a,
+    "==": lambda v, a, b: v == a,
+    "[]": lambda v, a, b: a <= v <= b,
+    "+-": lambda v, a, b: abs(v - a) <= b,
+}
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One bound a check gates on: its kind, a key of VERDICTS, and its limits a and b.
+
+    A list or dict value passes when every entry passes; NaN passes no kind.
+    """
+
+    kind: str
+    a: object
+    b: float | None = None
+
+    def passes(self, v) -> bool:
+        if isinstance(v, (list, tuple, dict)):
+            return all(map(self.passes, v.values() if isinstance(v, dict) else v))
+        return bool(VERDICTS[self.kind](v, self.a, self.b))
+
+    def limits(self):
+        """The bound as results.json records it: a limit, or a band as [low, high]."""
+        if self.kind == "+-":
+            return [self.a - self.b, self.a + self.b]
+        return self.a if self.b is None else [self.a, self.b]
+
+
 @dataclass
 class CheckResult:
     name: str
     value: object
-    tolerance: object
-    passed: bool
+    # one Bound on the whole value, or a dict of Bounds keyed by the value keys they gate
+    bounds: Bound | dict
     expected_fail: bool = False
     detail: dict = dc_field(default_factory=dict)
     # wall time of the check; meta.json records it, results.json does not
     wall_s: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        if isinstance(self.bounds, Bound):
+            return self.bounds.passes(self.value)
+        return all(b.passes(self.value[k]) for k, b in self.bounds.items())
+
     def to_json(self) -> dict:
+        b = self.bounds
         return {
             "name": self.name,
             "value": _jsonable(self.value),
-            "tolerance": _jsonable(self.tolerance),
-            "pass": bool(self.passed),
+            "tolerance": _jsonable(b.limits() if isinstance(b, Bound) else {k: x.limits() for k, x in b.items()}),
+            "pass": self.passed,
             "expected_fail": bool(self.expected_fail),
             "detail": _jsonable(self.detail),
         }
@@ -139,7 +180,7 @@ def check_larmor_limit() -> CheckResult:
     ang = np.unwrap(np.arctan2(traj.s[:, 1], traj.s[:, 0]))
     theta = abs(ang[-1] - ang[0])
     rel = abs(theta - rate * T) / (rate * T)
-    return CheckResult("larmor_limit", rel, 1e-6, rel < 1e-6, detail=_work(traj))
+    return CheckResult("larmor_limit", rel, Bound("<", 1e-6), detail=_work(traj))
 
 
 def check_conservation() -> CheckResult:
@@ -156,14 +197,8 @@ def check_conservation() -> CheckResult:
     h = traj.h_total[: n_energy + 1]
     energy_drift = float(np.abs(h - h[0]).max() / abs(h[0]))
     value = {"spin_drift": spin_drift, "energy_drift": energy_drift}
-    tol = {"spin_drift": 1e-9, "energy_drift": 1e-8}
-    return CheckResult(
-        "conservation",
-        value,
-        tol,
-        spin_drift < tol["spin_drift"] and energy_drift < tol["energy_drift"],
-        detail={**_work(traj), "energy_steps": n_energy, "dt": dt},
-    )
+    bounds = {"spin_drift": Bound("<", 1e-9), "energy_drift": Bound("<", 1e-8)}
+    return CheckResult("conservation", value, bounds, detail={**_work(traj), "energy_steps": n_energy, "dt": dt})
 
 
 def check_pitch_lock() -> CheckResult:
@@ -182,7 +217,7 @@ def check_pitch_lock() -> CheckResult:
     pi = np.column_stack(kernel([*traj.x.T, *traj.p.T, *traj.s.T], eom=False)[2])
     pitch = np.einsum("ij,ij->i", traj.s, pi) / np.linalg.norm(pi, axis=1)
     dev = float(np.abs(pitch - pitch[0]).max())
-    return CheckResult("pitch_lock", dev, 1e-8, dev < 1e-8, detail={**_work(traj), "periods": 10})
+    return CheckResult("pitch_lock", dev, Bound("<", 1e-8), detail={**_work(traj), "periods": 10})
 
 
 def check_bmt_consistency() -> CheckResult:
@@ -202,10 +237,9 @@ def check_bmt_consistency() -> CheckResult:
     without_f = bmt_consistency_residual(trajs[-1], model, NEUTRAL_SLOW, include_gradient_force=False)
     ratio = float(without_f / with_f)
     value = {"stencil_order": order, "f_term_ratio": ratio}
-    tol = {"stencil_order": [3.7, 4.3], "f_term_ratio_min": 10.0}
-    passed = 3.7 <= order <= 4.3 and ratio >= 10.0
+    bounds = {"stencil_order": Bound("[]", 3.7, 4.3), "f_term_ratio": Bound(">=", 10.0)}
     return CheckResult(
-        "bmt_consistency", value, tol, passed, detail={**_work(*trajs), "residuals": [float(r) for r in resids]}
+        "bmt_consistency", value, bounds, detail={**_work(*trajs), "residuals": [float(r) for r in resids]}
     )
 
 
@@ -249,7 +283,7 @@ def check_gradient_oracle(seed: int = SCHEMA["seed"][1]) -> CheckResult:
         "worst_state": int(state),
         "worst_part": ("dx", "dp", "ds")[col // 3],
     }
-    return CheckResult("gradient_oracle", worst, 1e-7, worst < 1e-7, detail=detail)
+    return CheckResult("gradient_oracle", worst, Bound("<", 1e-7), detail=detail)
 
 
 def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
@@ -262,18 +296,16 @@ def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
 
     residual_terms = {}
     detail = {"order": order}
-    ok_all = True
     for case in ("I", "II"):
         alg = case_algebra(case)
         ok, residual = verify_case(case, order, alg)
-        ok_all = ok_all and ok
         tag = f"case_{case.lower()}"
         residual_terms[f"{tag}_residual_terms"] = len(residual.terms)
         detail[f"{tag}_dropped_derivatives"] = alg.dropped_derivatives
         detail[f"{tag}_memo_words"] = alg.memo_words
         if not ok:
             detail[f"{tag}_leading_residual"] = expr_to_text(leading_terms(residual, RESIDUAL_TERMS_SHOWN))
-    return CheckResult("case_equality", residual_terms, 0, ok_all, detail=detail)
+    return CheckResult("case_equality", residual_terms, Bound("==", 0), detail=detail)
 
 
 def check_ordering_identity(seed: int = SCHEMA["seed"][1]) -> CheckResult:
@@ -296,24 +328,17 @@ def check_ordering_identity(seed: int = SCHEMA["seed"][1]) -> CheckResult:
         detail["leading_residual"] = [
             expr_to_text(leading_terms(h, RESIDUAL_TERMS_SHOWN)) for h in rep["homogeneous_residual"]
         ]
-    return CheckResult("ordering_identity", value, 0, bool(rep["ok"]), detail=detail)
+    return CheckResult("ordering_identity", value, Bound("==", True), detail=detail)
 
 
 def check_darwin_anchors() -> CheckResult:
     m, e = Fraction(3, 2), Fraction(5, 7)
     dirac_val = qfw.darwin_coefficient(m, e, gamma_m=e / m)
-    dirac_ok = dirac_val == e / (8 * m ** 2)
     mu_p = Fraction(4, 11)
     neutral_val = qfw.darwin_coefficient(Fraction(2), 0, gamma_m=2 * mu_p)
-    neutral_ok = neutral_val == -mu_p / 4
-    value = {"dirac": float(dirac_val), "neutral": float(neutral_val)}
-    return CheckResult(
-        "darwin_anchors",
-        value,
-        0,
-        dirac_ok and neutral_ok,
-        detail={"dirac_exact": str(dirac_val), "neutral_exact": str(neutral_val)},
-    )
+    bounds = {"dirac": Bound("==", e / (8 * m ** 2)), "neutral": Bound("==", -mu_p / 4)}
+    detail = {"dirac_exact": str(dirac_val), "neutral_exact": str(neutral_val)}
+    return CheckResult("darwin_anchors", {"dirac": dirac_val, "neutral": neutral_val}, bounds, detail=detail)
 
 
 def _qfw_defaults(case):
@@ -342,16 +367,11 @@ def check_spectrum_preservation(transforms=qfw.exact_transform) -> CheckResult:
             fw_blocks[tag] = [[2 * len(Hfw.blocks), Hfw.blocks.shape[-1] // 2]]
             components[tag] = {"H": comp_h, "H_transformed": comp_hp}
     value = {"spectrum": worst_spec, "block_diagonality": worst_block}
-    tol = {"spectrum": 1e-10, "block_diagonality": 1e-11}
-    return CheckResult(
-        "spectrum_preservation",
-        value,
-        tol,
-        worst_spec < tol["spectrum"] and worst_block < tol["block_diagonality"],
-        # [number of blocks, dimension] of the transform's eigh stacks, and
-        # [number of components, size] of each side's nonzero pattern
-        detail={"fw_blocks": fw_blocks, "components": components},
-    )
+    bounds = {"spectrum": Bound("<", 1e-10), "block_diagonality": Bound("<", 1e-11)}
+    # [number of blocks, dimension] of the transform's eigh stacks, and
+    # [number of components, size] of each side's nonzero pattern
+    detail = {"fw_blocks": fw_blocks, "components": components}
+    return CheckResult("spectrum_preservation", value, bounds, detail=detail)
 
 
 def check_correspondence_scaling(
@@ -371,14 +391,11 @@ def check_correspondence_scaling(
     res_ii = [rep[residual][lam] for lam in lambdas]
     slope_ii = rep[slope]
     value = {"case_i_slope": slope_i, "case_ii_slope": slope_ii}
-    target_ii = 1.0 if drop_darwin else 2.0
-    tol = {"case_i_slope": [1.9, 2.1], "case_ii_slope": [target_ii - 0.1, target_ii + 0.1]}
-    passed = abs(slope_i - 2.0) <= 0.1 and abs(slope_ii - target_ii) <= 0.1
+    bounds = {"case_i_slope": Bound("+-", 2.0, 0.1), "case_ii_slope": Bound("+-", 1.0 if drop_darwin else 2.0, 0.1)}
     return CheckResult(
         "correspondence_scaling",
         value,
-        tol,
-        passed,
+        bounds,
         expected_fail=drop_darwin,
         detail={
             "lambdas": list(lambdas),
@@ -414,19 +431,13 @@ def check_negative_result(
         "slope_with_darwin": rep["slope_with_darwin"],
         "slope_without_darwin": rep["slope_without_darwin"],
     }
-    tol = {
-        "gap_min": required_gap,
-        "nonrel_form_max": 1e-3,
-        "slope_with_darwin": [1.9, 2.1],
-        "slope_without_darwin": [0.9, 1.1],
+    bounds = {
+        "gap_over_darwin": Bound(">=", required_gap),
+        "nonrel_form_rel_diff": Bound("<", 1e-3),
+        "slope_with_darwin": Bound("+-", 2.0, 0.1),
+        "slope_without_darwin": Bound("+-", 1.0, 0.1),
     }
-    passed = (
-        rep["gap_over_darwin"] >= tol["gap_min"]
-        and rep["nonrel_form_rel_diff"] < tol["nonrel_form_max"]
-        and abs(rep["slope_with_darwin"] - 2.0) <= 0.1
-        and abs(rep["slope_without_darwin"] - 1.0) <= 0.1
-    )
-    return CheckResult("negative_result", value, tol, passed)
+    return CheckResult("negative_result", value, bounds)
 
 
 def check_parity(transforms=qfw.exact_transform) -> CheckResult:
@@ -439,7 +450,7 @@ def check_parity(transforms=qfw.exact_transform) -> CheckResult:
         dev_h, dev_hp = qfw.parity_check(qfw.build_hamiltonian(case, lat, par, orb), Hfw)
         per_case[case] = {"H": dev_h, "H_transformed": dev_hp}
         worst = max(worst, dev_h, dev_hp)
-    return CheckResult("parity", worst, 1e-12, worst < 1e-12, detail=per_case)
+    return CheckResult("parity", worst, Bound("<", 1e-12), detail=per_case)
 
 
 def check_boost_covariance(
@@ -464,9 +475,8 @@ def check_boost_covariance(
         slopes.append(float(slope))
         residuals.append([float(r) for r in resid])
     value = {"slopes": slopes}
-    passed = all(abs(s - 2.0) <= 0.1 for s in slopes)
     return CheckResult(
-        "boost_covariance", value, {"slope": [1.9, 2.1]}, passed, detail={"seed": seed, "residuals": residuals}
+        "boost_covariance", value, {"slopes": Bound("+-", 2.0, 0.1)}, detail={"seed": seed, "residuals": residuals}
     )
 
 

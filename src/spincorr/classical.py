@@ -435,7 +435,8 @@ def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
     energy / c, pi) boosted as a 4-vector. The kinetic energy keeps the spin
     energy -s.F_pi, which makes the defect quadratic in the amplitude; that
     remainder is exactly what the weak-field replacement neglects. Returns
-    (residuals, slope) with slope fit on log-log axes.
+    (residuals, slope) with slope fit on log-log axes, or NaN, which fails
+    every bound, where the defect underflowed and left no slope to fit.
     """
     lambdas = scaling_amplitudes(lambdas)
     pi, s, E, B = (np.asarray(v, dtype=float) for v in (pi, s, E, B))
@@ -457,4 +458,7 @@ def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
         Ep, Bp = boost_fields(E_lam, B_lam, beta)
         Fp = precession_vector(pi_par - (g / params.c) * beta * kinetic, Ep, Bp, params)
         resid.append(float(np.abs(g * F - Fp).max()))
-    return resid, fit_slope(lambdas, resid)
+    try:
+        return resid, fit_slope(lambdas, resid)
+    except DiagnosticError:
+        return resid, math.nan

@@ -538,7 +538,9 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
     Hfw_u, C0_u, Dg_u, D0_u = per_lam[lam0]
     Rs = Ps2.conj().T @ (Hfw_u - C0_u) @ Ps2
     Ds = Ps2.conj().T @ D0_u @ Ps2
-    fitted = float(np.real(np.vdot(Ds, Rs) / np.vdot(Ds, Ds)))
+    norm = np.vdot(Ds, Ds)
+    # a squared norm that underflowed below the normal floats leaves no coefficient to fit
+    fitted = float(np.real(np.vdot(Ds, Rs) / norm)) if abs(norm) >= np.finfo(float).tiny else math.nan
     darwin_mag = float(np.abs(Dg_u).max())
     nonrel_diff = float(
         np.abs(Ps2.conj().T @ (Dg_u - fitted * D0_u) @ Ps2).max() / darwin_mag

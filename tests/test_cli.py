@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from spincorr import checks, cli
-from spincorr.checks import MODE_CHECKS, RUN_PARAMS, CheckResult, run_checks
+from spincorr.checks import MODE_CHECKS, RUN_PARAMS, Bound, CheckResult, run_checks
 from spincorr.classical import Trajectory, covariance_scaling, integrate
 from spincorr.cli import _overrides_from_args, _write_trajectory, build_parser, main, render_report
 from spincorr.config import MODES, READ_BY, SCHEMA, ConfigError, load_config, parse_lines
@@ -573,6 +574,33 @@ class TestOneAmplitudeRule:
         assert str(refused.value) == rule
 
 
+class TestBound:
+    # each row: a bound, one of its limits, and the verdicts one ulp below it, at it and one ulp above it
+    @pytest.mark.parametrize(
+        "bound, edge, verdicts",
+        [
+            (Bound("<", 1e-6), 1e-6, (True, False, False)),
+            (Bound(">=", 10.0), 10.0, (False, True, True)),
+            (Bound("==", 0.0), 0.0, (False, True, False)),
+            (Bound("[]", 3.7, 4.3), 3.7, (False, True, True)),
+            (Bound("[]", 3.7, 4.3), 4.3, (True, True, False)),
+            # abs(v - centre) <= width rounds above 0.1 at 1.9, 2.1 and 1.1, and below it at 0.9
+            (Bound("+-", 2.0, 0.1), 1.9, (False, False, True)),
+            (Bound("+-", 2.0, 0.1), 2.1, (True, False, False)),
+            (Bound("+-", 1.0, 0.1), 0.9, (False, True, True)),
+            (Bound("+-", 1.0, 0.1), 1.1, (True, False, False)),
+        ],
+    )
+    def test_verdict_at_and_beside_each_limit(self, bound, edge, verdicts):
+        values = (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+        assert tuple(bound.passes(v) for v in values) == verdicts
+        assert not bound.passes(math.nan)
+        # a list or dict passes only when every entry passes
+        passing = [v for v, ok in zip(values, verdicts) if ok]
+        assert bound.passes(passing) and bound.passes(dict(enumerate(passing)))
+        assert not bound.passes([*passing, math.nan]) and not bound.passes(dict(enumerate(values)))
+
+
 class TestCliDispatch:
     def test_boost_passes_and_is_deterministic(self, tmp_path, capsys):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -586,6 +614,7 @@ class TestCliDispatch:
         record = json.loads(r1)
         assert record["pass"] is True
         assert [c["name"] for c in record["checks"]] == ["boost_covariance"]
+        assert all(set(c["tolerance"]) <= set(c["value"]) for c in record["checks"] if isinstance(c["tolerance"], dict))
 
     def test_meta_records_numpy_and_thread_variables(self, tmp_path, monkeypatch, capsys):
         import numpy as np
@@ -623,6 +652,7 @@ class TestCliDispatch:
         r1 = (d1 / "results.json").read_bytes()
         assert r1 == (d2 / "results.json").read_bytes()
         checks = {c["name"]: c for c in json.loads(r1)["checks"]}
+        assert all(set(c["tolerance"]) <= set(c["value"]) for c in checks.values() if isinstance(c["tolerance"], dict))
         detail = checks["correspondence_scaling"]["detail"]
         assert [len(detail["residuals"][case]) for case in ("case_i", "case_ii")] == [3, 3]
         assert detail["blocks"] == {"case_i": [[12, 48]], "case_ii": [[1, 256]]}
@@ -640,7 +670,7 @@ class TestCliDispatch:
         import spincorr.cli as cli_mod
 
         def fake_checks(cfg):
-            return [CheckResult("parity", 1.0, 1e-12, False)]
+            return [CheckResult("parity", 1.0, Bound("<", 1e-12))]
 
         monkeypatch.setattr(cli_mod, "run_checks", fake_checks)
         out = tmp_path / "r"
@@ -663,7 +693,7 @@ class TestCliDispatch:
         import spincorr.cli as cli_mod
 
         def fake_checks(cfg):
-            return [CheckResult("larmor_limit", 0.0, 1e-6, True)]
+            return [CheckResult("larmor_limit", 0.0, Bound("<", 1e-6))]
 
         monkeypatch.setattr(cli_mod, "run_checks", fake_checks)
         cfg = tmp_path / "sim.cfg"
@@ -693,9 +723,7 @@ class TestCliDispatch:
         assert "boost_covariance" in out
         assert "overall: PASS" in out
 
-    # at these amplitudes div E underflows and the Darwin fit divides by zero, which numpy warns of
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # at these amplitudes div E underflows and the Darwin fit has nothing to fit to
     def test_non_finite_values_written_as_null(self, tmp_path, capsys):
         out = tmp_path / "tiny"
         assert main(["verify-fw", "--lambda-list", "1e-160,1e-161,1e-162", "--out", str(out)]) == 1
@@ -711,6 +739,19 @@ class TestCliDispatch:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 1
         assert '"fit_rel_dev": null' in capsys.readouterr().out
+
+    def test_underflowed_boost_defect_fails_the_check(self, tmp_path, capsys):
+        # the defect, quadratic in the amplitude, underflows to 0 at one boost, which leaves no slope to fit
+        out = tmp_path / "tiny"
+        assert main(["boost", "--seed", "1", "--lambda-list", "1e-151,1e-152,1e-153", "--out", str(out)]) == 1
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        record = json.loads((out / "results.json").read_text(), parse_constant=refuse)
+        [check] = record["checks"]
+        assert None in check["value"]["slopes"]
+        assert check["pass"] is False and record["pass"] is False
 
     def test_report_missing_results(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "void")]) == 2
@@ -751,7 +792,7 @@ class TestCliDispatch:
             "seed": 1,
             "config_hash": "0" * 64,
             "checks": [
-                CheckResult("correspondence_scaling", {"s": 1.0}, {}, True, True).to_json()
+                CheckResult("correspondence_scaling", {"s": 1.0}, {}, expected_fail=True).to_json()
             ],
             "pass": True,
         }

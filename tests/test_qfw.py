@@ -848,9 +848,9 @@ class TestDarwin:
         assert r.passed
         assert r.value["nonrel_form_rel_diff"] == rep["nonrel_form_rel_diff"]
         assert r.value["required_gap"] == (rep["gamma_max"] - 1.0) / 2.0
-        assert r.tolerance == {
-            "gap_min": r.value["required_gap"],
-            "nonrel_form_max": 1e-3,
+        assert r.to_json()["tolerance"] == {
+            "gap_over_darwin": r.value["required_gap"],
+            "nonrel_form_rel_diff": 1e-3,
             "slope_with_darwin": [1.9, 2.1],
             "slope_without_darwin": [0.9, 1.1],
         }
@@ -879,6 +879,15 @@ class TestDarwin:
         # abs(0.9 - 1.0) rounds below 0.1
         rep = dict(darwin_vs_classical_hd(LAT_II, PAR_II, LAMS), slope_without_darwin=0.9)
         assert checks.check_negative_result(LAMS, lambda *args: rep).passed
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowed_darwin_fit_is_nan_without_warnings(self):
+        # the near-rest Darwin block's squared norm underflows at these amplitudes: no coefficient to fit
+        rep = darwin_vs_classical_hd(LAT_II, PAR_II, (1e-160, 1e-161, 1e-162))
+        derived = ("fitted_coefficient", "fit_rel_dev", "nonrel_form_rel_diff", "gap_over_darwin")
+        assert all(math.isnan(rep[key]) for key in derived)
+        assert all(math.isnan(r) for r in rep["residual_candidate"].values())
+        assert not checks.check_negative_result((1e-160, 1e-161, 1e-162), lambda *args: rep).passed
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(DiagnosticError):
