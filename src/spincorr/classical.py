@@ -14,6 +14,7 @@ an ensemble, one code path) it gives H and its parts or the equations of motion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ def _eom_kernel(model, params: ParticleParams):
     """
     components, e, gm, mc = model.components, params.e, params.gamma_m, params.mc
     ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
-    gme, kb = gm - em, (gm - em) / mc_sq
+    gme, kb, sqrt = gm - em, (gm - em) / mc_sq, math.sqrt
 
     def kernel(y, eom=True):
         x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
@@ -93,7 +94,7 @@ def _eom_kernel(model, params: ParticleParams):
         B0, B1, B2 = B
         pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
         g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
-        g = math_of(g2).sqrt(g2)
+        g = sqrt(g2) if g2.__class__ is float else math_of(g2).sqrt(g2)
         # F_pi = a B - b (pi.B) pi - d (pi x E); b vanishes at g = 2, d has the Thomas weight
         u, w = 1.0 / g, 1.0 / (g + 1.0)
         a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
@@ -266,20 +267,29 @@ def _nonzero(weights):
     return tuple((w, j) for j, w in enumerate(weights) if w)
 
 
-def _point(y, h, pairs, ks):
-    """y + h * (w_1 k_1 + w_2 k_2 + ...) per component over a row's (w_j, j)
-    pairs, the terms added in tableau order."""
-    (w, j), rest = pairs[0], pairs[1:]
-    if not rest:
-        return [yi + h * (w * a) for yi, a in zip(y, ks[j])]
-    acc = [w * a for a in ks[j]]
-    for w, j in rest:
-        acc = [c + w * a for c, a in zip(acc, ks[j])]
-    return [yi + h * c for yi, c in zip(y, acc)]
+def _stage(pairs):
+    """y + h * (w_1 k_1 + w_2 k_2 + ...) over a row's (w_j, j) pairs as one straight-line function (y, h, ks) -> list,
+    per component, the terms added in tableau order (y itself without pairs); the weights are bound as names."""
+    if not pairs:
+        return lambda y, h, ks: y
+    terms = " + ".join(f"w{n} * k{j}[{{i}}]" for n, (_, j) in enumerate(pairs))
+    point = ", ".join(f"y[{i}] + h * ({terms.format(i=i)})" for i in range(9))
+    namespace = {f"w{n}": w for n, (w, _) in enumerate(pairs)}
+    exec(f"def stage(y, h, ks):\n    {''.join(f'k{j} = ks[{j}]; ' for _, j in pairs)}return [{point}]", namespace)
+    return namespace["stage"]
 
 
-def _norm3(u):
-    return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+@functools.cache
+def _steppers(method):
+    """The stage functions of a tableau's rows, its solution weights and its error weights (None for a
+    fixed-step method), built once per tableau."""
+    stages, weights, err_weights = TABLEAUX[method]
+    err = None if err_weights is None else _stage(_nonzero(err_weights))
+    return [_stage(_nonzero(row)) for row in stages], _stage(_nonzero(weights)), err
+
+
+def _spin_norm(y):
+    return math.sqrt(y[6] * y[6] + y[7] * y[7] + y[8] * y[8])
 
 
 def integrate(state0: PhaseState, model, params: ParticleParams, spec: IntegratorSpec, T: float) -> Trajectory:
@@ -293,19 +303,17 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     underflows: falls below 1e-12 T or the round-off of t.
 
     y = (x, p, s) is carried as nine floats, the components the kernel
-    takes and returns; `_point` forms each stage point per component.
+    takes and returns; the tableau's `_stage` functions form each stage
+    point, the step and the error estimate.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
-    stages, weights, err_weights = TABLEAUX[spec.method]
-    fixed = err_weights is None
+    stages, step, err_point = _steppers(spec.method)
+    fixed = err_point is None
     n = max(1, int(round(T / spec.step)))
     if fixed and n > spec.max_steps:
         raise ValueError("step count exceeds max_steps")
     h = T / n if fixed else min(spec.step, T)
-    stage_pairs = [_nonzero(row) for row in stages]
-    step_pairs = _nonzero(weights)
-    err_pairs = None if fixed else _nonzero(err_weights)
     rhs = _eom_kernel(model, params)
 
     # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
@@ -316,7 +324,7 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     y = state0.x.tolist() + state0.p.tolist() + state0.s.tolist()
     ts[0], ys[0], drifts[0] = state0.t, y, 0.0
     rows, t, drift_cum, attempts, rejected = 1, 0.0, 0.0, 0, 0
-    s0_mag = _norm3(y[6:9])
+    mag = s0_mag = _spin_norm(y)
 
     def trajectory():
         hs = h_total_blocked(ys[:rows], model, params)
@@ -337,24 +345,25 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
             if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
                 raise IntegrationError("step size underflow", trajectory())
         ks = []
-        for pairs in stage_pairs:
-            ks.append(rhs(_point(y, h, pairs, ks) if pairs else y))
+        for stage in stages:
+            ks.append(rhs(stage(y, h, ks)))
         accept, factor = True, 1.0
         if not fixed:
             # the increment alone, as the point from the origin; abs drops the sign of a zero
-            err = max(map(abs, _point((0.0,) * 9, h, err_pairs, ks)))
+            err = max(map(abs, err_point((0.0,) * 9, h, ks)))
             scale = spec.tol * max(1.0, max(map(abs, y)))
             accept = err <= scale
             factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
         if accept:
-            mag_before = _norm3(y[6:9])
-            y = _point(y, h, step_pairs, ks)
+            y = step(y, h, ks)
             t = rows * h if fixed else t + h
-            raw = _norm3(y[6:9])
-            drift_cum += (raw - mag_before) / s0_mag
+            raw = _spin_norm(y)
+            drift_cum += (raw - mag) / s0_mag
+            mag = raw  # carried to the next step, and recomputed only after a renormalization
             if abs(raw - s0_mag) / s0_mag > SPIN_RENORM_THRESHOLD:
                 r = s0_mag / raw
                 y[6:9] = [c * r for c in y[6:9]]
+                mag = _spin_norm(y)
             if rows == len(ts):
                 ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
             ts[rows], ys[rows], drifts[rows] = state0.t + t, y, drift_cum

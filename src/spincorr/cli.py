@@ -105,24 +105,29 @@ def _run_id(cfg: RunConfig) -> str:
     return hashlib.sha256(tag.encode()).hexdigest()[:12]
 
 
+# one trajectory.json record as json.dumps(records, sort_keys=True, indent=2) writes it: keys sorted,
+# the indentation written out, and %r of a float, the form json writes
+_RECORD = (
+    '  {\n    "h_drift": %r,\n    "h_total": %r,\n    "p": [\n      %r,\n      %r,\n      %r\n    ],\n'
+    '    "s": [\n      %r,\n      %r,\n      %r\n    ],\n    "s_drift": %r,\n    "s_mag": %r,\n    "t": %r,\n'
+    '    "x": [\n      %r,\n      %r,\n      %r\n    ]\n  }'
+)
+
+
 def _write_trajectory(traj, out_dir: Path):
-    """trajectory.json, one record per row, and trajectory.csv, from one stack of the Trajectory's columns.
+    """trajectory.json, one record per row, and trajectory.csv, from the Trajectory's columns.
 
     h_drift is relative to |H| at the first row, which load_config refuses to be zero.
+    trajectory.json is byte-identical to json.dumps(records, sort_keys=True, indent=2) + "\n".
     """
     h = traj.h_total
-    table = np.column_stack(
-        [traj.t, traj.x, traj.p, traj.s, h, traj.s_mag, (h - h[0]) / abs(h[0]), traj.spin_drift]
-    ).tolist()
-    records = [
-        {"t": r[0], "x": r[1:4], "p": r[4:7], "s": r[7:10],
-         "h_total": r[10], "s_mag": r[11], "h_drift": r[12], "s_drift": r[13]}
-        for r in table
-    ]
-    # allow_nan=False: NaN and Infinity are not JSON, so a non-finite row raises instead
-    (out_dir / "trajectory.json").write_text(
-        json.dumps(records, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    h_drift = (h - h[0]) / abs(h[0])
+    table = np.column_stack([traj.t, traj.x, traj.p, traj.s, h, traj.s_mag, h_drift, traj.spin_drift])
+    # NaN and Infinity are not JSON, so a non-finite row raises, as json.dumps(..., allow_nan=False) does
+    if not np.isfinite(table).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    records = np.column_stack([h_drift, h, traj.p, traj.s, traj.spin_drift, traj.s_mag, traj.t, traj.x]).tolist()
+    (out_dir / "trajectory.json").write_text("[\n" + ",\n".join(_RECORD % tuple(r) for r in records) + "\n]\n")
     header = [
         "t", "x1", "x2", "x3", "p1", "p2", "p3", "s1", "s2", "s3",
         "h_total", "s_mag", "h_drift", "s_drift",
@@ -130,7 +135,7 @@ def _write_trajectory(traj, out_dir: Path):
     with (out_dir / "trajectory.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(table)
+        writer.writerows(table.tolist())
 
 
 def render_report(record: dict) -> str:

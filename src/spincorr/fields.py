@@ -105,14 +105,18 @@ class SternGerlach:
     B0: float = 1.0
     b: float = 0.1
 
+    def __post_init__(self):
+        # grad B is constant: one tuple, built once
+        b = self.b
+        object.__setattr__(self, "_grad_B", ((-0.5 * b, 0.0, 0.0), (0.0, -0.5 * b, 0.0), (0.0, 0.0, b)))
+
     def components(self, x, y, z) -> FieldSample:
         b = self.b
         Bz = self.B0 + b * z
         B = (-0.5 * b * x, -0.5 * b * y, Bz)
-        grad_B = ((-0.5 * b, 0.0, 0.0), (0.0, -0.5 * b, 0.0), (0.0, 0.0, b))
         A = (-0.5 * y * Bz, 0.5 * x * Bz, 0.0)
         jac_A = ((0.0, -0.5 * Bz, -0.5 * y * b), (0.5 * Bz, 0.0, 0.5 * x * b), ZERO3)
-        return FieldSample(0.0, A, ZERO3, B, ZERO3, jac_A, ZERO33, grad_B)
+        return FieldSample(0.0, A, ZERO3, B, ZERO3, jac_A, ZERO33, self._grad_B)
 
 
 @dataclass(frozen=True)

@@ -170,9 +170,28 @@ def oracle_point(x, p, s, model, params):
     return g * params.mc2 + params.e * f.phi - _dot(s, F), grad, pi, g, F, f.E, f.B
 
 
-def oracle_integrate(state0, model, params, spec, T):
+def oracle_stage(y, h, pairs, ks):
+    """y + h * (w_1 k_1 + w_2 k_2 + ...) per component over a row's (w_j, j)
+    pairs, the terms added in tableau order; y itself without pairs."""
+    if not pairs:
+        return y
+    (w, j), rest = pairs[0], pairs[1:]
+    if not rest:
+        return [yi + h * (w * a) for yi, a in zip(y, ks[j])]
+    acc = [w * a for a in ks[j]]
+    for w, j in rest:
+        acc = [c + w * a for c, a in zip(acc, ks[j])]
+    return [yi + h * c for yi, c in zip(y, acc)]
+
+
+def component_norm(u):
+    """|u| as sqrt(u1 u1 + u2 u2 + u3 u3), the squares added in component order."""
+    return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+
+
+def oracle_integrate(state0, model, params, spec, T, norm=np.linalg.norm):
     """integrate as an ndarray stepper: y is a (9,) array, each stage point
-    y + h * sum(w * k) over the nonzero weights, the spin norm np.linalg.norm."""
+    y + h * sum(w * k) over the nonzero weights, the spin norm `norm`."""
     stages, weights, err_weights = classical.TABLEAUX[spec.method]
     fixed = err_weights is None
     n = max(1, int(round(T / spec.step)))
@@ -188,7 +207,7 @@ def oracle_integrate(state0, model, params, spec, T):
 
     ts, ys, drifts = [state0.t], [np.concatenate([state0.x, state0.p, state0.s])], [0.0]
     y, t, drift_cum, attempts, rejected = ys[0], 0.0, 0.0, 0, 0
-    s0_mag = float(np.linalg.norm(state0.s))
+    s0_mag = float(norm(state0.s))
 
     def trajectory():
         Y = np.array(ys)
@@ -216,10 +235,10 @@ def oracle_integrate(state0, model, params, spec, T):
             accept = err <= scale
             factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
         if accept:
-            mag_before = float(np.linalg.norm(y[6:9]))
+            mag_before = float(norm(y[6:9]))
             y = y + increment(h, weights, ks)
             t = len(ts) * h if fixed else t + h
-            raw = float(np.linalg.norm(y[6:9]))
+            raw = float(norm(y[6:9]))
             drift_cum += (raw - mag_before) / s0_mag
             if abs(raw - s0_mag) / s0_mag > classical.SPIN_RENORM_THRESHOLD:
                 y[6:9] *= s0_mag / raw
@@ -606,6 +625,48 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("name", sorted(oracle_runs()))
     def test_integrate_matches_oracle(self, name):
         args = oracle_runs()[name]
+        assert_matches_oracle(integrate(*args), oracle_integrate(*args))
+
+    @pytest.mark.parametrize("name", sorted(oracle_runs()))
+    def test_every_step_renormalized_matches_oracle(self, name, monkeypatch):
+        # no run drifts past the default threshold; at 0 every step whose |s| moved is renormalized, so
+        # the |s| carried to the next step is the one recomputed after the renormalization. The oracle
+        # forms |s| in component order, as integrate does (np.linalg.norm differs in the last bits)
+        args = oracle_runs()[name]
+        default = integrate(*args)
+        monkeypatch.setattr(classical, "SPIN_RENORM_THRESHOLD", 0.0)
+        traj = integrate(*args)
+        assert not np.array_equal(traj.s, default.s)
+        assert_matches_oracle(traj, oracle_integrate(*args, norm=component_norm))
+
+    def test_stage_functions_match_the_fold(self):
+        # every stage row, solution row and error row of both tableaux (arities 0 to 5) against the
+        # per-component fold, equal with the sign of every zero, on random y and ks holding +-0.0;
+        # the error row also from the origin, as integrate evaluates it
+        rng = np.random.default_rng(2718)
+        rows = []
+        for method, (stages, weights, err_weights) in classical.TABLEAUX.items():
+            fns, step, err = classical._steppers(method)
+            rows += [*zip(stages, fns), (weights, step)] + ([] if err is None else [(err_weights, err)])
+        rows.append(((0.0, 0.0, 0.0), classical._stage(classical._nonzero((0.0, 0.0, 0.0)))))
+        pairs = [tuple((w, j) for j, w in enumerate(row) if w) for row, _ in rows]
+        assert {len(p) for p in pairs} == {0, 1, 2, 3, 4, 5}
+        scales = [0.0, -0.0, 1.0, 1e-200, 1e200]
+        for _ in range(200):
+            y = (rng.normal(size=9) * rng.choice(scales, size=9)).tolist()
+            ks = (rng.normal(size=(6, 9)) * rng.choice(scales, size=(6, 9))).tolist()
+            h = float(rng.uniform(1e-4, 0.5))
+            for (_, stage), row_pairs in zip(rows, pairs):
+                for start in (y, (0.0,) * 9):
+                    got, want = stage(start, h, ks), oracle_stage(start, h, row_pairs, ks)
+                    if not row_pairs:
+                        assert got is start
+                    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_stage_functions_built_once_per_tableau(self, monkeypatch):
+        args = oracle_runs()["rkf45"]
+        integrate(*args)
+        monkeypatch.setattr(classical, "_stage", None)  # a second build would call it
         assert_matches_oracle(integrate(*args), oracle_integrate(*args))
 
     def test_rk4_work_counters(self):

@@ -373,6 +373,36 @@ class TestNonFiniteEnergyRefusedAtLoad:
         assert not (tmp_path / "trajectory.json").exists()
 
 
+class TestTrajectoryWriter:
+    def test_json_equals_json_dumps(self, tmp_path):
+        # 300 rows whose every column mixes +-0.0, subnormals, the largest float and exponents from
+        # 1e-300 to 1e300, against json.dumps of the same rows as a list of dicts
+        rng = np.random.default_rng(1729)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1e16, 1e-5, 0.1]
+        n = 300
+
+        def column(*shape):
+            scaled = rng.normal(size=(n, *shape)) * 10.0 ** rng.integers(-300, 301, size=(n, *shape))
+            return np.where(rng.random(size=(n, *shape)) < 0.3, rng.choice(special, size=(n, *shape)), scaled)
+
+        h = column()
+        h[0] = 1.5
+        traj = Trajectory(column(), column(3), column(3), column(3), h, column(), column(), 0, 0)
+        _write_trajectory(traj, tmp_path)
+        table = np.column_stack(
+            [traj.t, traj.x, traj.p, traj.s, h, traj.s_mag, (h - h[0]) / abs(h[0]), traj.spin_drift]
+        ).tolist()
+        records = [
+            {"t": r[0], "x": r[1:4], "p": r[4:7], "s": r[7:10],
+             "h_total": r[10], "s_mag": r[11], "h_drift": r[12], "s_drift": r[13]}
+            for r in table
+        ]
+        text = (tmp_path / "trajectory.json").read_text()
+        assert text == json.dumps(records, sort_keys=True, indent=2) + "\n"
+        for value in ("-0.0", "5e-324", "-1.7976931348623157e+308", "1e+16", "1e-05"):
+            assert f" {value}," in text or f" {value}\n" in text
+
+
 class TestZeroEnergyRefusedAtLoad:
     """H is zero at this state (gamma mc^2 = 1 against e phi = -1, no spin
     coupling), and h_drift is relative to |H| at the first row, so every
