@@ -322,11 +322,15 @@ def _homogeneous_part(expr: OpExpr) -> OpExpr:
 def _solve_defect_decomposition(
     delta: list[OpExpr], d1: list[OpExpr], d2: list[OpExpr]
 ) -> tuple[bool, tuple[Fraction, Fraction]]:
-    """Exact solve of delta = c1 d1 + c2 d2 componentwise, over Fractions."""
+    """Exact solve of delta = c1 d1 + c2 d2 componentwise, over Fractions.
+
+    The rows are the term keys of each component in first-seen order (delta,
+    then d1, then d2), so the coefficients of an inconsistent system come
+    from the same row pair under every hash seed.
+    """
     rows = []
     for comp in range(3):
-        keys = set(delta[comp].terms) | set(d1[comp].terms) | set(d2[comp].terms)
-        for k in keys:
+        for k in {**delta[comp].terms, **d1[comp].terms, **d2[comp].terms}:
             rows.append(
                 (
                     d1[comp].terms.get(k, Fraction(0)),

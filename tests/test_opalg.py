@@ -1,5 +1,6 @@
 """Exact-algebra tests: rewriting, Weyl-ordered expansions, operator shadows."""
 
+import re
 from fractions import Fraction
 from random import Random
 
@@ -124,6 +125,27 @@ class TestCanonicalize:
         assert alg.dropped_derivatives == 1
         alg.canonicalize(alg.term(word))  # memo hit must still count
         assert alg.dropped_derivatives == 2
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [("E", 1, (1, 2, 3)), ("B", 4, ()), ("B", 0, (1,)), ("A", 1, ()), ("E", 2, (4,)), ("pi", 4), ("pi", 0)],
+)
+def test_symbols_outside_the_algebra_are_refused(sym):
+    """More than MAX_DERIVS derivative indices, a component or index outside 1-3, an unknown base."""
+    alg = Algebra(charged=True)
+    with pytest.raises(ValueError, match=re.escape(repr(sym))):
+        alg.term((("pi", 1), sym))
+    with pytest.raises(ValueError, match=re.escape(repr(sym))):
+        OpExpr({((sym,), 0, (0, 0, 0, 0, 0), 0): Fraction(1)})
+    if sym[0] == "pi":
+        with pytest.raises(ValueError, match=re.escape(repr(sym))):
+            alg.pi(sym[1])
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(sym))):
+            alg.field(*sym)
+    # field() sorts the derivative indices it is given
+    assert alg.field("E", 1, (3, 1)) == alg.field("E", 1, (1, 3))
 
 
 class TestSpinTable:
@@ -337,6 +359,21 @@ class TestMatchup:
     def test_defect_coefficients(self):
         rep = matchup_report(trials=1, seed=SCHEMA["seed"][1])
         assert rep["defect_coefficients"] == (Fraction(-1, 2), Fraction(1, 4))
+
+    def test_inconsistent_system_solves_its_first_row_pair(self):
+        """Rows in first-seen key order: pi1 (c1 = 1) with pi2 (c2 = 2), whatever the hash seed.
+
+        The pi1 pi2 row asks c1 + c2 = 5, so the system is inconsistent,
+        and other row orders give (3, 2) or (1, 4).
+        """
+        alg = Algebra(charged=False)
+        p1, p2, p12 = alg.pi(1), alg.pi(2), alg.multiply(alg.pi(1), alg.pi(2))
+        delta = [p1 + p2.scale(2) + p12.scale(5), OpExpr(), OpExpr()]
+        d1 = [p1 + p12, OpExpr(), OpExpr()]
+        d2 = [p2 + p12, OpExpr(), OpExpr()]
+        ok, coeffs = identities._solve_defect_decomposition(delta, d1, d2)
+        assert not ok
+        assert coeffs == (Fraction(1), Fraction(2))
 
 
 class TestPauliIdentity:
@@ -587,6 +624,24 @@ class TestCaseEqualityReport:
         assert text_ii.count("  +  ") == 4
         residual_ii = claimed(CASE_II, 2, case_algebra(CASE_II)).scale(Fraction(-1))
         assert text_ii == expr_to_text(leading_terms(residual_ii, 5))
+
+
+@pytest.mark.parametrize(
+    "order, memo_i, dropped_i, memo_ii, dropped_ii",
+    [(4, 118, 2880, 352, 6090), (8, 718, 547200, 2152, 394380)],
+)
+def test_canonicalizer_work_pinned(order, memo_i, dropped_i, memo_ii, dropped_ii):
+    """The memo size and truncation count of each case, exactly, with both residuals 0."""
+    r = check_case_equality(order=order)
+    assert r.passed
+    assert r.value == {"case_i_residual_terms": 0, "case_ii_residual_terms": 0}
+    assert r.detail == {
+        "order": order,
+        "case_i_memo_words": memo_i,
+        "case_i_dropped_derivatives": dropped_i,
+        "case_ii_memo_words": memo_ii,
+        "case_ii_dropped_derivatives": dropped_ii,
+    }
 
 
 class TestOrderingIdentityReport:
