@@ -22,7 +22,6 @@ under, and each check's wall time by name.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -112,13 +111,17 @@ _RECORD = (
     '    "s": [\n      %r,\n      %r,\n      %r\n    ],\n    "s_drift": %r,\n    "s_mag": %r,\n    "t": %r,\n'
     '    "x": [\n      %r,\n      %r,\n      %r\n    ]\n  }'
 )
+# one trajectory.csv row as csv.writer writes it: str of a float, which is its repr, and \r\n at the end
+_CSV_HEADER = "t,x1,x2,x3,p1,p2,p3,s1,s2,s3,h_total,s_mag,h_drift,s_drift\r\n"
+_CSV_ROW = ",".join(["%r"] * 14) + "\r\n"
 
 
 def _write_trajectory(traj, out_dir: Path):
     """trajectory.json, one record per row, and trajectory.csv, from the Trajectory's columns.
 
     h_drift is relative to |H| at the first row, which load_config refuses to be zero.
-    trajectory.json is byte-identical to json.dumps(records, sort_keys=True, indent=2) + "\n".
+    trajectory.json is byte-identical to json.dumps(records, sort_keys=True, indent=2) + "\n", and
+    trajectory.csv to what csv.writer writes for the header and the rows.
     """
     h = traj.h_total
     h_drift = (h - h[0]) / abs(h[0])
@@ -128,14 +131,8 @@ def _write_trajectory(traj, out_dir: Path):
         raise ValueError("Out of range float values are not JSON compliant")
     records = np.column_stack([h_drift, h, traj.p, traj.s, traj.spin_drift, traj.s_mag, traj.t, traj.x]).tolist()
     (out_dir / "trajectory.json").write_text("[\n" + ",\n".join(_RECORD % tuple(r) for r in records) + "\n]\n")
-    header = [
-        "t", "x1", "x2", "x3", "p1", "p2", "p3", "s1", "s2", "s3",
-        "h_total", "s_mag", "h_drift", "s_drift",
-    ]
-    with (out_dir / "trajectory.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(table.tolist())
+    rows = "".join(_CSV_ROW % tuple(r) for r in table.tolist())
+    (out_dir / "trajectory.csv").write_text(_CSV_HEADER + rows, newline="")
 
 
 def render_report(record: dict) -> str:

@@ -1,9 +1,11 @@
 """Exact noncommutative operator algebra for the square-root Hamiltonian.
 
-Fraction-coefficient monomials over momentum and field symbols with a
-16-element spin slot, linear-in-field truncation, canonical rewriting,
-the Weyl-ordering identities behind the transformed Hamiltonian, and an
-exact polynomial-operator shadow representation for cross-checks.
+Monomials over momentum and field symbols with a 16-element spin slot,
+each expression integer numerators over one reduced denominator,
+linear-in-field truncation, canonical rewriting, the Weyl-ordering
+identities behind the transformed Hamiltonian, and an exact
+polynomial-operator shadow representation on Gaussian integers for
+cross-checks.
 """
 
 from .core import Algebra, OpExpr, SPIN_BETA, SPIN_ID, eps, expr_sum, word_field_count

@@ -1,6 +1,8 @@
 """Config parsing, CLI dispatch, artifacts, exit codes, determinism."""
 
+import csv
 import inspect
+import io
 import json
 import math
 import tempfile
@@ -374,9 +376,10 @@ class TestNonFiniteEnergyRefusedAtLoad:
 
 
 class TestTrajectoryWriter:
-    def test_json_equals_json_dumps(self, tmp_path):
-        # 300 rows whose every column mixes +-0.0, subnormals, the largest float and exponents from
-        # 1e-300 to 1e300, against json.dumps of the same rows as a list of dicts
+    @staticmethod
+    def write(tmp_path):
+        """Write 300 rows whose every column mixes +-0.0, subnormals, the largest float and exponents
+        from 1e-300 to 1e300; return the rows as the table trajectory.csv holds."""
         rng = np.random.default_rng(1729)
         special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308, 1e16, 1e-5, 0.1]
         n = 300
@@ -389,9 +392,13 @@ class TestTrajectoryWriter:
         h[0] = 1.5
         traj = Trajectory(column(), column(3), column(3), column(3), h, column(), column(), 0, 0)
         _write_trajectory(traj, tmp_path)
-        table = np.column_stack(
+        return np.column_stack(
             [traj.t, traj.x, traj.p, traj.s, h, traj.s_mag, (h - h[0]) / abs(h[0]), traj.spin_drift]
         ).tolist()
+
+    def test_json_equals_json_dumps(self, tmp_path):
+        # against json.dumps of the same rows as a list of dicts
+        table = self.write(tmp_path)
         records = [
             {"t": r[0], "x": r[1:4], "p": r[4:7], "s": r[7:10],
              "h_total": r[10], "s_mag": r[11], "h_drift": r[12], "s_drift": r[13]}
@@ -401,6 +408,17 @@ class TestTrajectoryWriter:
         assert text == json.dumps(records, sort_keys=True, indent=2) + "\n"
         for value in ("-0.0", "5e-324", "-1.7976931348623157e+308", "1e+16", "1e-05"):
             assert f" {value}," in text or f" {value}\n" in text
+
+    def test_csv_equals_csv_writer(self, tmp_path):
+        table = self.write(tmp_path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", "x1", "x2", "x3", "p1", "p2", "p3", "s1", "s2", "s3", "h_total", "s_mag", "h_drift", "s_drift"])
+        writer.writerows(table)
+        text = (tmp_path / "trajectory.csv").read_bytes().decode()
+        assert text == want.getvalue()
+        for value in ("-0.0", "5e-324", "-1.7976931348623157e+308", "1e+16", "1e-05"):
+            assert f",{value}," in text or f",{value}\r\n" in text or f"\n{value}," in text
 
 
 class TestZeroEnergyRefusedAtLoad:

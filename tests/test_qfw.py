@@ -23,7 +23,6 @@ from spincorr.classical import DiagnosticError, fit_slope
 from spincorr.config import SCHEMA, load_config
 from spincorr.opalg.core import PI
 from spincorr.opalg.identities import binom_half, binom_minus_half, case_algebra, series_sqrt_expand
-from spincorr.opalg.shadow import spin_matrices
 from spincorr.qfw import (
     ALPHA4,
     BETA4,
@@ -169,6 +168,10 @@ def dense_correspondence(case, lattice, lam, params, include_darwin=True):
     return hermitian_part(Hc)
 
 
+# sigma_0..sigma_3: spin index 4a + b of the operator algebra is rho_a (x) sigma_b
+PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
 def instantiate_case_i(expr, lattice, lam, params):
     """Evaluate a symbolic operator expression as a case-I lattice matrix.
 
@@ -219,11 +222,10 @@ def instantiate_case_i(expr, lattice, lam, params):
         if scalar == 0.0:
             continue
         per_spin[spin] = per_spin.get(spin, zeros) + scalar * word_matrix(word)
-    spins = spin_matrices()
     out = np.zeros((4 * orb_dim, 4 * orb_dim), dtype=complex)
     for spin, M in per_spin.items():
-        S = np.array([[float(g[0]) + 1j * float(g[1]) for g in row] for row in spins[spin]])
-        out += np.kron(S, M)
+        rho, sigma = divmod(spin, 4)
+        out += np.kron(np.kron(PAULI[rho], PAULI[sigma]), M)
     return out
 
 
