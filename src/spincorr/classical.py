@@ -7,20 +7,22 @@ field-gradient (Stern-Gerlach) force from the spin term, and the spin
 itself precesses as ds/dt = s x F_pi. Quadratic-in-field remainders are
 deliberately dropped; their size is measured, not modeled.
 
-The Hamiltonian is written once, in one straight-line point kernel of the
-field model and the particle: on x, p and s as components (one particle or
-an ensemble, one code path) it gives H and its parts or the equations of motion.
+The Hamiltonian is written once, as one kernel template. The point kernel
+(H and its parts or the equations of motion, for one particle or an
+ensemble) and one Runge-Kutta step per tableau are generated from it, with
+the field model's source inlined.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ZERO3, ZERO33, Uniform, math_of, to_array
+from .fields import _NAME, Uniform, compiled, field_source, layout, make_source, needed, statements, substitute, to_array
 from .kinematics import PhaseState
 from .lorentz import bmt_rhs, boost_fields, field_tensor
 from .params import ParticleParams
@@ -68,94 +70,88 @@ def fit_slope(xs, residuals) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The Hamiltonian: one point kernel
+# The Hamiltonian: one kernel template
+
+# H = gamma_pi mc^2 + e phi - s.F_pi on y = (x, p, s) as x0, x1, x2, p0, p1, p2, s0, s1, s2, over the slots
+# of a field model's source (fields.py) and the constants of _PARTICLE. A line with $i stands for its three
+# components, ($i, $j, $k) cyclic; "{X: text}" keeps text where the field writes slot group X ("point": in
+# the point kernel), "{!X: text}" where it does not, so each branch on a zero sentinel is resolved when the
+# code is generated. Each + 0.0 stands for the zero third term of c1 u + c2 v + c3 w, so that a -0.0
+# rounds as there.
+_HAMILTONIAN = """\
+pi$i = p$i - ec * A$i
+g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
+g = sqrt(g2){point: if g2.__class__ is float else math_of(g2).sqrt(g2)}
+# F_pi = a B - b (pi.B) pi - d (pi x E); b vanishes at g = 2, d has the Thomas weight
+u, w = 1.0 / g, 1.0 / (g + 1.0)
+a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
+piB = pi0 * B0 + pi1 * B1 + pi2 * B2
+c4 = -b * piB
+F$i = a * B$i + c4 * pi$i{!E: + 0.0}{E: - d * (pi$j * E$k - pi$k * E$j)}
+{point: H = None if eom else g * mc2 + e * phi - (s0 * F0 + s1 * F1 + s2 * F2)}
+{point: if eom is None: return H}
+spi = s0 * pi0 + s1 * pi1 + s2 * pi2
+sxpi$i = s$j * pi$k - s$k * pi$j
+c2 = b * spi
+# grad = d(H_spin)/dx at fixed pi, H_spin = -a s.B + b (pi.B)(s.pi) + d (s x pi).E
+{G: q$i = -a * s$i + c2 * pi$i + 0.0}
+gr$i = {G: q0 * G0$i + q1 * G1$i + q2 * G2$i}{!G: 0.0}{K: + d * (sxpi0 * K0$i + sxpi1 * K1$i + sxpi2 * K2$i) + 0.0}
+{point: if not eom: return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2), {E: (E0, E1, E2)}{!E: ZERO3}, \
+{B: (B0, B1, B2)}{!B: ZERO3}}
+# dH/dpi: pi/(g m) plus the spin term, whose weights depend on pi through dg/dpi = pi/(g (mc)^2)
+da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
+dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi{E: + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)}
+c1, c3 = (inv_m + dHs_dg / mc_sq) / g, b * piB
+v$i = c1 * pi$i + c2 * B$i + c3 * s$i{E: + d * (E$j * s$k - E$k * s$j) + 0.0}
+# canonical force: scalar potential, grad, and the chain through pi(x) = p - (e/c)A(x)
+ch$i = {J: v0 * J0$i + v1 * J1$i + v2 * J2$i}{!J: 0.0}
+dp$i = {P: -e * P$i - gr$i + ec * ch$i}{!P: -gr$i + ec * ch$i + 0.0}
+# ds/dt = s x F_pi
+ds$i = s$j * F$k - s$k * F$j
+{point: return [v0, v1, v2, dp0, dp1, dp2, ds0, ds1, ds2]}
+"""
+_BRANCH = re.compile(r"\{(!?)(\w+):([^{}]*)\}")
+# the particle's constants the template reads, as _particle forms them
+_PARTICLE = ("e", "ec", "em", "gm", "gme", "kb", "mc", "mc_sq", "mc2", "inv_m")
+_Y = ("x0", "x1", "x2", "p0", "p1", "p2", "s0", "s1", "s2")
+_EOM = ("v0", "v1", "v2", "dp0", "dp1", "dp2", "ds0", "ds1", "ds2")
+
+
+def _particle(params: ParticleParams) -> tuple:
+    e, gm, mc = params.e, params.gamma_m, params.mc
+    em = e / mc
+    return e, e / params.c, em, gm, gm - em, (gm - em) / mc ** 2, mc, mc ** 2, params.mc2, 1.0 / params.m
+
+
+@functools.cache
+def _hamiltonian(groups):
+    """The template for a frozenset of slot groups (and "point"): its branches resolved, its $i lines written out."""
+    text, last, lines = _HAMILTONIAN, None, []
+    while text != last:
+        text, last = _BRANCH.sub(lambda m: m[3] if (m[2] in groups) != (m[1] == "!") else "", text), text
+    for line in text.splitlines():
+        for i, j, k in ("012", "120", "201")[: 3 if "$" in line else 1]:
+            lines.append(" ".join(line.replace("$i", i).replace("$j", j).replace("$k", k).split()))
+    return "\n".join(line for line in lines if line and line[0] != "#")
+
+
+@functools.cache
+def _point_source(text, names):
+    body = _hamiltonian(frozenset(layout(text)[0] | {"point"}))
+    return field_source("kernel(y, eom=True)", text, _PARTICLE + names, [f"{', '.join(_Y)} = y"], body)
 
 
 def _eom_kernel(model, params: ParticleParams):
-    """The point kernel of H = gamma_pi mc^2 + e phi - s.F_pi, with the parameter ratios formed once.
+    """The point kernel: the template with the model's source inlined, compiled once per source text, with the
+    model's and the particle's constants bound.
 
-    On y = (x, p, s) as nine components it forms the fields, pi, gamma_pi,
-    the weights (a, b, d) of F_pi, F_pi and H, and returns H if eom is None;
-    then grad = d(H_spin)/dx at fixed pi, minus the Stern-Gerlach force, and
-    returns (H, grad, pi, gamma_pi, F_pi, E, B) if eom is False, E and B as the
-    model gave them (E may be the ZERO3 sentinel); else dy/dt.
-
-    Vector operations are written out per component, each + 0.0 standing for the
-    zero third term of c1 u + c2 v + c3 w, so that a -0.0 rounds as there. Every
-    E, grad-E and grad-phi term is skipped when the model returns the zero sentinel.
+    On y = (x, p, s) as nine components, floats at one point or (N,) arrays at N points, kernel(y, eom=None)
+    returns H; kernel(y, eom=False) returns (H, grad, pi, gamma_pi, F_pi, E, B), grad = d(H_spin)/dx at fixed
+    pi, minus the Stern-Gerlach force, and E and B as the model writes them (ZERO3 where it writes none);
+    kernel(y) returns dy/dt.
     """
-    components, e, gm, mc = model.components, params.e, params.gamma_m, params.mc
-    ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
-    gme, kb, sqrt = gm - em, (gm - em) / mc_sq, math.sqrt
-
-    def kernel(y, eom=True):
-        x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
-        phi, (A0, A1, A2), E, B, grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
-        B0, B1, B2 = B
-        pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
-        g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
-        g = sqrt(g2) if g2.__class__ is float else math_of(g2).sqrt(g2)
-        # F_pi = a B - b (pi.B) pi - d (pi x E); b vanishes at g = 2, d has the Thomas weight
-        u, w = 1.0 / g, 1.0 / (g + 1.0)
-        a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
-        piB = pi0 * B0 + pi1 * B1 + pi2 * B2
-        c4 = -b * piB
-        F0, F1, F2 = a * B0 + c4 * pi0, a * B1 + c4 * pi1, a * B2 + c4 * pi2
-        if E is ZERO3:
-            F0, F1, F2 = F0 + 0.0, F1 + 0.0, F2 + 0.0
-        else:
-            E0, E1, E2 = E
-            F0, F1, F2 = F0 - d * (pi1 * E2 - pi2 * E1), F1 - d * (pi2 * E0 - pi0 * E2), F2 - d * (pi0 * E1 - pi1 * E0)
-        H = None if eom else g * params.mc2 + e * phi - (s0 * F0 + s1 * F1 + s2 * F2)
-        if eom is None:
-            return H
-        spi = s0 * pi0 + s1 * pi1 + s2 * pi2
-        sxpi0, sxpi1, sxpi2 = s1 * pi2 - s2 * pi1, s2 * pi0 - s0 * pi2, s0 * pi1 - s1 * pi0
-        c2 = b * spi
-        # grad = d(H_spin)/dx at fixed pi, H_spin = -a s.B + b (pi.B)(s.pi) + d (s x pi).E
-        if grad_B is ZERO33:
-            gr0 = gr1 = gr2 = 0.0
-        else:
-            q0, q1, q2 = -a * s0 + c2 * pi0 + 0.0, -a * s1 + c2 * pi1 + 0.0, -a * s2 + c2 * pi2 + 0.0
-            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_B
-            gr0 = q0 * G00 + q1 * G10 + q2 * G20
-            gr1 = q0 * G01 + q1 * G11 + q2 * G21
-            gr2 = q0 * G02 + q1 * G12 + q2 * G22
-        if grad_E is not ZERO33:
-            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_E
-            gr0 = gr0 + d * (sxpi0 * G00 + sxpi1 * G10 + sxpi2 * G20) + 0.0
-            gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
-            gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
-        if not eom:
-            return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2), E, B
-        # dH/dpi: pi/(g m) plus the spin term, whose weights depend on pi through dg/dpi = pi/(g (mc)^2)
-        da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
-        dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
-        if E is not ZERO3:
-            dHs_dg = dHs_dg + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)
-        c1, c3 = (inv_m + dHs_dg / mc_sq) / g, b * piB
-        v0, v1, v2 = c1 * pi0 + c2 * B0 + c3 * s0, c1 * pi1 + c2 * B1 + c3 * s1, c1 * pi2 + c2 * B2 + c3 * s2
-        if E is not ZERO3:
-            v0 = v0 + d * (E1 * s2 - E2 * s1) + 0.0
-            v1 = v1 + d * (E2 * s0 - E0 * s2) + 0.0
-            v2 = v2 + d * (E0 * s1 - E1 * s0) + 0.0
-        # canonical force: scalar potential, grad, and the chain through pi(x) = p - (e/c)A(x)
-        if jac_A is ZERO33:
-            ch0 = ch1 = ch2 = 0.0
-        else:
-            (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = jac_A
-            ch0 = v0 * J00 + v1 * J10 + v2 * J20
-            ch1 = v0 * J01 + v1 * J11 + v2 * J21
-            ch2 = v0 * J02 + v1 * J12 + v2 * J22
-        if grad_phi is ZERO3:
-            dp0, dp1, dp2 = -gr0 + ec * ch0 + 0.0, -gr1 + ec * ch1 + 0.0, -gr2 + ec * ch2 + 0.0
-        else:
-            P0, P1, P2 = grad_phi
-            dp0, dp1, dp2 = -e * P0 - gr0 + ec * ch0, -e * P1 - gr1 + ec * ch1, -e * P2 - gr2 + ec * ch2
-        # ds/dt = s x F_pi
-        return [v0, v1, v2, dp0, dp1, dp2, s1 * F2 - s2 * F1, s2 * F0 - s0 * F2, s0 * F1 - s1 * F0]
-
-    return kernel
+    text, names, values = model.source
+    return compiled(_point_source(text, names))(_particle(params) + values)
 
 
 def precession_vector(pi: np.ndarray, E: np.ndarray, B: np.ndarray, params: ParticleParams) -> np.ndarray:
@@ -257,35 +253,40 @@ class Trajectory:
         return PhaseState(self.x[i], self.p[i], self.s[i], float(self.t[i]))
 
 
+# accepted rows held as lists between flushes into integrate's arrays
+ROW_CHUNK = 256
+
 # relative |s| drift beyond which the spin is renormalized; the raw drift
 # is still accumulated in spin_drift so the integrator stays honest
 SPIN_RENORM_THRESHOLD = 1e-12
 
 
-def _nonzero(weights):
-    """The (weight, stage index) pairs of a tableau row with a nonzero weight."""
-    return tuple((w, j) for j, w in enumerate(weights) if w)
-
-
-def _stage(pairs):
-    """y + h * (w_1 k_1 + w_2 k_2 + ...) over a row's (w_j, j) pairs as one straight-line function (y, h, ks) -> list,
-    per component, the terms added in tableau order (y itself without pairs); the weights are bound as names."""
-    if not pairs:
-        return lambda y, h, ks: y
-    terms = " + ".join(f"w{n} * k{j}[{{i}}]" for n, (_, j) in enumerate(pairs))
-    point = ", ".join(f"y[{i}] + h * ({terms.format(i=i)})" for i in range(9))
-    namespace = {f"w{n}": w for n, (w, _) in enumerate(pairs)}
-    exec(f"def stage(y, h, ks):\n    {''.join(f'k{j} = ks[{j}]; ' for _, j in pairs)}return [{point}]", namespace)
-    return namespace["stage"]
+def _combination(weights, i, y):
+    """y + h * (w_1 k_1 + w_2 k_2 + ...) in component i over a row's nonzero weights in order; y without one."""
+    terms = [f"{w!r} * k{j}_{i}" for j, w in enumerate(weights) if w]
+    return f"{y} + h * ({' + '.join(terms)})" if terms else y
 
 
 @functools.cache
-def _steppers(method):
-    """The stage functions of a tableau's rows, its solution weights and its error weights (None for a
-    fixed-step method), built once per tableau."""
+def _step_source(method, text, names):
+    """Source of step(y, h), one step of a tableau: per stage its point, the model's source and the template's
+    equations of motion; then the next y and, for an embedded pair, the error increment."""
     stages, weights, err_weights = TABLEAUX[method]
-    err = None if err_weights is None else _stage(_nonzero(err_weights))
-    return [_stage(_nonzero(row)) for row in stages], _stage(_nonzero(weights)), err
+    groups, _, field = layout(text)
+    block = "\n".join(needed(statements(field) + statements(_hamiltonian(frozenset(groups))), _EOM))
+    body, read = [", ".join(f"y{i}" for i in range(9)) + " = y"], set(_NAME.findall(block))
+    for j, row in enumerate(stages):
+        rename = {v: f"k{j}_{i}" for i, v in enumerate(_EOM)}
+        for i, x in enumerate(_Y):
+            point = _combination(row, i, f"y{i}")
+            if point == f"y{i}":
+                rename[x] = point
+            elif x in read:
+                body.append(f"{x} = {point}")
+        body += substitute(block, rename).splitlines()
+    y = ", ".join(_combination(weights, i, f"y{i}") for i in range(9))
+    err = "" if err_weights is None else ", [" + ", ".join(_combination(err_weights, i, "0.0") for i in range(9)) + "]"
+    return make_source("step(y, h)", _PARTICLE + names, body + [f"return [{y}]{err}"])
 
 
 def _spin_norm(y):
@@ -302,19 +303,20 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     the trajectory so far, when it exceeds max_steps or the step
     underflows: falls below 1e-12 T or the round-off of t.
 
-    y = (x, p, s) is carried as nine floats, the components the kernel
-    takes and returns; the tableau's `_stage` functions form each stage
-    point, the step and the error estimate.
+    y = (x, p, s) is carried as nine floats; one generated function per
+    tableau and field-model source takes each step. Accepted rows gather
+    in lists, flushed into the arrays every ROW_CHUNK rows.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
-    stages, step, err_point = _steppers(spec.method)
-    fixed = err_point is None
+    stages, _, err_weights = TABLEAUX[spec.method]
+    fixed = err_weights is None
     n = max(1, int(round(T / spec.step)))
     if fixed and n > spec.max_steps:
         raise ValueError("step count exceeds max_steps")
     h = T / n if fixed else min(spec.step, T)
-    rhs = _eom_kernel(model, params)
+    text, names, values = model.source
+    step = compiled(_step_source(spec.method, text, names))(_particle(params) + values)
 
     # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
     # accepts at most max_steps steps, and doubles the buffers if it needs
@@ -324,9 +326,20 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     y = state0.x.tolist() + state0.p.tolist() + state0.s.tolist()
     ts[0], ys[0], drifts[0] = state0.t, y, 0.0
     rows, t, drift_cum, attempts, rejected = 1, 0.0, 0.0, 0, 0
+    chunk = []  # the accepted rows (t, *y, drift) not yet in the arrays
     mag = s0_mag = _spin_norm(y)
 
+    def flush():
+        nonlocal ts, ys, drifts
+        while rows > len(ts):
+            ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
+        if chunk:
+            block, start = np.array(chunk), rows - len(chunk)
+            ts[start:rows], ys[start:rows], drifts[start:rows] = block[:, 0], block[:, 1:10], block[:, 10]
+            chunk.clear()
+
     def trajectory():
+        flush()
         hs = h_total_blocked(ys[:rows], model, params)
         s = ys[:rows, 6:9]
         calls = len(stages) * attempts
@@ -344,18 +357,18 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
             # until max_steps
             if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
                 raise IntegrationError("step size underflow", trajectory())
-        ks = []
-        for stage in stages:
-            ks.append(rhs(stage(y, h, ks)))
         accept, factor = True, 1.0
-        if not fixed:
-            # the increment alone, as the point from the origin; abs drops the sign of a zero
-            err = max(map(abs, err_point((0.0,) * 9, h, ks)))
+        if fixed:
+            y_next = step(y, h)
+        else:
+            y_next, increment = step(y, h)
+            # abs drops the sign of a zero
+            err = max(map(abs, increment))
             scale = spec.tol * max(1.0, max(map(abs, y)))
             accept = err <= scale
             factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
         if accept:
-            y = step(y, h, ks)
+            y = y_next
             t = rows * h if fixed else t + h
             raw = _spin_norm(y)
             drift_cum += (raw - mag) / s0_mag
@@ -364,10 +377,10 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
                 r = s0_mag / raw
                 y[6:9] = [c * r for c in y[6:9]]
                 mag = _spin_norm(y)
-            if rows == len(ts):
-                ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
-            ts[rows], ys[rows], drifts[rows] = state0.t + t, y, drift_cum
+            chunk.append([state0.t + t, *y, drift_cum])
             rows += 1
+            if len(chunk) == ROW_CHUNK:
+                flush()
         else:
             rejected += 1
         h *= factor
@@ -449,8 +462,9 @@ def covariance_scaling(pi, s, E, B, params: ParticleParams, lambdas):
     """
     lambdas = scaling_amplitudes(lambdas)
     pi, s, E, B = (np.asarray(v, dtype=float) for v in (pi, s, E, B))
-    # gamma_pi from the field-free kernel at the origin, where A = 0 and so p = pi
-    g_pi = _eom_kernel(Uniform(), params)([0.0, 0.0, 0.0, *pi.tolist(), 0.0, 0.0, 0.0], eom=False)[3]
+    # gamma_pi from the kernel of Uniform(E, B) at the origin, where A = 0 and so p = pi: the kernel that
+    # precession_vector builds below, so no other one is compiled
+    g_pi = _eom_kernel(Uniform(E, B), params)([0.0, 0.0, 0.0, *pi.tolist(), 0.0, 0.0, 0.0], eom=False)[3]
     beta = pi / (g_pi * params.m) / params.c
     b2 = float(beta @ beta)
     if b2 >= 1.0:

@@ -1,5 +1,6 @@
 """Hamiltonians, gradients, integration and covariant diagnostics."""
 
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from spincorr import (
     kinematic_momentum,
     sample_field,
 )
-from spincorr import checks, classical
+from spincorr import checks, classical, fields
 from spincorr.classical import (
     DiagnosticError,
     IntegrationError,
@@ -119,8 +120,8 @@ def _vecmat(u, M):
 
 
 def _local(x, p, model, params):
-    """Field components, kinematic momentum pi and gamma_pi at (x, p)."""
-    f = model.components(*x)
+    """Field components from the field oracle, kinematic momentum pi and gamma_pi at (x, p)."""
+    f = oracle_components(model, *x)
     ec, A = params.e / params.c, f.A
     pi = (p[0] - ec * A[0], p[1] - ec * A[1], p[2] - ec * A[2])
     g2 = 1.0 + _dot(pi, pi) / params.mc ** 2
@@ -250,6 +251,230 @@ def oracle_integrate(state0, model, params, spec, T, norm=np.linalg.norm):
         h *= factor
         attempts += 1
     return trajectory()
+
+
+# ---------------------------------------------------------------------------
+# the slow path: the hand-written field components, the closure point kernel
+# and the per-row stage functions that the generated step replaced, kept as
+# the oracle of the generated code, bit for bit
+
+ZERO_SAMPLE = FieldSample(0.0, ZERO3, ZERO3, ZERO3, ZERO3, ZERO33, ZERO33, ZERO33)
+
+
+def _add(u, v):
+    """u + v for numbers, arrays or nested tuples of them; adding zero is skipped."""
+    if u is ZERO3 or u is ZERO33:
+        return v
+    if v is ZERO3 or v is ZERO33:
+        return u
+    return tuple(map(_add, u, v)) if isinstance(u, tuple) else u + v
+
+
+def add_samples(u, v):
+    """Field-by-field sum of two samples."""
+    return FieldSample(*map(_add, u, v))
+
+
+def oracle_components(model, x, y, z):
+    """The model's FieldSample from the hand-written formulas the generated components replaced, zero
+    sentinels included; a Superposition sums its models' samples field by field in model order."""
+    if isinstance(model, Superposition):
+        samples = [oracle_components(m, x, y, z) for m in model.models]
+        return functools.reduce(add_samples, samples) if samples else ZERO_SAMPLE
+    if isinstance(model, Uniform):
+        E, B = (tuple(np.asarray(v, dtype=float).tolist()) for v in (model.E0, model.B0))
+        E, B = (ZERO3 if v == ZERO3 else v for v in (E, B))
+        (Ex, Ey, Ez), (Bx, By, Bz) = E, B
+        phi = -(Ex * x + Ey * y + Ez * z)
+        A = (By * z - Bz * y, 0.0, Bx * y)
+        jac_A = ((0.0, -Bz, By), ZERO3, (0.0, Bx, 0.0))
+        grad_phi = ZERO3 if E is ZERO3 else (-Ex, -Ey, -Ez)
+        return FieldSample(phi, A, E, B, grad_phi, jac_A, ZERO33, ZERO33)
+    if isinstance(model, SternGerlach):
+        b = model.b
+        Bz = model.B0 + b * z
+        B = (-0.5 * b * x, -0.5 * b * y, Bz)
+        A = (-0.5 * y * Bz, 0.5 * x * Bz, 0.0)
+        jac_A = ((0.0, -0.5 * Bz, -0.5 * y * b), (0.5 * Bz, 0.0, 0.5 * x * b), ZERO3)
+        grad_B = ((-0.5 * b, 0.0, 0.0), (0.0, -0.5 * b, 0.0), (0.0, 0.0, b))
+        return FieldSample(0.0, A, ZERO3, B, ZERO3, jac_A, ZERO33, grad_B)
+    k, lam = 2.0 * math.pi / model.L, model.lam
+    lib = math_of(x)
+    s, c = lib.sin(k * x), lib.cos(k * x)
+    if isinstance(model, SinusoidalElectrostatic):
+        grad_E = ((lam * k * c, 0.0, 0.0), ZERO3, ZERO3)
+        return FieldSample(lam / k * c, ZERO3, (lam * s, 0.0, 0.0), ZERO3, (-lam * s, 0.0, 0.0), ZERO33, grad_E, ZERO33)
+    jac_A = (ZERO3, (lam * c, 0.0, 0.0), ZERO3)
+    grad_B = (ZERO3, ZERO3, (-lam * k * s, 0.0, 0.0))
+    return FieldSample(0.0, (0.0, lam / k * s, 0.0), ZERO3, (0.0, 0.0, lam * c), ZERO3, jac_A, ZERO33, grad_B)
+
+
+def slow_kernel(model, params, components=None):
+    """The closure point kernel of H = gamma_pi mc^2 + e phi - s.F_pi, on the field oracle's components (or on
+    `components`), every branch on a zero sentinel taken at each call."""
+    components = components or functools.partial(oracle_components, model)
+    e, gm, mc = params.e, params.gamma_m, params.mc
+    ec, em, mc_sq, inv_m = e / params.c, e / mc, mc ** 2, 1.0 / params.m
+    gme, kb, sqrt = gm - em, (gm - em) / mc_sq, math.sqrt
+
+    def kernel(y, eom=True):
+        x0, x1, x2, p0, p1, p2, s0, s1, s2 = y
+        phi, (A0, A1, A2), E, B, grad_phi, jac_A, grad_E, grad_B = components(x0, x1, x2)
+        B0, B1, B2 = B
+        pi0, pi1, pi2 = p0 - ec * A0, p1 - ec * A1, p2 - ec * A2
+        g2 = 1.0 + (pi0 * pi0 + pi1 * pi1 + pi2 * pi2) / mc_sq
+        g = sqrt(g2) if g2.__class__ is float else math_of(g2).sqrt(g2)
+        u, w = 1.0 / g, 1.0 / (g + 1.0)
+        a, b, d = gme + em * u, kb * u * w, (gm * u - em * w) / mc
+        piB = pi0 * B0 + pi1 * B1 + pi2 * B2
+        c4 = -b * piB
+        F0, F1, F2 = a * B0 + c4 * pi0, a * B1 + c4 * pi1, a * B2 + c4 * pi2
+        if E is ZERO3:
+            F0, F1, F2 = F0 + 0.0, F1 + 0.0, F2 + 0.0
+        else:
+            E0, E1, E2 = E
+            F0, F1, F2 = F0 - d * (pi1 * E2 - pi2 * E1), F1 - d * (pi2 * E0 - pi0 * E2), F2 - d * (pi0 * E1 - pi1 * E0)
+        H = None if eom else g * params.mc2 + e * phi - (s0 * F0 + s1 * F1 + s2 * F2)
+        if eom is None:
+            return H
+        spi = s0 * pi0 + s1 * pi1 + s2 * pi2
+        sxpi0, sxpi1, sxpi2 = s1 * pi2 - s2 * pi1, s2 * pi0 - s0 * pi2, s0 * pi1 - s1 * pi0
+        c2 = b * spi
+        if grad_B is ZERO33:
+            gr0 = gr1 = gr2 = 0.0
+        else:
+            q0, q1, q2 = -a * s0 + c2 * pi0 + 0.0, -a * s1 + c2 * pi1 + 0.0, -a * s2 + c2 * pi2 + 0.0
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_B
+            gr0 = q0 * G00 + q1 * G10 + q2 * G20
+            gr1 = q0 * G01 + q1 * G11 + q2 * G21
+            gr2 = q0 * G02 + q1 * G12 + q2 * G22
+        if grad_E is not ZERO33:
+            (G00, G01, G02), (G10, G11, G12), (G20, G21, G22) = grad_E
+            gr0 = gr0 + d * (sxpi0 * G00 + sxpi1 * G10 + sxpi2 * G20) + 0.0
+            gr1 = gr1 + d * (sxpi0 * G01 + sxpi1 * G11 + sxpi2 * G21) + 0.0
+            gr2 = gr2 + d * (sxpi0 * G02 + sxpi1 * G12 + sxpi2 * G22) + 0.0
+        if not eom:
+            return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2), E, B
+        da, db, dd = -em * u * u, -kb * u * w * (u + w), (em * w * w - gm * u * u) / mc
+        dHs_dg = -da * (s0 * B0 + s1 * B1 + s2 * B2) + db * piB * spi
+        if E is not ZERO3:
+            dHs_dg = dHs_dg + dd * (E0 * sxpi0 + E1 * sxpi1 + E2 * sxpi2)
+        c1, c3 = (inv_m + dHs_dg / mc_sq) / g, b * piB
+        v0, v1, v2 = c1 * pi0 + c2 * B0 + c3 * s0, c1 * pi1 + c2 * B1 + c3 * s1, c1 * pi2 + c2 * B2 + c3 * s2
+        if E is not ZERO3:
+            v0 = v0 + d * (E1 * s2 - E2 * s1) + 0.0
+            v1 = v1 + d * (E2 * s0 - E0 * s2) + 0.0
+            v2 = v2 + d * (E0 * s1 - E1 * s0) + 0.0
+        if jac_A is ZERO33:
+            ch0 = ch1 = ch2 = 0.0
+        else:
+            (J00, J01, J02), (J10, J11, J12), (J20, J21, J22) = jac_A
+            ch0 = v0 * J00 + v1 * J10 + v2 * J20
+            ch1 = v0 * J01 + v1 * J11 + v2 * J21
+            ch2 = v0 * J02 + v1 * J12 + v2 * J22
+        if grad_phi is ZERO3:
+            dp0, dp1, dp2 = -gr0 + ec * ch0 + 0.0, -gr1 + ec * ch1 + 0.0, -gr2 + ec * ch2 + 0.0
+        else:
+            P0, P1, P2 = grad_phi
+            dp0, dp1, dp2 = -e * P0 - gr0 + ec * ch0, -e * P1 - gr1 + ec * ch1, -e * P2 - gr2 + ec * ch2
+        return [v0, v1, v2, dp0, dp1, dp2, s1 * F2 - s2 * F1, s2 * F0 - s0 * F2, s0 * F1 - s1 * F0]
+
+    return kernel
+
+
+def _nonzero(weights):
+    """The (weight, stage index) pairs of a tableau row with a nonzero weight."""
+    return tuple((w, j) for j, w in enumerate(weights) if w)
+
+
+def _stage(pairs):
+    """y + h * (w_1 k_1 + w_2 k_2 + ...) over a row's (w_j, j) pairs as one straight-line function (y, h, ks) -> list,
+    per component, the terms added in tableau order (y itself without pairs); the weights are bound as names."""
+    if not pairs:
+        return lambda y, h, ks: y
+    terms = " + ".join(f"w{n} * k{j}[{{i}}]" for n, (_, j) in enumerate(pairs))
+    point = ", ".join(f"y[{i}] + h * ({terms.format(i=i)})" for i in range(9))
+    namespace = {f"w{n}": w for n, (w, _) in enumerate(pairs)}
+    exec(f"def stage(y, h, ks):\n    {''.join(f'k{j} = ks[{j}]; ' for _, j in pairs)}return [{point}]", namespace)
+    return namespace["stage"]
+
+
+@functools.cache
+def _steppers(method):
+    """The stage functions of a tableau's rows, its solution weights and its error weights (None for a
+    fixed-step method)."""
+    stages, weights, err_weights = classical.TABLEAUX[method]
+    err = None if err_weights is None else _stage(_nonzero(err_weights))
+    return [_stage(_nonzero(row)) for row in stages], _stage(_nonzero(weights)), err
+
+
+def slow_integrate(state0, model, params, spec, T):
+    """integrate as one slow-kernel call per stage and one stage function per tableau row, each row stored
+    into the arrays as it is accepted; H from the slow kernel per H_BLOCK rows."""
+    stages, step, err_point = _steppers(spec.method)
+    fixed = err_point is None
+    n = max(1, int(round(T / spec.step)))
+    h = T / n if fixed else min(spec.step, T)
+    rhs = slow_kernel(model, params)
+    size = min(n, spec.max_steps) + 1
+    ts, ys, drifts = np.empty(size), np.empty((size, 9)), np.empty(size)
+    y = state0.x.tolist() + state0.p.tolist() + state0.s.tolist()
+    ts[0], ys[0], drifts[0] = state0.t, y, 0.0
+    rows, t, drift_cum, attempts, rejected = 1, 0.0, 0.0, 0, 0
+    mag = s0_mag = component_norm(y[6:9])
+
+    def trajectory():
+        blocks = range(0, rows, classical.H_BLOCK)
+        hs = np.concatenate([rhs(list(ys[i : min(i + classical.H_BLOCK, rows)].T), eom=None) for i in blocks])
+        s = ys[:rows, 6:9]
+        calls = len(stages) * attempts
+        return classical.Trajectory(
+            ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows], calls, rejected
+        )
+
+    while (rows <= n) if fixed else (t < T * (1.0 - 1e-12)):
+        if not fixed:
+            if attempts >= spec.max_steps:
+                raise IntegrationError("max step count exceeded", trajectory())
+            h = min(h, T - t)
+            if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
+                raise IntegrationError("step size underflow", trajectory())
+        ks = []
+        for stage in stages:
+            ks.append(rhs(stage(y, h, ks)))
+        accept, factor = True, 1.0
+        if not fixed:
+            err = max(map(abs, err_point((0.0,) * 9, h, ks)))
+            scale = spec.tol * max(1.0, max(map(abs, y)))
+            accept = err <= scale
+            factor = min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2 if err > 0 else 5.0))
+        if accept:
+            y = step(y, h, ks)
+            t = rows * h if fixed else t + h
+            raw = component_norm(y[6:9])
+            drift_cum += (raw - mag) / s0_mag
+            mag = raw
+            if abs(raw - s0_mag) / s0_mag > classical.SPIN_RENORM_THRESHOLD:
+                r = s0_mag / raw
+                y[6:9] = [c * r for c in y[6:9]]
+                mag = component_norm(y[6:9])
+            if rows == len(ts):
+                ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
+            ts[rows], ys[rows], drifts[rows] = state0.t + t, y, drift_cum
+            rows += 1
+        else:
+            rejected += 1
+        h *= factor
+        attempts += 1
+    return trajectory()
+
+
+def assert_same_trajectory(traj, ref):
+    """Every field of the trajectory equal to the reference's, the sign of every zero included."""
+    for name in ("t", "x", "p", "s", "h_total", "s_mag", "spin_drift"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+    assert (traj.rhs_calls, traj.rejected) == (ref.rhs_calls, ref.rejected)
 
 
 def assert_matches_oracle(traj, ref):
@@ -640,15 +865,15 @@ class TestAgainstOracle:
         assert_matches_oracle(traj, oracle_integrate(*args, norm=component_norm))
 
     def test_stage_functions_match_the_fold(self):
-        # every stage row, solution row and error row of both tableaux (arities 0 to 5) against the
+        # the slow path's stage, solution and error rows of both tableaux (arities 0 to 5) against the
         # per-component fold, equal with the sign of every zero, on random y and ks holding +-0.0;
-        # the error row also from the origin, as integrate evaluates it
+        # the error row also from the origin, as the slow path evaluates it
         rng = np.random.default_rng(2718)
         rows = []
         for method, (stages, weights, err_weights) in classical.TABLEAUX.items():
-            fns, step, err = classical._steppers(method)
+            fns, step, err = _steppers(method)
             rows += [*zip(stages, fns), (weights, step)] + ([] if err is None else [(err_weights, err)])
-        rows.append(((0.0, 0.0, 0.0), classical._stage(classical._nonzero((0.0, 0.0, 0.0)))))
+        rows.append(((0.0, 0.0, 0.0), _stage(_nonzero((0.0, 0.0, 0.0)))))
         pairs = [tuple((w, j) for j, w in enumerate(row) if w) for row, _ in rows]
         assert {len(p) for p in pairs} == {0, 1, 2, 3, 4, 5}
         scales = [0.0, -0.0, 1.0, 1e-200, 1e200]
@@ -663,11 +888,15 @@ class TestAgainstOracle:
                         assert got is start
                     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
-    def test_stage_functions_built_once_per_tableau(self, monkeypatch):
-        args = oracle_runs()["rkf45"]
-        integrate(*args)
-        monkeypatch.setattr(classical, "_stage", None)  # a second build would call it
-        assert_matches_oracle(integrate(*args), oracle_integrate(*args))
+    def test_step_compiled_once_per_structure(self):
+        # a second run on another Stern-Gerlach trap, the same source with other constants, compiles nothing
+        state0, model, params, spec, T = oracle_runs()["rkf45"]
+        integrate(state0, model, params, spec, T)
+        misses = fields.compiled.cache_info().misses
+        other = SternGerlach(B0=2.0, b=0.1)
+        traj = integrate(state0, other, params, spec, T)
+        assert fields.compiled.cache_info().misses == misses
+        assert_matches_oracle(traj, oracle_integrate(state0, other, params, spec, T))
 
     def test_rk4_work_counters(self):
         traj = integrate(*oracle_runs()["conservation"])
@@ -680,15 +909,15 @@ class TestAgainstOracle:
 
     def test_eom_rhs_matches_parent(self):
         # eom_rhs at 1000 random states on the gradient oracle's field against
-        # its parent: (3,) arrays of the same kernel's components, with the
-        # field summed from FieldSample.zero() and no PhaseState validation
-        class SumFromZero:
-            def components(self, x, y, z):
-                return sum((m.components(x, y, z) for m in ORACLE_FIELD.models), FieldSample.zero())
+        # its parent: (3,) arrays of the slow kernel's components, with the
+        # field summed from a zero sample and no PhaseState validation
+        def from_zero(x, y, z):
+            return functools.reduce(add_samples, (oracle_components(m, x, y, z) for m in ORACLE_FIELD.models), ZERO_SAMPLE)
 
+        kernel = slow_kernel(ORACLE_FIELD, PARAMS, from_zero)
         for y in np.random.default_rng(5150).normal(size=(1000, 9)):
             x, p, s = y[0:3], y[3:6], y[6:9]
-            k = classical._eom_kernel(SumFromZero(), PARAMS)(y.tolist())
+            k = kernel(y.tolist())
             ref = tuple(map(np.array, (k[0:3], k[3:6], k[6:9])))
             got = eom_rhs(PhaseState(x, p, s), ORACLE_FIELD, PARAMS)
             assert len(got) == 3
@@ -720,6 +949,141 @@ class TestAgainstOracle:
         for got, want in zip(new, ref):
             assert np.array_equal(to_array(got, (1000,)), to_array(want, (1000,)))
         assert np.array_equal(rhs([*X.T, *P.T, *S.T], eom=None), new[0])
+
+
+# the models of the field-oracle comparisons: every kernel model, the all-zero Uniform, a Uniform E alone,
+# the empty Superposition, one that holds a Superposition, and one whose phi is -0.0 + -0.0 (a sum started
+# from a zero phi would give +0.0)
+FIELD_MODELS = {
+    **KERNEL_MODELS,
+    "uniform_zero": Uniform(),
+    "uniform_e": Uniform(E0=np.array([0.3, -0.2, 0.5])),
+    "superposition_empty": Superposition(),
+    "superposition_nested": Superposition(ORACLE_FIELD, Uniform(B0=np.array([0.0, 0.5, 0.3])), ORACLE_FIELD),
+    "superposition_zero_phi": Superposition(Uniform(), Uniform(B0=np.array([0.0, 0.5, 0.3]))),
+}
+
+
+def sentinels(sample):
+    """Which fields of a sample, and which rows of its Jacobians, are the zero sentinels."""
+    return [(v is ZERO3, v is ZERO33, isinstance(v, tuple) and tuple(r is ZERO3 for r in v)) for v in sample]
+
+
+def slow_path_runs():
+    """(state0, model, params, spec, T) of the integrations compared with slow_integrate: every kernel model
+    under rk4 (600 steps) and under rkf45 (590 to 2430 steps, after rejections)."""
+    trap = PhaseState(np.array([0.1, -0.2, 0.05]), np.array([0.3, 0.0, 0.1]), np.array([0.5, 0.2, 0.8]))
+    runs = {}
+    for name, model in KERNEL_MODELS.items():
+        runs[f"rk4-{name}"] = (trap, model, PARAMS, IntegratorSpec(step=1e-3), 0.6)
+        # an initial step of 0.2 is rejected before the step size settles
+        runs[f"rkf45-{name}"] = (trap, model, PARAMS, IntegratorSpec(method="rkf45", step=0.2, tol=1e-15), 3.0)
+    return runs
+
+
+class TestSlowPath:
+    @pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+    def test_components_match_the_field_oracle(self, name):
+        # == on 300 float points, the sentinels included, and on 300 points as (N,) arrays with every sign bit
+        model = FIELD_MODELS[name]
+        X = np.random.default_rng(808).normal(scale=2.0, size=(300, 3))
+        for x, y, z in X.tolist():
+            got, want = model.components(x, y, z), oracle_components(model, x, y, z)
+            assert got == want and sentinels(got) == sentinels(want)
+        got, want = model.components(*X.T), oracle_components(model, *X.T)
+        assert sentinels(got) == sentinels(want)
+        for a, b in zip(got, want):
+            a, b = to_array(a, (300,)), to_array(b, (300,))
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("name", sorted(slow_path_runs()))
+    def test_integrate_matches_the_slow_path(self, name):
+        args = slow_path_runs()[name]
+        traj = integrate(*args)
+        assert len(traj) > 500
+        if args[3].method == "rkf45":
+            assert traj.rejected >= 1
+        assert_same_trajectory(traj, slow_integrate(*args))
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_rows_across_many_chunks(self, method, monkeypatch):
+        # 7-row chunks: the flushes cross 85 (rk4) and 347 (rkf45) boundaries, and rkf45's buffer doubles
+        monkeypatch.setattr(classical, "ROW_CHUNK", 7)
+        args = slow_path_runs()[f"{method}-superposition"]
+        assert_same_trajectory(integrate(*args), slow_integrate(*args))
+
+    @pytest.mark.parametrize(
+        "spec, model, message",
+        [
+            (IntegratorSpec(method="rkf45", step=1e-3, tol=1e-14, max_steps=600), SternGerlach(1.0, 0.2), "max step"),
+            (IntegratorSpec(method="rkf45", step=1e-3, tol=1e-30, max_steps=1000), SternGerlach(10.0, 0.2), "underflow"),
+        ],
+    )
+    def test_failures_match_the_slow_path(self, spec, model, message):
+        st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
+        with pytest.raises(IntegrationError, match=message) as err:
+            integrate(st, model, PARAMS, spec, 10.0)
+        with pytest.raises(IntegrationError, match=message) as ref:
+            slow_integrate(st, model, PARAMS, spec, 10.0)
+        assert_same_trajectory(err.value.partial, ref.value.partial)
+
+    @pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+    def test_point_kernel_matches_the_slow_kernel(self, name):
+        # every call form on 100 float states and on them as (N,) arrays, the sign of every zero included,
+        # and E and B the same sentinels
+        model = FIELD_MODELS[name]
+        Y = np.random.default_rng(909).normal(size=(100, 9))
+        new, old = classical._eom_kernel(model, PARAMS), slow_kernel(model, PARAMS)
+        for y, shape in [*((row, ()) for row in Y.tolist()), (list(Y.T), (100,))]:
+            for eom in (True, False, None):
+                got, want = new(y, eom), old(y, eom)
+                if eom is False:
+                    assert sentinels(got[-2:]) == sentinels(want[-2:])
+                for a, b in zip(_flat(got), _flat(want), strict=True):
+                    a, b = to_array(a, shape), to_array(b, shape)
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _flat(v):
+    """Nested tuples and lists of numbers or arrays as one flat tuple."""
+    return tuple(c for u in v for c in _flat(u)) if isinstance(v, (tuple, list)) else (v,)
+
+
+class TestGeneratedCode:
+    @pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+    def test_sentinel_slots_fixed_per_instance(self, name):
+        # the same sentinels at 100 random points, one at a time and as (N,) arrays
+        model = FIELD_MODELS[name]
+        X = np.random.default_rng(111).normal(scale=3.0, size=(100, 3))
+        first = sentinels(model.components(*X[0]))
+        assert all(sentinels(model.components(x, y, z)) == first for x, y, z in X.tolist())
+        assert sentinels(model.components(*X.T)) == first
+
+    def test_uniform_structures(self):
+        # a zero E or B is not written, so those Uniforms compile to code of their own
+        E, B = np.array([0.3, -0.2, 0.5]), np.array([0.4, 0.9, -0.6])
+        both = Uniform(E0=E, B0=B)
+        for model in (Uniform(), Uniform(B0=B), Uniform(E0=E)):
+            assert model.source[0] != both.source[0]
+            assert classical._eom_kernel(model, PARAMS).__code__ is not classical._eom_kernel(both, PARAMS).__code__
+        assert Uniform(E0=2 * E, B0=-B).source[0] is both.source[0]
+
+    def test_stern_gerlach_instances_share_code(self):
+        # one code object per structure, each instance with its own constants
+        a, b = SternGerlach(B0=1.0, b=0.2), SternGerlach(B0=5.0, b=0.01)
+        assert a.source[0] is b.source[0]
+        for source in (classical._point_source, functools.partial(classical._step_source, "rk4")):
+            assert fields.compiled(source(*a.source[:2])) is fields.compiled(source(*b.source[:2]))
+        assert classical._eom_kernel(a, PARAMS).__code__ is classical._eom_kernel(b, PARAMS).__code__
+        assert a.components.__code__ is b.components.__code__
+        y = [0.1, -0.2, 0.3, 0.4, 0.1, -0.3, 0.5, 0.2, 0.8]
+        ka, kb = classical._eom_kernel(a, PARAMS)(y), classical._eom_kernel(b, PARAMS)(y)
+        assert ka != kb
+        assert ka == slow_kernel(a, PARAMS)(y) and kb == slow_kernel(b, PARAMS)(y)
+        st = PhaseState(np.array(y[0:3]), np.array(y[3:6]), np.array(y[6:9]))
+        for model in (a, b):
+            args = (st, model, PARAMS, IntegratorSpec(step=1e-2), 0.5)
+            assert_same_trajectory(integrate(*args), slow_integrate(*args))
 
 
 class TestBmtConsistency:
@@ -766,20 +1130,25 @@ class TestBmtConsistency:
         without_f = bmt_consistency_residual(traj, model, self.NEUTRAL, include_gradient_force=False)
         assert without_f >= 10 * with_f
 
-    def test_one_field_sample_per_call(self):
-        # E and B come from the kernel's own sample of the field
+    def test_one_field_sample_per_call(self, monkeypatch):
+        # E and B come from one call of the point kernel on all rows
         model = SternGerlach(B0=5.0, b=0.01)
         traj = self.make_traj(model, 40, 4.0, p0=np.array([1e-4, 3e-5, -2e-5]) * self.NEUTRAL.mc)
-        calls = []
+        resid = bmt_consistency_residual(traj, model, self.NEUTRAL)
+        calls, make_kernel = [], classical._eom_kernel
 
-        class Counted:
-            def components(self, x, y, z):
-                calls.append(len(x))
-                return model.components(x, y, z)
+        def counted_kernel(model, params):
+            kernel = make_kernel(model, params)
 
-        resid = bmt_consistency_residual(traj, Counted(), self.NEUTRAL)
+            def counted(y, eom=True):
+                calls.append(len(y[0]))
+                return kernel(y, eom)
+
+            return counted
+
+        monkeypatch.setattr(classical, "_eom_kernel", counted_kernel)
+        assert bmt_consistency_residual(traj, model, self.NEUTRAL) == resid
         assert calls == [len(traj)]
-        assert resid == bmt_consistency_residual(traj, model, self.NEUTRAL)
 
     def test_too_coarse_rejected(self):
         traj = self.make_traj(NO_FIELD, 3, 1.0, p0=np.zeros(3))

@@ -1,5 +1,7 @@
 """Field models, particle parameters and kinematics."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from spincorr import (
     sample_field,
 )
 from spincorr.classical import eom_rhs
-from spincorr.fields import ZERO3, ZERO33, FieldSample, to_array
+from spincorr.fields import ZERO3, ZERO33, to_array
+from test_classical import ZERO_SAMPLE, add_samples
 
 RNG = np.random.default_rng(20260814)
 
@@ -192,8 +195,8 @@ def oracle_validate(x, p, s):
 
 
 def oracle_components(models, x, y, z):
-    """Superposition.components as a sum of samples started from FieldSample.zero()."""
-    return sum((m.components(x, y, z) for m in models), FieldSample.zero())
+    """Superposition.components as a sum of the models' samples started from a zero sample."""
+    return functools.reduce(add_samples, (m.components(x, y, z) for m in models), ZERO_SAMPLE)
 
 
 def outcome(f, *args):
@@ -306,7 +309,7 @@ class TestSuperpositionFold:
 
     def test_empty_is_zero(self):
         for point in ((0.1, 0.2, 0.3), tuple(RNG.normal(size=(3, 5)))):
-            assert Superposition().components(*point) == FieldSample.zero()
+            assert Superposition().components(*point) == ZERO_SAMPLE
 
 
 def v_pi(pi, params):

@@ -31,7 +31,7 @@ from spincorr.checks import RESIDUAL_TERMS_SHOWN, check_case_equality, check_ord
 from spincorr.opalg import identities
 from spincorr.opalg.core import SPIN_MUL, _fold_i
 from spincorr.opalg.printing import leading_terms, term_sort_key
-from spincorr.opalg.shadow import SPIN, ShadowRep, random_state, shadow_is_zero
+from spincorr.opalg.shadow import SPIN, ShadowRep, _rand_poly, random_state, shadow_is_zero
 from test_normal_order import normalize_random
 
 HBAR_E_C = (1, -1, 0, 1, 0)  # units tuple of hbar e / c
@@ -720,19 +720,26 @@ class TestShadow:
             )
 
     def test_multiply_matches_operator_composition(self):
-        """multiply(a, b) acts as (a after b) on wavefunctions, exactly."""
+        """multiply(a, b) acts as (a after b) on wavefunctions, exactly.
+
+        The state has degree 8, not random_state's 2, so that the up to four
+        derivatives of a product leave most results nonzero (17 of the 20).
+        """
         rng = Random(57)
         alg = Algebra(charged=False)
+        nonzero = 0
         for trial in range(20):
             a = random_expr(rng, alg, nterms=2, max_len=2, allow_field=True)
             b = random_expr(rng, alg, nterms=2, max_len=2, allow_field=False)
             prod = alg.multiply(a, b)
             rep_rng = Random(9000 + trial)
             rep = ShadowRep(rep_rng, charged=False)
-            psi = random_state(rep_rng)
+            psi = [_rand_poly(rep_rng, 8, 12) for _ in range(4)]
             direct = rep.apply(prod, psi)
             chained = rep.apply(a, rep.apply(b, psi))
             assert direct == chained
+            nonzero += any(nums for _, nums in direct)
+        assert nonzero >= 15
 
     def test_matchup_applications_match_the_fraction_shadow(self):
         """Every monomial of the raw and of the canonical residual in the 24 reps of criterion 7 at seed 7."""
