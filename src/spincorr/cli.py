@@ -28,6 +28,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,16 @@ def _blas_info() -> dict:
     return {key: str(blas.get(key, "unknown")) for key in ("name", "version")}
 
 
+# the flags that set a config key, in --help order: flag -> (config key, argparse options)
+_KEY_FLAGS = {
+    "--out": ("out", {"metavar": "DIR", "help": "artifact directory"}),
+    "--seed": ("seed", {"type": int, "metavar": "U64", "help": "random seed"}),
+    "--profile": ("profile", {"choices": list(PROFILES), "help": "check profile"}),
+    "--order": ("order", {"type": int, "metavar": "N", "help": "symbolic expansion order"}),
+    "--lambda-list": ("amplitudes", {"metavar": "CSV", "help": "comma-separated field amplitudes"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spincorr",
@@ -71,32 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         sp = sub.add_parser(mode, help=descriptions[mode])
         sp.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        sp.add_argument("--out", metavar="DIR", help="artifact directory")
-        sp.add_argument("--seed", type=int, metavar="U64", help="random seed")
-        sp.add_argument("--profile", choices=list(PROFILES), help="check profile")
-        sp.add_argument("--order", type=int, metavar="N", help="symbolic expansion order")
-        sp.add_argument(
-            "--lambda-list",
-            metavar="CSV",
-            dest="lambda_list",
-            help="comma-separated field amplitudes",
-        )
+        for flag, (key, options) in _KEY_FLAGS.items():
+            sp.add_argument(flag, dest=key, **options)
     return parser
 
 
 def _overrides_from_args(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.profile is not None:
-        out["profile"] = args.profile
-    if args.order is not None:
-        out["order"] = args.order
-    if args.lambda_list is not None:
-        out["amplitudes"] = args.lambda_list
-    if args.out is not None:
-        out["out"] = args.out
-    return out
+    values = {key: getattr(args, key) for key, _ in _KEY_FLAGS.values()}
+    # the artifact directory is overridden after the keys the checks read
+    values["out"] = values.pop("out")
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _run_id(cfg: RunConfig) -> str:
@@ -114,6 +109,8 @@ _RECORD = (
 # one trajectory.csv row as csv.writer writes it: str of a float, which is its repr, and \r\n at the end
 _CSV_HEADER = "t,x1,x2,x3,p1,p2,p3,s1,s2,s3,h_total,s_mag,h_drift,s_drift\r\n"
 _CSV_ROW = ",".join(["%r"] * 14) + "\r\n"
+# a trajectory.csv row's values in the order _RECORD takes its keys: h_drift, h_total, p, s, s_drift, s_mag, t, x
+_RECORD_VALUES = itemgetter(12, 10, 4, 5, 6, 7, 8, 9, 13, 11, 0, 1, 2, 3)
 
 
 def _write_trajectory(traj, out_dir: Path):
@@ -129,10 +126,9 @@ def _write_trajectory(traj, out_dir: Path):
     # NaN and Infinity are not JSON, so a non-finite row raises, as json.dumps(..., allow_nan=False) does
     if not np.isfinite(table).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    records = np.column_stack([h_drift, h, traj.p, traj.s, traj.spin_drift, traj.s_mag, traj.t, traj.x]).tolist()
-    (out_dir / "trajectory.json").write_text("[\n" + ",\n".join(_RECORD % tuple(r) for r in records) + "\n]\n")
-    rows = "".join(_CSV_ROW % tuple(r) for r in table.tolist())
-    (out_dir / "trajectory.csv").write_text(_CSV_HEADER + rows, newline="")
+    rows = table.tolist()
+    (out_dir / "trajectory.json").write_text("[\n" + ",\n".join(_RECORD % _RECORD_VALUES(r) for r in rows) + "\n]\n")
+    (out_dir / "trajectory.csv").write_text(_CSV_HEADER + "".join(_CSV_ROW % tuple(r) for r in rows), newline="")
 
 
 def render_report(record: dict) -> str:

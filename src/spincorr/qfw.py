@@ -150,14 +150,10 @@ def _hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _dagger(M))
 
 
-def _fourier_matrix(N: int) -> np.ndarray:
-    return np.fft.fft(np.eye(N), norm="ortho")
-
-
 def _axis_operators(lattice: LatticeSpec, hbar: float):
     N = lattice.n_sites
     k = lattice.axis_wavenumbers()
-    F = _fourier_matrix(N)
+    F = np.fft.fft(np.eye(N), norm="ortho")
     # band-limit projector: the unpaired Nyquist mode is excised
     Q = np.eye(N)
     Q[N // 2, N // 2] = 0.0
@@ -447,48 +443,28 @@ def residual_scaling(
     return residuals, fit_slope(lambdas, residuals)
 
 
-def _site_inversion(lattice: LatticeSpec) -> np.ndarray:
-    """x -> -x on one lattice axis, expressed in the momentum basis."""
-    N = lattice.n_sites
-    F = _fourier_matrix(N)
-    perm = np.zeros((N, N))
-    perm[(N - np.arange(N)) % N, np.arange(N)] = 1.0
-    return F @ perm @ F.conj().T
-
-
-def _conjugate_by_kron(M: np.ndarray, factors) -> np.ndarray:
-    """P M P^+ for P = f_1 (x) ... (x) f_k, one factor at a time; P is never formed.
-
-    Seen as an array of shape (d_1, ..., d_k, d_1, ..., d_k), M takes f_a on
-    its a-th row axis and conj(f_a) on its a-th column axis, because
-    (M P^+)_ij = sum_l M_il conj(P_jl).
-    """
-    dims = [f.shape[0] for f in factors]
-    T = M
-    for lead, conj in ((1, False), (len(M), True)):
-        for a, f in enumerate(factors):
-            f = f.conj() if conj else f
-            X = T.reshape(lead * math.prod(dims[:a]), dims[a], -1)
-            # f batched over the leading axes; on the last axis, a plain right product
-            T = X[..., 0] @ f.T if X.shape[-1] == 1 else f @ X
-    return T.reshape(M.shape)
-
-
-def _parity_defect(M: np.ndarray, factors) -> float:
-    """max |P M P^+ - M|; a matrix passed as a temporary is freed on return."""
-    return float(np.abs(_conjugate_by_kron(M, factors) - M).max())
-
-
 def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float, float]:
     """Deviation of H and its transform H' from parity invariance (both should vanish).
 
-    Parity is P = beta (x) site inversion on every axis; P H P^+ is formed
-    by its Kronecker factors, never as a dense product. The two dense
+    Parity is P = beta (x) site inversion on every axis. In the momentum basis
+    site inversion is k -> -k (mod N) on each axis, the Nyquist mode fixed, so
+    P is a real signed permutation and an involution: (P M P^+)_ab =
+    sign_a sign_b M[pi(a), pi(b)], with pi the inversion of each row's
+    orbital index and sign_a the beta of its Dirac component. The two dense
     matrices are scattered one at a time, each dropped before the next.
     """
     lattice = H.lattice
-    factors = [BETA4] + [_site_inversion(lattice)] * lattice.dimension
-    return tuple(_parity_defect(op.matrix, factors) for op in (H, Hfw))
+    N, n = lattice.n_sites, lattice.orbital_dim
+    axes = tuple(range(lattice.dimension))
+    # flipping each axis takes i to N - 1 - i, and the roll by one then to (-i) mod N
+    inv = np.roll(np.flip(np.arange(n).reshape((N,) * len(axes))), 1, axis=axes).ravel()
+    rows = (np.arange(4)[:, None] * n + inv).ravel()
+    sign = np.repeat(BETA4.diagonal().real, n)
+
+    def defect(M):
+        return float(np.abs(np.outer(sign, sign) * M[rows[:, None], rows] - M).max())
+
+    return defect(H.matrix), defect(Hfw.matrix)
 
 
 def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas, transforms=exact_transform) -> dict:
@@ -530,21 +506,19 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
 
     gamma_max = float(np.sqrt(1.0 + (params.hbar * np.abs(k)) ** 2 * params.c ** 2 / mc2 ** 2).max())
 
-    # near-rest modes: |k| within three fundamental harmonics
-    sel = np.where(np.abs(k) <= 3.0)[0]
-    Ps2 = np.kron(spin, np.eye(N)[:, sel])
+    # near-rest modes: |k| within three fundamental harmonics, in both spin rows of the particle half
+    sel = np.flatnonzero(np.abs(k) <= 3.0)
+    near = np.concatenate([sel, N + sel])
 
     lam0 = min(lambdas)
     Hfw_u, C0_u, Dg_u, D0_u = per_lam[lam0]
-    Rs = Ps2.conj().T @ (Hfw_u - C0_u) @ Ps2
-    Ds = Ps2.conj().T @ D0_u @ Ps2
+    Rs = (Hfw_u - C0_u)[:, near[:, None], near]
+    Ds = D0_u[:, near[:, None], near]
     norm = np.vdot(Ds, Ds)
     # a squared norm that underflowed below the normal floats leaves no coefficient to fit
     fitted = float(np.real(np.vdot(Ds, Rs) / norm)) if abs(norm) >= np.finfo(float).tiny else math.nan
     darwin_mag = float(np.abs(Dg_u).max())
-    nonrel_diff = float(
-        np.abs(Ps2.conj().T @ (Dg_u - fitted * D0_u) @ Ps2).max() / darwin_mag
-    )
+    nonrel_diff = float(np.abs((Dg_u - fitted * D0_u)[:, near[:, None], near]).max() / darwin_mag)
 
     res_correct, res_candidate, res_without = {}, {}, {}
     for lam, (Hfw_u, C0_u, Dg_u, D0_u) in per_lam.items():

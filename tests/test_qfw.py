@@ -30,18 +30,18 @@ from spincorr.qfw import (
     CASE_II,
     SIGMA4,
     ConfigurationError,
+    LatticeHamiltonian,
     LatticeSpec,
     OddnessError,
     _axis_operators,
-    _conjugate_by_kron,
     _dirac_blocks,
     _fw_root,
     _hermitize,
+    _kron_blocks,
     _mul_op,
     _odd_coupling,
     _orbital,
     _scatter,
-    _site_inversion,
     _weyl,
     block_diagonality_defect,
     build_correspondence,
@@ -799,23 +799,36 @@ class TestParity:
     @pytest.mark.parametrize("case, lat, par", [(CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)])
     def test_factored_parity_equals_dense_product(self, case, lat, par):
         P = parity_operator(lat)
-        factors = [BETA4] + [_site_inversion(lat)] * lat.dimension
         H = hamiltonian(case, lat, 1e-2, par)
         Hfw = eriksen_fw(H)
-        dense_devs = []
-        for M in (H.matrix, Hfw.matrix):
-            dense = P @ M @ P.conj().T
-            assert np.abs(_conjugate_by_kron(M, factors) - dense).max() < 1e-13
-            dense_devs.append(float(np.abs(dense - M).max()))
+        dense_devs = [float(np.abs(P @ M @ P.conj().T - M).max()) for M in (H.matrix, Hfw.matrix)]
         assert np.abs(np.subtract(parity_check(H, Hfw), dense_devs)).max() < 1e-13
 
-    def test_factored_conjugation_of_random_factors(self):
-        # no structure of parity assumed: complex factors of three sizes, a non-Hermitian M
+    def test_random_blocks_match_dense_product(self):
+        # no structure of a Hamiltonian assumed: one complex, non-Hermitian block of the case II lattice
         rng = np.random.default_rng(3)
-        factors = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (4, 3, 5)]
-        P = np.kron(np.kron(factors[0], factors[1]), factors[2])
-        M = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
-        assert np.abs(_conjugate_by_kron(M, factors) - P @ M @ P.conj().T).max() < 1e-11
+        n = LAT_II.matrix_dim
+        P = parity_operator(LAT_II)
+        blocks = rng.normal(size=(2, 1, n, n)) + 1j * rng.normal(size=(2, 1, n, n))
+        # the first is beta-odd, so only the beta signs tell P from the bare site inversion
+        blocks[0, :, : n // 2, : n // 2] = blocks[0, :, n // 2 :, n // 2 :] = 0.0
+        ops = [LatticeHamiltonian(b, np.arange(n)[None], CASE_II, LAT_II, PAR_II) for b in blocks]
+        dense_devs = [float(np.abs(P @ op.matrix @ P.conj().T - op.matrix).max()) for op in ops]
+        assert dense_devs[0] > 1.0
+        assert np.abs(np.subtract(parity_check(*ops), dense_devs)).max() < 1e-12
+
+    @pytest.mark.parametrize("case, lat, par", [(CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)])
+    def test_parity_odd_term_is_detected(self, case, lat, par):
+        # P (beta (x) f(x)) P^+ = beta (x) f(-x), so beta (x) sin(x) flips sign and the defect is twice its largest entry
+        eps = 1e-6
+        orb = _orbital(case, lat, 1e-2, par)
+        H = build_hamiltonian(case, lat, par, orb)
+        odd = replace(H, blocks=H.blocks + eps * _kron_blocks(BETA4, orb.field_profile))
+        dev_h, dev_hp = parity_check(odd, eriksen_fw(H))
+        expected = 2.0 * eps * float(np.abs(orb.field_profile).max())
+        assert expected > 1e-8  # far above criterion 12's bound of 1e-12
+        assert dev_h == pytest.approx(expected, rel=1e-6)
+        assert dev_hp < 1e-12
 
 
 class TestDarwin:
