@@ -300,7 +300,7 @@ def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
         alg = case_algebra(case)
         ok, residual = verify_case(case, order, alg)
         tag = f"case_{case.lower()}"
-        residual_terms[f"{tag}_residual_terms"] = len(residual.terms)
+        residual_terms[f"{tag}_residual_terms"] = len(residual)
         detail[f"{tag}_dropped_derivatives"] = alg.dropped_derivatives
         detail[f"{tag}_memo_words"] = alg.memo_words
         if not ok:
@@ -402,7 +402,7 @@ def check_correspondence_scaling(
             "darwin_included": not drop_darwin,
             # particle-half residual at each amplitude, in lambdas order
             "residuals": {"case_i": res_i, "case_ii": res_ii},
-            # [number of blocks, width] of the per-block H, transform and image
+            # [number of blocks, width] of the per-block H and H'
             "blocks": {
                 "case_i": qfw.block_shapes(qfw.CASE_I, lat1),
                 "case_ii": qfw.block_shapes(qfw.CASE_II, qfw.default_lattice(qfw.CASE_II)),

@@ -8,7 +8,7 @@ polynomial-operator shadow representation on Gaussian integers for
 cross-checks.
 """
 
-from .core import Algebra, OpExpr, SPIN_BETA, SPIN_ID, eps, expr_sum, word_field_count
+from .core import Algebra, OpExpr, SPIN_BETA, SPIN_ID, eps, expr_sum
 from .identities import (
     CASE_I,
     CASE_II,
@@ -56,5 +56,4 @@ __all__ = [
     "verify_case",
     "weyl_order",
     "weyl_orders",
-    "word_field_count",
 ]

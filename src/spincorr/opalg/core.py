@@ -145,10 +145,6 @@ def _code(sym) -> str:
         ) from None
 
 
-def word_field_count(word: tuple) -> int:
-    return sum(1 for sym in word if sym[0] != PI)
-
-
 def _pi_run(counts) -> str:
     """The sorted momentum word pi_1^n1 pi_2^n2 pi_3^n3."""
     return "x" * counts[1] + "y" * counts[2] + "z" * counts[3]
@@ -214,21 +210,6 @@ class OpExpr:
 
     def __len__(self) -> int:
         return len(self.nums)
-
-    def map_words(self, fn) -> "OpExpr":
-        """Apply word -> Fraction-or-None filter/transform fn(word); drop None."""
-        out = {}
-        for (word, spin, u, ip), c in self.terms.items():
-            w2 = fn(word)
-            if w2 is None:
-                continue
-            k = (w2, spin, u, ip)
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return OpExpr(out)
 
 
 def _expr(den: int, nums: dict) -> OpExpr:

@@ -24,12 +24,14 @@ from fractions import Fraction
 
 from .core import (
     PI,
+    PIS,
+    SYMBOL,
     Algebra,
     OpExpr,
     Units,
+    _expr,
     eps,
     expr_sum,
-    word_field_count,
 )
 
 
@@ -84,11 +86,11 @@ def weyl_orders(alg: Algebra, X: OpExpr, N: int) -> list[OpExpr]:
     """
     if N < 0:
         raise MalformedOperandError("Weyl order count requires N >= 0")
-    for (word, _, _, _) in X.terms:
-        if word_field_count(word) != 1:
-            raise MalformedOperandError(
-                "Weyl ordering operand must carry exactly one field symbol per monomial"
-            )
+    # stripping the momenta off both ends leaves one character only of a word with one field symbol
+    if any(len(word.strip(PIS)) != 1 for word, _, _, _ in X.nums):
+        raise MalformedOperandError(
+            "Weyl ordering operand must carry exactly one field symbol per monomial"
+        )
     pi2 = alg.pi_squared()
     out = []
     W = alg.canonicalize(X)
@@ -310,13 +312,8 @@ def _matchup_raw_delta(alg: Algebra) -> list[OpExpr]:
 
 def _homogeneous_part(expr: OpExpr) -> OpExpr:
     """Monomials whose field symbol carries no derivative indices."""
-    def keep(word):
-        for sym in word:
-            if sym[0] != "pi" and sym[2]:
-                return None
-        return word
-
-    return expr.map_words(keep)
+    nums = {key: n for key, n in expr.nums.items() if all(ch in PIS or not SYMBOL[ch][2] for ch in key[0])}
+    return _expr(expr.den, nums)
 
 
 def _solve_defect_decomposition(

@@ -13,12 +13,12 @@ algebraic identity the correspondence relies on exact on the lattice.
 Every operator conserves a block label, so the layer works on (blocks, n, n)
 stacks: case I has one block per k_y, case II is one block. The exact
 transform is beta sqrt(m^2c^4 + O^2) on the beta halves of each block. The
-conjectured classical image is the kinetic root plus the Weyl-ordered moment
-couplings, whose operator Taylor series has an exact closed form: the kernel
-2/(sqrt(1+u_a) + sqrt(1+u_b)) in the eigenbasis of u = c^2 pi^2/m^2c^4. Their
-difference on the particle half, swept over field amplitudes, measures what
-the weak-field claim neglects. Dense matrices are built only for callers
-that read them.
+conjectured classical image lives on the particle half: the kinetic root
+plus the Weyl-ordered moment coupling, whose operator Taylor series has an
+exact closed form, the kernel 2/(sqrt(1+u_a) + sqrt(1+u_b)) in the
+eigenbasis of u = c^2 pi^2/m^2c^4. Its gap to the transform's particle half,
+swept over field amplitudes, measures what the weak-field claim neglects.
+Dense matrices are built only for callers that read them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ _sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BETA4 = np.kron(_sz, _s0)
 ALPHA4 = (np.kron(_sx, _sx), np.kron(_sx, _sy), np.kron(_sx, _sz))
-SIGMA4 = (np.kron(_s0, _sx), np.kron(_s0, _sy), np.kron(_s0, _sz))
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,11 @@ def default_params(case: str, lattice: LatticeSpec) -> ParticleParams:
 
 @dataclass(frozen=True)
 class LatticeHamiltonian:
-    """A lattice operator as (blocks, 4n, 4n) blocks on the dense rows `index`.
+    """A lattice operator as (blocks, w, w) blocks on the dense rows `index`.
 
-    Each block's rows are ordered s n + i for Dirac component s, so its
-    first 2n have beta = +1. The dense matrix is scattered on each read.
+    Block rows are ordered s n + i for Dirac component s, so a 4n-wide block's
+    first 2n have beta = +1; a 2n-wide block is that particle half alone.
+    The dense matrix is scattered on each read.
     """
 
     blocks: np.ndarray
@@ -176,7 +176,7 @@ def _block_index(case: str, lattice: LatticeSpec) -> np.ndarray:
 
 
 def block_shapes(case: str, lattice: LatticeSpec) -> list:
-    """[number of blocks, width] of the per-block H, transform and image."""
+    """[number of blocks, width] of the per-block H and H'."""
     blocks, n = _block_index(case, lattice).shape
     return [[blocks, 4 * n]]
 
@@ -185,8 +185,8 @@ def block_shapes(case: str, lattice: LatticeSpec) -> list:
 class _Orbital:
     """(blocks, n, n) orbital operators of one case, lattice and amplitude.
 
-    H adds the 4x4 Dirac layer (`_dirac_blocks`); its image takes functions
-    of P2 and the coupling.
+    H adds the 4x4 Dirac layer (`_dirac_blocks`); its image (`_image`) takes
+    functions of P2 and the coupling.
     """
 
     momenta: tuple  # kinetic momentum operator of each lattice axis
@@ -369,12 +369,6 @@ def exact_transform(
     return orb, Hfw
 
 
-def _kinetic_root(orb: _Orbital, mc2: float):
-    """Eigenpairs (w, V) of each c^2 pi^2 block, and sqrt(m^2c^4 + c^2 pi^2)."""
-    w, V = np.linalg.eigh(orb.P2)
-    return w, V, (V * np.sqrt(mc2 ** 2 + w)[..., None, :]) @ _dagger(V)
-
-
 def _weyl(w: np.ndarray, V: np.ndarray, X: np.ndarray, mc2: float) -> np.ndarray:
     """(X / gamma)_Weyl = sum_n C(-1/2, n) (X pi^{2n})_Weyl / (mc)^{2n}, exactly.
 
@@ -393,54 +387,61 @@ def darwin_coefficient(m, e, gamma_m, hbar=1, c=1):
     return hbar ** 2 / (4 * m * c) * (3 * e / (2 * m * c) - gamma_m)
 
 
-def _image_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
-    """(blocks, 4n, 4n) conjectured block form, in the block layout of H.
+def _image(case: str, orb: _Orbital, params: ParticleParams) -> tuple[np.ndarray, np.ndarray]:
+    """(kinetic, moment), each (blocks, 2n, 2n) and not hermitized: the conjecture on the particle half.
 
-    Case I keeps the g = 2 magnetic coupling -(e hbar/2mc)(sigma.B/gamma)_W
-    with an overall beta; the anomalous bracket vanishes with gamma_m = e/mc.
-    Case II on the 1D lattice has p parallel to E, so the spin-orbit bracket
-    is structurally zero and the entire linear content is the Darwin term
-    with coefficient (hbar^2/4mc)(3e/2mc - gamma_m) = -mu' hbar/2mc here.
+    kinetic is I_2 (x) sqrt(m^2c^4 + c^2 pi^2), moment S (x) coeff (X/gamma)_W.
+    Case I keeps the g = 2 magnetic coupling, (S, coeff, X) = (sigma_z, -e hbar/2mc,
+    B_z): the anomalous bracket vanishes with gamma_m = e/mc. Case II on the 1D
+    lattice has p parallel to E, so the spin-orbit bracket is structurally zero and
+    the entire linear content is the Darwin term: (I_2, (hbar^2/4mc)(3e/2mc - gamma_m)
+    = -mu' hbar/2mc here, div E).
     """
     mc2 = params.mc2
-    w, V, root = _kinetic_root(orb, mc2)
-    Hc = _kron_blocks(BETA4, root)
+    w, V = np.linalg.eigh(orb.P2)
+    root = (V * np.sqrt(mc2 ** 2 + w)[..., None, :]) @ _dagger(V)
     if case == CASE_I:
-        pref = params.e * params.hbar / (2.0 * params.m * params.c)
-        Hc = Hc - pref * _kron_blocks(BETA4 @ SIGMA4[2], _weyl(w, V, orb.coupling, mc2))
+        spin, coeff = _sz, -params.e * params.hbar / (2.0 * params.m * params.c)
     else:
-        coeff = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
-        Hc = Hc + coeff * _kron_blocks(np.eye(4), _weyl(w, V, orb.coupling, mc2))
-    return _hermitize(Hc)
+        spin, coeff = _s0, darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
+    # coeff scales the Weyl block: the Kronecker factors are 0 or +-1, so the products are exact
+    return _kron_blocks(_s0, root), _kron_blocks(spin, coeff * _weyl(w, V, orb.coupling, mc2))
 
 
 def build_correspondence(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> LatticeHamiltonian:
-    """The conjectured block form (`_image_blocks`)."""
+    """The conjecture (`_image`) on each block's 2n rows of Dirac components 0 and 1."""
     orb = _orbital(case, lattice, lam, params)
-    Hc = _image_blocks(case, orb, params)
-    return LatticeHamiltonian(Hc, _dirac_index(orb), case, lattice, params)
+    kinetic, moment = _image(case, orb, params)
+    index = _dirac_index(orb)[:, : kinetic.shape[-1]]
+    return LatticeHamiltonian(_hermitize(kinetic + moment), index, case, lattice, params)
+
+
+def _particle_sweep(case: str, lattice: LatticeSpec, params: ParticleParams, lambdas, transforms):
+    """(lam, orbital, H'_p, kinetic, moment) per amplitude that `scaling_amplitudes` accepts, in order.
+
+    `transforms` gives each (orbital, H'), so one orbital assembly serves both sides; beta is
+    diagonal in the block layout, so H'_p, each block's particle half, is its leading 2n rows.
+    """
+    for lam in scaling_amplitudes(lambdas):
+        orb, Hfw = transforms(case, lattice, lam, params)
+        half = Hfw.blocks.shape[-1] // 2
+        yield lam, orb, Hfw.blocks[:, :half, :half], *_image(case, orb, params)
 
 
 def residual_scaling(
     case: str, lattice: LatticeSpec, params: ParticleParams, lambdas, transforms=exact_transform
 ) -> tuple[list, float]:
-    """Particle-half gap between the exact transform and the conjecture.
+    """Particle-half gap max |H'_p - image| over all blocks, per amplitude, and its slope.
 
-    `transforms` gives each amplitude's (orbital, H'), so one orbital
-    assembly serves both sides. beta is diagonal in the block layout, so
-    each block's particle half is its leading 2n rows and columns; the
-    residual is the largest gap over all blocks. The battery sweeps case II
-    through `darwin_vs_classical_hd`, whose `residual_correct` is this
-    case II residual.
+    The battery sweeps case II through `darwin_vs_classical_hd`, whose `residual_correct`
+    sums the same terms in another order: it agrees with this residual to 1e-13, not bit for bit.
     """
-    lambdas = scaling_amplitudes(lambdas)
-    residuals = []
-    for lam in lambdas:
-        orb, Hfw = transforms(case, lattice, lam, params)
-        half = Hfw.blocks.shape[-1] // 2
-        image = _image_blocks(case, orb, params)[:, :half, :half]
-        residuals.append(float(np.abs(Hfw.blocks[:, :half, :half] - image).max()))
-    return residuals, fit_slope(lambdas, residuals)
+    by_lam = {
+        lam: float(np.abs(Hp - _hermitize(kinetic + moment)).max())
+        for lam, _, Hp, kinetic, moment in _particle_sweep(case, lattice, params, lambdas, transforms)
+    }
+    residuals = list(by_lam.values())
+    return residuals, fit_slope(list(by_lam), residuals)
 
 
 def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float, float]:
@@ -481,27 +482,16 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
     measurements only; criterion 11 (`checks.check_negative_result`)
     applies the bounds.
     """
-    lambdas = scaling_amplitudes(lambdas)
     N = lattice.n_sites
     mc2 = params.mc2
-    spin = np.eye(2)
     analytic = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
-    # particle halves, block by block: transform, kinetic root, Darwin
-    # term and the flat candidate's div E, on each amplitude's (orbital, H')
-    # from `transforms`
-    per_lam = {}
-    for lam in lambdas:
-        orb, Hfw = transforms(CASE_II, lattice, lam, params)
-        w, V, root = _kinetic_root(orb, mc2)
-        darwin = analytic * _weyl(w, V, orb.coupling, mc2)
-        half = Hfw.blocks.shape[-1] // 2
-        per_lam[lam] = (
-            Hfw.blocks[:, :half, :half],
-            _hermitize(_kron_blocks(spin, root)),
-            _hermitize(_kron_blocks(spin, darwin)),
-            _kron_blocks(spin, orb.coupling),
-        )
+    # per amplitude, on each block's particle half: H', kinetic root, Darwin term, the flat candidate's div E
+    per_lam = {
+        lam: (Hp, _hermitize(kinetic), _hermitize(moment), _kron_blocks(_s0, orb.coupling))
+        for lam, orb, Hp, kinetic, moment in _particle_sweep(CASE_II, lattice, params, lambdas, transforms)
+    }
+    lambdas = list(per_lam)
     k = lattice.axis_wavenumbers()
 
     gamma_max = float(np.sqrt(1.0 + (params.hbar * np.abs(k)) ** 2 * params.c ** 2 / mc2 ** 2).max())

@@ -48,7 +48,6 @@ from spincorr.opalg.core import (
     _pi_run,
     _trace_b_replacements,
     eps,
-    word_field_count,
 )
 
 ALGEBRAS = {
@@ -139,6 +138,11 @@ class SwapRewriting:
 
 def is_field(sym: tuple) -> bool:
     return sym[0] != PI
+
+
+def word_field_count(word: tuple) -> int:
+    """Field symbols in a tuple word."""
+    return sum(1 for sym in word if is_field(sym))
 
 
 def _applicable_moves(word: tuple) -> list:

@@ -28,7 +28,6 @@ from spincorr.qfw import (
     BETA4,
     CASE_I,
     CASE_II,
-    SIGMA4,
     ConfigurationError,
     LatticeHamiltonian,
     LatticeSpec,
@@ -170,6 +169,8 @@ def dense_correspondence(case, lattice, lam, params, include_darwin=True):
 
 # sigma_0..sigma_3: spin index 4a + b of the operator algebra is rho_a (x) sigma_b
 PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+# the block-diagonal spin vector rho_0 sigma_i on the four Dirac components
+SIGMA4 = tuple(np.kron(PAULI[0], s) for s in PAULI[1:])
 
 
 def instantiate_case_i(expr, lattice, lam, params):
@@ -361,7 +362,8 @@ class TestEriksen:
         H = hamiltonian(CASE_II, LAT_II, 0.0, PAR_II)
         Hfw = eriksen_fw(H)
         C = build_correspondence(CASE_II, LAT_II, 0.0, PAR_II)
-        assert np.abs(Hfw.matrix - C.matrix).max() < 1e-12
+        half = 2 * LAT_II.orbital_dim
+        assert np.abs(Hfw.matrix[:half, :half] - C.matrix[:half, :half]).max() < 1e-12
 
     def test_rejects_non_odd_input(self):
         H = hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II)
@@ -561,13 +563,19 @@ class TestWeylKernel:
         assert pref * misses[0] > 1e-12 * par.mc2
         assert misses[1] < misses[0]
 
-    def test_image_is_built_per_block(self):
-        C = build_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
-        dense = dense_correspondence(CASE_I, LAT_I, 1e-2, PAR_I)
-        assert np.abs(C.matrix - dense).max() <= 1e-13
-        # index s N^2 + i_x N + i_y carries the block label i_y
-        labels = np.arange(LAT_I.matrix_dim) % LAT_I.n_sites
-        assert not np.any(C.matrix[labels[:, None] != labels[None, :]])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_image_is_built_per_block(self, case, lam):
+        lat = default_lattice(case)
+        par = default_params(case, lat)
+        C = build_correspondence(case, lat, lam, par).matrix
+        half = 2 * lat.orbital_dim
+        assert np.abs(C[:half, :half] - dense_correspondence(case, lat, lam, par)[:half, :half]).max() <= 1e-13
+        # the image lives on the particle half alone
+        assert not np.any(C[half:]) and not np.any(C[:, half:])
+        # index s N^d + orbital index carries the block label: i_y in case I, one block in case II
+        labels = np.arange(lat.matrix_dim) % lat.n_sites if case == CASE_I else np.zeros(lat.matrix_dim, int)
+        assert not np.any(C[labels[:, None] != labels[None, :]])
 
 
 class TestHermiticityGuard:
@@ -595,7 +603,8 @@ class TestCorrespondence:
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             Hfw = eriksen_fw(hamiltonian(case, lat, 0.0, par))
             C = build_correspondence(case, lat, 0.0, par)
-            assert np.abs(Hfw.matrix - C.matrix).max() < 1e-12
+            half = 2 * lat.orbital_dim
+            assert np.abs(Hfw.matrix[:half, :half] - C.matrix[:half, :half]).max() < 1e-12
 
     def test_charged_residual_scales_quadratically(self):
         res, slope = residual_scaling(CASE_I, LAT_I, PAR_I, (1e-2, 1e-3, 1e-4))
@@ -712,7 +721,8 @@ class TestRunScopedTransforms:
         monkeypatch.setattr(qfw_module, "_orbital", counted_orbital)
         assert all(r.passed for r in run_checks(load_config("verify-fw")))
         # six keys: each case at 1e-2, 1e-3 and 1e-4. Each entry's transform
-        # is two eigh; each amplitude's image adds one for its kinetic root
+        # is two eigh; each amplitude's image, shared by criteria 10 and 11,
+        # adds one for its kinetic root
         assert calls == {"orbital": 6, "eigh": 6 * 2 + 2 * 3}
 
     def test_run_frees_its_transforms(self, monkeypatch):
