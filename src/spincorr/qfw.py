@@ -10,19 +10,23 @@ faithful +k partner for it). Field-strength operators are realized by
 commutators of the very operators appearing in H, which makes every
 algebraic identity the correspondence relies on exact on the lattice.
 
-Every operator conserves a block label, so the layer works on (blocks, n, n)
-stacks: case I has one block per k_y, case II is one block. The exact
-transform is beta sqrt(m^2c^4 + O^2) on the beta halves of each block. The
-conjectured classical image lives on the particle half: the kinetic root
-plus the Weyl-ordered moment coupling, whose operator Taylor series has an
-exact closed form, the kernel 2/(sqrt(1+u_a) + sqrt(1+u_b)) in the
-eigenbasis of u = c^2 pi^2/m^2c^4. Its gap to the transform's particle half,
-swept over field amplitudes, measures what the weak-field claim neglects.
-Dense matrices are built only for callers that read them.
+Every operator conserves an orbital label (k_y in case I, none in case II)
+and, in planar motion, a spin sector: H links Dirac components {0, 3} and
+{1, 2} only (`_sectors`). So the layer works on (2 blocks, 2n, 2n) stacks,
+one block per (sector, orbital block), whose first n rows have beta = +1.
+The exact transform is beta sqrt(m^2c^4 + O^2) on the beta halves of each
+block. The conjectured classical image lives on the n-row particle half:
+the kinetic root plus the Weyl-ordered moment coupling, whose operator
+Taylor series has an exact closed form, the kernel 2/(sqrt(1+u_a) +
+sqrt(1+u_b)) in the eigenbasis of u = c^2 pi^2/m^2c^4. Its gap to the
+transform's particle half, swept over field amplitudes, measures what the
+weak-field claim neglects. Dense matrices are built only for callers that
+read them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -52,6 +56,22 @@ _sz = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BETA4 = np.kron(_sz, _s0)
 ALPHA4 = (np.kron(_sx, _sx), np.kron(_sx, _sy), np.kron(_sx, _sz))
+
+
+@functools.cache
+def _sectors() -> np.ndarray:
+    """The spin sectors planar motion conserves, one row each, beta = +1 first: the Dirac components
+    that the nonzero pattern of every Dirac matrix in H (case II's beta alpha_1 included) links.
+
+    Derived once, on first use: at import it would page in numpy code that
+    runs without the lattice never use (about 0.5 MB of resident memory).
+    """
+    mats = (BETA4, ALPHA4[0], ALPHA4[1], BETA4 @ ALPHA4[0])
+    reach = np.linalg.matrix_power(np.eye(4, dtype=int) + (sum(np.abs(M) for M in mats) != 0), 3) > 0
+    sectors = np.array(sorted({tuple(sorted(np.flatnonzero(r), key=lambda s: -BETA4[s, s].real)) for r in reach}))
+    # every caller shares the cached array
+    sectors.flags.writeable = False
+    return sectors
 
 
 @dataclass(frozen=True)
@@ -114,13 +134,14 @@ def default_params(case: str, lattice: LatticeSpec) -> ParticleParams:
 class LatticeHamiltonian:
     """A lattice operator as (blocks, w, w) blocks on the dense rows `index`.
 
-    Block rows are ordered s n + i for Dirac component s, so a 4n-wide block's
-    first 2n have beta = +1; a 2n-wide block is that particle half alone.
-    The dense matrix is scattered on each read.
+    One block per (sector, orbital block), sector-major. A 2n-wide block's
+    rows are its sector's two Dirac components, n orbital rows each, beta = +1
+    first; an n-wide block is that particle half alone. The dense matrix is
+    scattered on each read.
     """
 
     blocks: np.ndarray
-    index: np.ndarray  # (blocks, 4n) dense index of each block row
+    index: np.ndarray  # (blocks, w) dense index of each block row
     case: str
     lattice: LatticeSpec
     params: ParticleParams
@@ -178,7 +199,7 @@ def _block_index(case: str, lattice: LatticeSpec) -> np.ndarray:
 def block_shapes(case: str, lattice: LatticeSpec) -> list:
     """[number of blocks, width] of the per-block H and H'."""
     blocks, n = _block_index(case, lattice).shape
-    return [[blocks, 4 * n]]
+    return [[len(_sectors()) * blocks, 2 * n]]
 
 
 @dataclass
@@ -223,30 +244,37 @@ def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams
     return _Orbital(momenta, _hermitize(P2), _hermitize(coupling), profile, index)
 
 
-def _kron_blocks(S: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """S (x) M_b for a small matrix S and each matrix M_b of a stack."""
-    w = S.shape[0] * M.shape[-1]
-    return (S[None, :, None, :, None] * M[:, None, :, None, :]).reshape(M.shape[0], w, w)
+def _sector_kron(S: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """(sectors * blocks, 2n, 2n): S on each sector (x) each matrix M_b of a stack, sector-major."""
+    w = 2 * M.shape[-1]
+    Ss = np.array([S[np.ix_(sec, sec)] for sec in _sectors()])
+    return (Ss[:, None, :, None, :, None] * M[None, :, None, :, None, :]).reshape(-1, w, w)
+
+
+def _per_sector(M: np.ndarray, sign=1.0) -> np.ndarray:
+    """(sectors * blocks, n, n): sign[s] M_b for sector s and each matrix M_b of a stack, sector-major."""
+    return (np.broadcast_to(sign, len(_sectors()))[:, None, None, None] * M).reshape(-1, *M.shape[1:])
 
 
 def _dirac_blocks(case: str, orb: _Orbital, params: ParticleParams) -> np.ndarray:
-    """(blocks, 4n, 4n) H = beta mc^2 + c alpha.pi (+ i mu' beta alpha_1 E_x in case II).
+    """(sectors * blocks, 2n, 2n) H = beta mc^2 + c alpha.pi (+ i mu' beta alpha_1 E_x in case II).
 
-    Block rows are ordered s n + i for Dirac component s, so the first 2n
-    have beta = +1.
+    Block rows are ordered s n + i for the sector's Dirac component s = 0, 1,
+    so the first n have beta = +1.
     """
-    n = orb.index.shape[1]
-    beta = _kron_blocks(BETA4, np.eye(n)[None])
-    kinetic = sum(_kron_blocks(ALPHA4[i], p) for i, p in enumerate(orb.momenta))
+    blocks, n = orb.index.shape
+    beta = _sector_kron(BETA4, np.broadcast_to(np.eye(n), (blocks, n, n)))
+    kinetic = sum(_sector_kron(ALPHA4[i], p) for i, p in enumerate(orb.momenta))
     H = params.mc2 * beta + params.c * kinetic
     if case == CASE_II:
-        H = H + 1j * params.mu_prime * _kron_blocks(BETA4 @ ALPHA4[0], orb.field_profile)
+        H = H + 1j * params.mu_prime * _sector_kron(BETA4 @ ALPHA4[0], orb.field_profile)
     return _hermitize(H)
 
 
 def _dirac_index(orb: _Orbital) -> np.ndarray:
-    """(blocks, 4n) dense index s * orbital_dim + orbital index of each H block row."""
-    return (np.arange(4)[None, :, None] * orb.index.size + orb.index[:, None, :]).reshape(len(orb.index), -1)
+    """(sectors * blocks, 2n) dense index s * orbital_dim + orbital index of each H block row."""
+    n = orb.index.shape[1]
+    return (_sectors()[:, None, :, None] * orb.index.size + orb.index[None, :, None, :]).reshape(-1, 2 * n)
 
 
 def _scatter(blocks: np.ndarray, index: np.ndarray, dim: int) -> np.ndarray:
@@ -388,28 +416,34 @@ def darwin_coefficient(m, e, gamma_m, hbar=1, c=1):
 
 
 def _image(case: str, orb: _Orbital, params: ParticleParams) -> tuple[np.ndarray, np.ndarray]:
-    """(kinetic, moment), each (blocks, 2n, 2n) and not hermitized: the conjecture on the particle half.
+    """(kinetic, moment), each (sectors * blocks, n, n) and not hermitized: the conjecture on the particle half.
 
-    kinetic is I_2 (x) sqrt(m^2c^4 + c^2 pi^2), moment S (x) coeff (X/gamma)_W.
+    On each sector's particle component, kinetic is sqrt(m^2c^4 + c^2 pi^2) and
+    moment S coeff (X/gamma)_W for that component's entry S of the spin factor.
     Case I keeps the g = 2 magnetic coupling, (S, coeff, X) = (sigma_z, -e hbar/2mc,
     B_z): the anomalous bracket vanishes with gamma_m = e/mc. Case II on the 1D
     lattice has p parallel to E, so the spin-orbit bracket is structurally zero and
-    the entire linear content is the Darwin term: (I_2, (hbar^2/4mc)(3e/2mc - gamma_m)
+    the entire linear content is the Darwin term: (1, (hbar^2/4mc)(3e/2mc - gamma_m)
     = -mu' hbar/2mc here, div E).
     """
-    mc2 = params.mc2
-    w, V = np.linalg.eigh(orb.P2)
+    mc2, P2 = params.mc2, orb.P2
+    if np.any(P2[..., ~np.eye(P2.shape[-1], dtype=bool)]):
+        w, V = np.linalg.eigh(P2)
+    else:
+        # a diagonal c^2 pi^2 (case II, at every amplitude) is its own eigenbasis
+        w, V = np.diagonal(P2, axis1=-2, axis2=-1).real, np.broadcast_to(np.eye(P2.shape[-1]), P2.shape)
     root = (V * np.sqrt(mc2 ** 2 + w)[..., None, :]) @ _dagger(V)
     if case == CASE_I:
-        spin, coeff = _sz, -params.e * params.hbar / (2.0 * params.m * params.c)
+        # sigma_z of each sector's particle component, Dirac component 0 or 1
+        sign, coeff = _sz.diagonal().real[_sectors()[:, 0]], -params.e * params.hbar / (2.0 * params.m * params.c)
     else:
-        spin, coeff = _s0, darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
-    # coeff scales the Weyl block: the Kronecker factors are 0 or +-1, so the products are exact
-    return _kron_blocks(_s0, root), _kron_blocks(spin, coeff * _weyl(w, V, orb.coupling, mc2))
+        sign, coeff = 1.0, darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
+    # coeff scales the Weyl block: the signs are +-1, so the products are exact
+    return _per_sector(root), _per_sector(coeff * _weyl(w, V, orb.coupling, mc2), sign)
 
 
 def build_correspondence(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams) -> LatticeHamiltonian:
-    """The conjecture (`_image`) on each block's 2n rows of Dirac components 0 and 1."""
+    """The conjecture (`_image`) on each block's n rows of its sector's particle component, 0 or 1."""
     orb = _orbital(case, lattice, lam, params)
     kinetic, moment = _image(case, orb, params)
     index = _dirac_index(orb)[:, : kinetic.shape[-1]]
@@ -420,7 +454,7 @@ def _particle_sweep(case: str, lattice: LatticeSpec, params: ParticleParams, lam
     """(lam, orbital, H'_p, kinetic, moment) per amplitude that `scaling_amplitudes` accepts, in order.
 
     `transforms` gives each (orbital, H'), so one orbital assembly serves both sides; beta is
-    diagonal in the block layout, so H'_p, each block's particle half, is its leading 2n rows.
+    diagonal in the block layout, so H'_p, each block's particle half, is its leading n rows.
     """
     for lam in scaling_amplitudes(lambdas):
         orb, Hfw = transforms(case, lattice, lam, params)
@@ -451,8 +485,9 @@ def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float,
     site inversion is k -> -k (mod N) on each axis, the Nyquist mode fixed, so
     P is a real signed permutation and an involution: (P M P^+)_ab =
     sign_a sign_b M[pi(a), pi(b)], with pi the inversion of each row's
-    orbital index and sign_a the beta of its Dirac component. The two dense
-    matrices are scattered one at a time, each dropped before the next.
+    orbital index and sign_a the beta of its Dirac component. Each block row's
+    image is read as (block, row), and an entry whose images lie in two blocks
+    reads zero: as pi is an involution, that is the dense defect exactly.
     """
     lattice = H.lattice
     N, n = lattice.n_sites, lattice.orbital_dim
@@ -463,9 +498,15 @@ def parity_check(H: LatticeHamiltonian, Hfw: LatticeHamiltonian) -> tuple[float,
     sign = np.repeat(BETA4.diagonal().real, n)
 
     def defect(M):
-        return float(np.abs(np.outer(sign, sign) * M[rows[:, None], rows] - M).max())
+        block, row = np.full(lattice.matrix_dim, -1), np.zeros(lattice.matrix_dim, int)
+        block[M.index], row[M.index] = np.arange(len(M.index))[:, None], np.arange(M.index.shape[1])
+        kb, ib, s = block[rows[M.index]], row[rows[M.index]], sign[M.index]
+        # an image outside every block, or a pair of images in two blocks, reads zero
+        inside = (kb[:, :, None] == kb[:, None, :]) & (kb[:, :, None] >= 0)
+        moved = np.where(inside, M.blocks[kb[:, :, None], ib[:, :, None], ib[:, None, :]], 0.0)
+        return float(np.abs(s[:, :, None] * s[:, None, :] * moved - M.blocks).max())
 
-    return defect(H.matrix), defect(Hfw.matrix)
+    return defect(H), defect(Hfw)
 
 
 def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas, transforms=exact_transform) -> dict:
@@ -482,13 +523,12 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
     measurements only; criterion 11 (`checks.check_negative_result`)
     applies the bounds.
     """
-    N = lattice.n_sites
     mc2 = params.mc2
     analytic = darwin_coefficient(params.m, params.e, params.gamma_m, params.hbar, params.c)
 
     # per amplitude, on each block's particle half: H', kinetic root, Darwin term, the flat candidate's div E
     per_lam = {
-        lam: (Hp, _hermitize(kinetic), _hermitize(moment), _kron_blocks(_s0, orb.coupling))
+        lam: (Hp, _hermitize(kinetic), _hermitize(moment), _per_sector(orb.coupling))
         for lam, orb, Hp, kinetic, moment in _particle_sweep(CASE_II, lattice, params, lambdas, transforms)
     }
     lambdas = list(per_lam)
@@ -496,9 +536,8 @@ def darwin_vs_classical_hd(lattice: LatticeSpec, params: ParticleParams, lambdas
 
     gamma_max = float(np.sqrt(1.0 + (params.hbar * np.abs(k)) ** 2 * params.c ** 2 / mc2 ** 2).max())
 
-    # near-rest modes: |k| within three fundamental harmonics, in both spin rows of the particle half
-    sel = np.flatnonzero(np.abs(k) <= 3.0)
-    near = np.concatenate([sel, N + sel])
+    # near-rest modes: |k| within three fundamental harmonics, in each sector's particle half
+    near = np.flatnonzero(np.abs(k) <= 3.0)
 
     lam0 = min(lambdas)
     Hfw_u, C0_u, Dg_u, D0_u = per_lam[lam0]

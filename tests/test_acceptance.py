@@ -105,8 +105,8 @@ def test_criterion_09_spectrum_preservation():
     _announce(9, r.name, ok, r.value)
     assert r.value["spectrum"] < 1e-10
     assert r.value["block_diagonality"] < 1e-11
-    # case I: 12 k_y blocks, each split in two beta halves of 24
-    assert r.detail["fw_blocks"] == {"case_i": [[24, 24]], "case_ii": [[2, 128]]}
+    # case I: 2 spin sectors times 12 k_y blocks, each split in two beta halves of 12
+    assert r.detail["fw_blocks"] == {"case_i": [[48, 12]], "case_ii": [[4, 64]]}
 
 
 def test_criterion_10_correspondence_scaling():

@@ -703,7 +703,7 @@ class TestCliDispatch:
         assert all(set(c["tolerance"]) <= set(c["value"]) for c in checks.values() if isinstance(c["tolerance"], dict))
         detail = checks["correspondence_scaling"]["detail"]
         assert [len(detail["residuals"][case]) for case in ("case_i", "case_ii")] == [3, 3]
-        assert detail["blocks"] == {"case_i": [[12, 48]], "case_ii": [[1, 256]]}
+        assert detail["blocks"] == {"case_i": [[24, 24]], "case_ii": [[2, 128]]}
         meta = json.loads((d1 / "meta.json").read_text())
         assert set(meta["check_wall_s"]) == set(checks)
 

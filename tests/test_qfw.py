@@ -33,14 +33,18 @@ from spincorr.qfw import (
     LatticeSpec,
     OddnessError,
     _axis_operators,
+    _dagger,
     _dirac_blocks,
     _fw_root,
     _hermitize,
-    _kron_blocks,
+    _image,
     _mul_op,
     _odd_coupling,
     _orbital,
+    _per_sector,
     _scatter,
+    _sectors,
+    _sector_kron,
     _weyl,
     block_diagonality_defect,
     build_correspondence,
@@ -97,6 +101,52 @@ def parity_operator(lattice):
     for _ in range(lattice.dimension - 1):
         orb = np.kron(orb, inv_k)
     return np.kron(BETA4, orb)
+
+
+def dense_parity_check(H, Hfw):
+    """Parity defects of H and H' from the dense matrices (the oracle of the block lookup).
+
+    P = beta (x) site inversion is a real signed permutation and an
+    involution: (P M P^+)_ab = sign_a sign_b M[pi(a), pi(b)], with pi the
+    inversion of each row's orbital index and sign_a the beta of its Dirac
+    component. The two dense matrices are scattered one at a time.
+    """
+    rows, sign = parity_map(H.lattice)
+
+    def defect(M):
+        return float(np.abs(np.outer(sign, sign) * M[rows[:, None], rows] - M).max())
+
+    return defect(H.matrix), defect(Hfw.matrix)
+
+
+def parity_map(lattice):
+    """(pi(a), sign_a) of every dense row a: the signed permutation P = beta (x) site inversion."""
+    N, n = lattice.n_sites, lattice.orbital_dim
+    axes = tuple(range(lattice.dimension))
+    # flipping each axis takes i to N - 1 - i, and the roll by one then to (-i) mod N
+    inv = np.roll(np.flip(np.arange(n).reshape((N,) * len(axes))), 1, axis=axes).ravel()
+    return (np.arange(4)[:, None] * n + inv).ravel(), np.repeat(BETA4.diagonal().real, n)
+
+
+def parity_even_two_blocks():
+    """A parity-even dense operator of the case II lattice cut to two blocks, and each block's split pairs.
+
+    The blocks split the orbitals in halves, so k -> -k takes orbital 1 of the
+    first block to orbital 63 of the second. An entry (a, b) of a block is
+    split when the images of a and b lie in different blocks.
+    """
+    D = LAT_II.orbital_dim
+    orbitals = np.arange(D).reshape(2, D // 2)
+    index = (np.arange(4)[None, :, None] * D + orbitals[:, None, :]).reshape(2, -1)
+    rng = np.random.default_rng(5)
+    w = index.shape[1]
+    blocks = rng.normal(size=(2, w, w)) + 1j * rng.normal(size=(2, w, w))
+    M = LatticeHamiltonian(blocks, index, CASE_II, LAT_II, PAR_II).matrix
+    rows, sign = parity_map(LAT_II)
+    M = 0.5 * (M + np.outer(sign, sign) * M[rows[:, None], rows])
+    even = LatticeHamiltonian(M[index[:, :, None], index[:, None, :]], index, CASE_II, LAT_II, PAR_II)
+    crossing = np.tile((-orbitals) % D // (D // 2) != np.arange(2)[:, None], (1, 4))
+    return even, crossing[:, :, None] != crossing[:, None, :]
 
 
 def hermitian_part(M):
@@ -367,9 +417,9 @@ class TestEriksen:
 
     def test_rejects_non_odd_input(self):
         H = hamiltonian(CASE_II, LAT_II, 1e-2, PAR_II)
-        # an even perturbation breaks the closed-form construction
-        n = H.blocks.shape[-1] // 4
-        H = replace(H, blocks=H.blocks + 1e-3 * np.kron(BETA4, np.eye(n)))
+        # an even perturbation breaks the closed-form construction: beta on a sector is diag(1, -1)
+        n = H.blocks.shape[-1] // 2
+        H = replace(H, blocks=H.blocks + 1e-3 * np.kron(np.diag([1.0, -1.0]), np.eye(n)))
         with pytest.raises(OddnessError):
             eriksen_fw(H)
 
@@ -462,29 +512,48 @@ class TestBlockedEriksen:
         assert np.abs(eriksen_fw(H).matrix - dense_eriksen_fw(H)).max() <= 1e-12
 
     def test_records_block_shapes(self):
-        # eriksen_fw fills only the two beta halves of each block, and the
-        # spectrum check counts each half as one eigh'd block
+        # eriksen_fw fills only the two beta halves of each (sector, k_y) block,
+        # and the spectrum check counts each half as one eigh'd block
         for case, lat, par in ((CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)):
             Hfw = eriksen_fw(hamiltonian(case, lat, 1e-2, par))
             half = Hfw.blocks.shape[-1] // 2
             assert not np.any(Hfw.blocks[:, :half, half:]) and not np.any(Hfw.blocks[:, half:, :half])
         fw_blocks = check_spectrum_preservation().detail["fw_blocks"]
-        assert fw_blocks == {"case_i": [[24, 24]], "case_ii": [[2, 128]]}
+        assert fw_blocks == {"case_i": [[48, 12]], "case_ii": [[4, 64]]}
 
     def test_block_diagonality_equals_dense_formula(self):
         H = hamiltonian(CASE_I, LAT_I, 1e-2, PAR_I)
         beta = dense_beta(LAT_I)
         Hfw = eriksen_fw(H)
         # entries between the spin components of one beta half, s = 0, 1 and
-        # s = 2, 3, leave it block-diagonal
-        n = H.blocks.shape[-1] // 4
-        spin = Hfw.blocks.copy()
-        spin[:, [0, n, 2 * n, 3 * n], [n, 0, 3 * n, 2 * n]] = 1.0
-        for X in (Hfw, replace(Hfw, blocks=spin), H):
-            M = X.matrix
+        # s = 2, 3, leave it block-diagonal; the sector blocks hold none, so
+        # they are set on the dense matrix
+        D = LAT_I.orbital_dim
+        spin = Hfw.matrix.copy()
+        spin[[0, D, 2 * D, 3 * D], [D, 0, 3 * D, 2 * D]] = 1.0
+        for M in (Hfw.matrix, spin, H.matrix):
             dense = float(np.abs(beta @ M @ beta - M).max())
             assert block_diagonality_defect(M) == dense
         assert dense > 0.0  # H itself is not block-diagonal
+
+
+class TestSectors:
+    def test_derived_sectors(self):
+        # beta = +1 component first: 0 with 3, 1 with 2
+        assert _sectors().tolist() == [[0, 3], [1, 2]]
+        assert not _sectors().flags.writeable
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 1e-2])
+    @pytest.mark.parametrize("case", [CASE_I, CASE_II])
+    def test_dense_hamiltonian_vanishes_between_sectors(self, case, lam):
+        lat = default_lattice(case)
+        H = dense_hamiltonian(case, lat, lam, default_params(case, lat))
+        # the dense index s N^d + orbital index puts Dirac component s on rows s N^d onward
+        sector_of = np.empty(4, int)
+        sector_of[_sectors()] = np.arange(len(_sectors()))[:, None]
+        sector = np.repeat(sector_of, lat.orbital_dim)
+        between = sector[:, None] != sector[None, :]
+        assert np.any(H[~between]) and np.all(H[between] == 0.0)
 
 
 class TestBlockAssembly:
@@ -576,6 +645,31 @@ class TestWeylKernel:
         # index s N^d + orbital index carries the block label: i_y in case I, one block in case II
         labels = np.arange(lat.matrix_dim) % lat.n_sites if case == CASE_I else np.zeros(lat.matrix_dim, int)
         assert not np.any(C[labels[:, None] != labels[None, :]])
+
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 1e-3, 1e-2])
+    def test_diagonal_p2_image_equals_eigh_path(self, monkeypatch, lam):
+        # case II's c^2 pi^2 has exactly zero off-diagonal entries, where eigh
+        # returns the sorted diagonal and a 0/1 permutation
+        orb = _orbital(CASE_II, LAT_II, lam, PAR_II)
+        mc2 = PAR_II.mc2
+        diagonal = np.diagonal(orb.P2, axis1=-2, axis2=-1)
+        assert np.array_equal(np.diag(diagonal[0])[None], orb.P2)
+        w, V = np.linalg.eigh(orb.P2)
+        assert np.array_equal(w, np.sort(diagonal.real)) and np.all(np.isin(V, (0.0, 1.0)))
+        root = (V * np.sqrt(mc2 ** 2 + w)[..., None, :]) @ _dagger(V)
+        want = _per_sector(root), _per_sector(float_darwin(PAR_II) * _weyl(w, V, orb.coupling, mc2))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a diagonal c^2 pi^2")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        got = _image(CASE_II, orb, PAR_II)
+        for g, e in zip(got, want):
+            assert np.array_equal(g, e)
+            # no signbit of an exact zero differs either
+            assert np.array_equal(np.signbit(g.real), np.signbit(e.real))
+            assert np.array_equal(np.signbit(g.imag), np.signbit(e.imag))
 
 
 class TestHermiticityGuard:
@@ -721,9 +815,9 @@ class TestRunScopedTransforms:
         monkeypatch.setattr(qfw_module, "_orbital", counted_orbital)
         assert all(r.passed for r in run_checks(load_config("verify-fw")))
         # six keys: each case at 1e-2, 1e-3 and 1e-4. Each entry's transform
-        # is two eigh; each amplitude's image, shared by criteria 10 and 11,
-        # adds one for its kinetic root
-        assert calls == {"orbital": 6, "eigh": 6 * 2 + 2 * 3}
+        # is two eigh; each case I amplitude's image adds one for its kinetic
+        # root, and case II's c^2 pi^2, diagonal, needs none
+        assert calls == {"orbital": 6, "eigh": 6 * 2 + 3}
 
     def test_run_frees_its_transforms(self, monkeypatch):
         # with the collector off only reference counts free memory, so a
@@ -826,6 +920,25 @@ class TestParity:
         dense_devs = [float(np.abs(P @ op.matrix @ P.conj().T - op.matrix).max()) for op in ops]
         assert dense_devs[0] > 1.0
         assert np.abs(np.subtract(parity_check(*ops), dense_devs)).max() < 1e-12
+        assert parity_check(*ops) == dense_parity_check(*ops)
+
+    @pytest.mark.parametrize("case, lat, par", [(CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)])
+    def test_block_lookup_equals_dense_oracle(self, case, lat, par):
+        H = hamiltonian(case, lat, 1e-2, par)
+        assert parity_check(H, eriksen_fw(H)) == dense_parity_check(H, eriksen_fw(H))
+
+    def test_image_in_another_block_reads_zero(self):
+        even, split = parity_even_two_blocks()
+        # within a block only the entries whose row and column images lie in
+        # different blocks break parity, each by its whole magnitude
+        got = parity_check(even, even)
+        assert np.any(split) and got == dense_parity_check(even, even) == (float(np.abs(even.blocks[split]).max()),) * 2
+
+    def test_image_outside_every_block_reads_zero(self):
+        even, _ = parity_even_two_blocks()
+        # the first block alone: the images of its crossing rows lie in no block
+        first = replace(even, blocks=even.blocks[:1], index=even.index[:1])
+        assert parity_check(first, first) == dense_parity_check(first, first)
 
     @pytest.mark.parametrize("case, lat, par", [(CASE_I, LAT_I, PAR_I), (CASE_II, LAT_II, PAR_II)])
     def test_parity_odd_term_is_detected(self, case, lat, par):
@@ -833,7 +946,7 @@ class TestParity:
         eps = 1e-6
         orb = _orbital(case, lat, 1e-2, par)
         H = build_hamiltonian(case, lat, par, orb)
-        odd = replace(H, blocks=H.blocks + eps * _kron_blocks(BETA4, orb.field_profile))
+        odd = replace(H, blocks=H.blocks + eps * _sector_kron(BETA4, orb.field_profile))
         dev_h, dev_hp = parity_check(odd, eriksen_fw(H))
         expected = 2.0 * eps * float(np.abs(orb.field_profile).max())
         assert expected > 1e-8  # far above criterion 12's bound of 1e-12
