@@ -286,25 +286,88 @@ def check_gradient_oracle(seed: int = SCHEMA["seed"][1]) -> CheckResult:
     return CheckResult("gradient_oracle", worst, Bound("<", 1e-7), detail=detail)
 
 
-def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
-    """Series equals closed form in both cases; detail holds each case's work counters.
-
-    A failing case also gets its leading residual terms as text.
-    """
+def _case_equality(case: str, order: int) -> tuple[int, dict]:
+    """One case of criterion 6 in its own Algebra: the residual's term count and the case's detail
+    entries, its work counters and, if it fails, its leading residual terms as text."""
     from .opalg.identities import case_algebra, verify_case
     from .opalg.printing import expr_to_text, leading_terms
 
+    alg = case_algebra(case)
+    ok, residual = verify_case(case, order, alg)
+    tag = f"case_{case.lower()}"
+    detail = {f"{tag}_dropped_derivatives": alg.dropped_derivatives, f"{tag}_memo_words": alg.memo_words}
+    if not ok:
+        detail[f"{tag}_leading_residual"] = expr_to_text(leading_terms(residual, RESIDUAL_TERMS_SHOWN))
+    return len(residual), detail
+
+
+def _both_cases(order: int) -> list[tuple[int, dict]]:
+    """`_case_equality` of cases I and II, with case II in a forked child while case I runs here.
+
+    The two cases share no state, so each side gives the serial run's row. The child sends
+    (ok, row or exception) back pickled and leaves through os._exit, running no atexit handler and
+    flushing no inherited stdio buffer. Case I's error comes first, as in the serial order, and the
+    child is reaped on every path. Where os.fork does not exist the cases run one after the other.
+    """
+    import os
+    import pickle
+
+    if not hasattr(os, "fork"):
+        return [_case_equality(case, order) for case in ("I", "II")]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                msg = (True, _case_equality("II", order))
+            except BaseException as exc:  # noqa: BLE001 - every outcome goes back to the parent
+                msg = (False, exc)
+            try:
+                data = pickle.dumps(msg)
+                pickle.loads(data)
+            except Exception:  # noqa: BLE001 - an exception that does not survive the pickle round trip
+                data = pickle.dumps((False, RuntimeError(repr(msg[1]))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            row_i = _case_equality("I", order)
+            data = pipe.read()
+        except BaseException:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"case II of case_equality ended in its child process without a result "
+            f"(wait status {status}, exit code {os.waitstatus_to_exitcode(status)})"
+        )
+    ok, row_ii = pickle.loads(data)
+    if not ok:
+        raise row_ii
+    return [row_i, row_ii]
+
+
+def check_case_equality(order: int = SCHEMA["order"][1]) -> CheckResult:
+    """Series equals closed form in both cases; detail holds each case's work counters.
+
+    A failing case also gets its leading residual terms as text. Wherever os.fork exists, case II
+    runs in a forked child process while case I runs in this one.
+    """
     residual_terms = {}
     detail = {"order": order}
-    for case in ("I", "II"):
-        alg = case_algebra(case)
-        ok, residual = verify_case(case, order, alg)
-        tag = f"case_{case.lower()}"
-        residual_terms[f"{tag}_residual_terms"] = len(residual)
-        detail[f"{tag}_dropped_derivatives"] = alg.dropped_derivatives
-        detail[f"{tag}_memo_words"] = alg.memo_words
-        if not ok:
-            detail[f"{tag}_leading_residual"] = expr_to_text(leading_terms(residual, RESIDUAL_TERMS_SHOWN))
+    for case, (terms, row) in zip(("I", "II"), _both_cases(order)):
+        residual_terms[f"case_{case.lower()}_residual_terms"] = terms
+        detail.update(row)
     return CheckResult("case_equality", residual_terms, Bound("==", 0), detail=detail)
 
 

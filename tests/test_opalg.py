@@ -1,6 +1,8 @@
 """Exact-algebra tests: rewriting, Weyl-ordered expansions, operator shadows."""
 
+import os
 import re
+import time
 from fractions import Fraction
 from random import Random
 
@@ -28,6 +30,7 @@ from spincorr.opalg import (
 )
 from spincorr.config import SCHEMA
 from spincorr.checks import RESIDUAL_TERMS_SHOWN, check_case_equality, check_ordering_identity
+from spincorr.cli import main
 from spincorr.opalg import identities
 from spincorr.opalg.core import SPIN_MUL, _fold_i
 from spincorr.opalg.printing import leading_terms, term_sort_key
@@ -889,6 +892,72 @@ class TestCaseEqualityReport:
         assert text_ii.count("  +  ") == 4
         residual_ii = claimed(CASE_II, 2, case_algebra(CASE_II)).scale(Fraction(-1))
         assert text_ii == expr_to_text(leading_terms(residual_ii, 5))
+
+    # case II runs in a forked child: its failures reach the caller, and no child outlives the check
+
+    @staticmethod
+    def _patch_case(monkeypatch, case, action):
+        """verify_case runs `action` for `case` and is unchanged for the other case."""
+        real = identities.verify_case
+
+        def patched(c, N, alg):
+            return action() if c == case else real(c, N, alg)
+
+        monkeypatch.setattr(identities, "verify_case", patched)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_passing_run_leaves_no_child(self):
+        assert check_case_equality(order=2).passed
+        self._assert_no_child_left()
+
+    def test_child_error_is_raised_with_its_type_and_message(self, monkeypatch):
+        def fail():
+            raise MalformedOperandError("case II operand has two fields")
+
+        self._patch_case(monkeypatch, CASE_II, fail)
+        with pytest.raises(MalformedOperandError) as err:
+            check_case_equality(order=2)
+        assert type(err.value) is MalformedOperandError
+        assert str(err.value) == "case II operand has two fields"
+        self._assert_no_child_left()
+
+    def test_child_without_result_is_an_internal_error(self, monkeypatch, tmp_path, capsys):
+        self._patch_case(monkeypatch, CASE_II, lambda: os._exit(7))
+        with pytest.raises(RuntimeError) as err:
+            check_case_equality(order=2)
+        assert "case II" in str(err.value)
+        assert f"wait status {7 << 8}" in str(err.value) and "exit code 7" in str(err.value)
+        self._assert_no_child_left()
+        assert main(["verify-algebra", "--order", "2", "--out", str(tmp_path / "alg")]) == 3
+        assert "internal error: RuntimeError: case II" in capsys.readouterr().err
+        self._assert_no_child_left()
+
+    def test_case_i_error_comes_first_and_the_child_is_reaped(self, monkeypatch):
+        real = identities.verify_case
+
+        def patched(c, N, alg):
+            if c == CASE_I:
+                raise MalformedOperandError("case I operand has two fields")
+            time.sleep(30)  # still running when case I raises
+            return real(c, N, alg)
+
+        monkeypatch.setattr(identities, "verify_case", patched)
+        t0 = time.perf_counter()
+        with pytest.raises(MalformedOperandError, match="case I operand"):
+            check_case_equality(order=2)
+        assert time.perf_counter() - t0 < 15  # the child was killed, not waited for
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_in_process_run_equals_forked_run(self, monkeypatch, order):
+        forked = check_case_equality(order=order)
+        monkeypatch.delattr(os, "fork")
+        serial = check_case_equality(order=order)
+        assert (serial.value, serial.detail) == (forked.value, forked.detail)
 
 
 @pytest.mark.parametrize(
