@@ -56,12 +56,14 @@ def _blas_info() -> dict:
     return {key: str(blas.get(key, "unknown")) for key in ("name", "version")}
 
 
-# the flags that set a config key, in --help order: flag -> (config key, argparse options)
+# the flags that set a config key, in --help order: flag -> (config key, argparse options). A flag's
+# value stays text: load_config parses it as the same key in a config file, so a bad flag is listed
+# with every other problem
 _KEY_FLAGS = {
     "--out": ("out", {"metavar": "DIR", "help": "artifact directory"}),
-    "--seed": ("seed", {"type": int, "metavar": "U64", "help": "random seed"}),
-    "--profile": ("profile", {"choices": list(PROFILES), "help": "check profile"}),
-    "--order": ("order", {"type": int, "metavar": "N", "help": "symbolic expansion order"}),
+    "--seed": ("seed", {"metavar": "U64", "help": "random seed"}),
+    "--profile": ("profile", {"metavar": "{" + ",".join(PROFILES) + "}", "help": "check profile"}),
+    "--order": ("order", {"metavar": "N", "help": "symbolic expansion order"}),
     "--lambda-list": ("amplitudes", {"metavar": "CSV", "help": "comma-separated field amplitudes"}),
 }
 
@@ -88,10 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args) -> dict:
-    values = {key: getattr(args, key) for key, _ in _KEY_FLAGS.values()}
-    # the artifact directory is overridden after the keys the checks read
-    values["out"] = values.pop("out")
-    return {key: value for key, value in values.items() if value is not None}
+    # a flag not given is None, which load_config skips
+    return {key: getattr(args, key) for key, _ in _KEY_FLAGS.values()}
 
 
 def _run_id(cfg: RunConfig) -> str:

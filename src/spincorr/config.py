@@ -27,7 +27,13 @@ from .params import ParticleParams
 
 MODES = ("simulate", "boost", "verify-algebra", "verify-fw", "report")
 PROFILES = ("default", "negative-result")
-FIELD_MODELS = ("uniform", "stern-gerlach", "sin-electrostatic", "sin-magnetostatic")
+# field model -> (its class, {constructor argument: the config key it takes}), the one model-to-keys table
+FIELD_MODELS = {
+    "uniform": (Uniform, {"E0": "field.e", "B0": "field.b"}),
+    "stern-gerlach": (SternGerlach, {"B0": "field.b0", "b": "field.grad"}),
+    "sin-electrostatic": (SinusoidalElectrostatic, {"lam": "field.lam", "L": "field.period"}),
+    "sin-magnetostatic": (SinusoidalMagnetostatic, {"lam": "field.lam", "L": "field.period"}),
+}
 
 # key -> (type, default). Types: float, int, vec3, floats, str, choice:a|b
 SCHEMA = {
@@ -78,16 +84,13 @@ TOL_FLOOR = 1e-15
 # boost draws each boost speed |beta| from [BETA_FLOOR, boost.beta_max]
 BETA_FLOOR = 0.1
 
-# key -> (selector, the selector values under which the run reads the key);
-# a key set while its selector ignores it would change nothing, so it is refused
+# key -> (selector, the selector values under which the run reads the key): a field key is read by the
+# models whose constructor takes it, integrator.tol by the methods with error weights. A key set while
+# its selector ignores it would change nothing, so it is refused
 SELECTED_BY = {
-    "integrator.tol": ("integrator.method", ("rkf45",)),
-    "field.b": ("field.model", ("uniform",)),
-    "field.e": ("field.model", ("uniform",)),
-    "field.b0": ("field.model", ("stern-gerlach",)),
-    "field.grad": ("field.model", ("stern-gerlach",)),
-    "field.lam": ("field.model", ("sin-electrostatic", "sin-magnetostatic")),
-    "field.period": ("field.model", ("sin-electrostatic", "sin-magnetostatic")),
+    "integrator.tol": ("integrator.method", tuple(m for m, (_, _, err) in TABLEAUX.items() if err is not None)),
+    **{key: ("field.model", tuple(name for name, (_, takes) in FIELD_MODELS.items() if key in takes.values()))
+       for _, takes in FIELD_MODELS.values() for key in takes.values()},
 }
 
 
@@ -149,20 +152,8 @@ class RunConfig:
         )
 
     def field_model(self):
-        name = self.values["field.model"]
-        if name == "uniform":
-            return Uniform(
-                E0=np.array(self.values["field.e"]), B0=np.array(self.values["field.b"])
-            )
-        if name == "stern-gerlach":
-            return SternGerlach(B0=self.values["field.b0"], b=self.values["field.grad"])
-        if name == "sin-electrostatic":
-            return SinusoidalElectrostatic(
-                lam=self.values["field.lam"], L=self.values["field.period"]
-            )
-        return SinusoidalMagnetostatic(
-            lam=self.values["field.lam"], L=self.values["field.period"]
-        )
+        cls, takes = FIELD_MODELS[self.values["field.model"]]
+        return cls(**{arg: self.values[key] for arg, key in takes.items()})
 
     def integrator(self) -> IntegratorSpec:
         return IntegratorSpec(

@@ -105,10 +105,6 @@ SPIN_ID = 0
 SPIN_BETA = 12  # rho_3 (x) identity
 
 
-def spin_sigma(i: int) -> int:
-    return i
-
-
 def _fold_i(p: int) -> tuple[int, int]:
     """Reduce a power of i to (power in {0,1}, sign)."""
     p %= 4
@@ -279,7 +275,8 @@ class Algebra:
         return self.canonicalize(self.term(((base, i, tuple(sorted(derivs))),)))
 
     def sigma(self, i: int) -> OpExpr:
-        return self.term((), spin=spin_sigma(i))
+        # identity (x) sigma_i, the spin word 4 * 0 + i
+        return self.term((), spin=i)
 
     def beta(self) -> OpExpr:
         return self.term((), spin=SPIN_BETA)

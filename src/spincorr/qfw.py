@@ -37,8 +37,8 @@ from .params import ParticleParams
 
 CASE_I = "I"
 CASE_II = "II"
-# lattice dimension and particle of each case
-_CASES = {CASE_I: (2, "a charged particle with mu' = 0"), CASE_II: (1, "a neutral particle with mu' != 0")}
+# lattice dimension, default site count per axis and particle of each case
+_CASES = {CASE_I: (2, 12, "a charged particle with mu' = 0"), CASE_II: (1, 64, "a neutral particle with mu' != 0")}
 
 # largest anti-Hermitian part tolerated, relative to the largest entry
 HERMITICITY_TOL = 1e-12
@@ -115,11 +115,10 @@ class LatticeSpec:
 
 
 def default_lattice(case: str) -> LatticeSpec:
-    if case == CASE_I:
-        return LatticeSpec(dimension=2, n_sites=12)
-    if case == CASE_II:
-        return LatticeSpec(dimension=1, n_sites=64)
-    raise ConfigurationError(f"unknown case {case!r}")
+    if case not in _CASES:
+        raise ConfigurationError(f"unknown case {case!r}")
+    dimension, n_sites, _ = _CASES[case]
+    return LatticeSpec(dimension=dimension, n_sites=n_sites)
 
 
 def default_params(case: str, lattice: LatticeSpec) -> ParticleParams:
@@ -221,7 +220,7 @@ def _orbital(case: str, lattice: LatticeSpec, lam: float, params: ParticleParams
     hbar, c = params.hbar, params.c
     if case not in _CASES:
         raise ConfigurationError(f"unknown case {case!r}")
-    dimension, particle = _CASES[case]
+    dimension, _, particle = _CASES[case]
     if lattice.dimension != dimension:
         raise ConfigurationError(f"case {case} requires a {dimension}D lattice")
     if (params.e != 0.0, params.mu_prime != 0.0) != (case == CASE_I, case == CASE_II):

@@ -589,6 +589,56 @@ class TestConfigContract:
         assert load_config(mode, p, _overrides_from_args(args))["seed"] == 7
 
 
+class TestOneParser:
+    """A flag's value is parsed as the same key on a config line, so both accept and refuse alike."""
+
+    @pytest.mark.parametrize("literal", ["16", "0x10", "0o20", "1_6", "+16"])
+    def test_flag_and_file_line_read_alike(self, tmp_path, literal):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"seed = {literal}\n")
+        args = build_parser().parse_args(["boost", "--seed", literal])
+        assert load_config("boost", None, _overrides_from_args(args))["seed"] == load_config("boost", p)["seed"] == 16
+
+    @pytest.mark.parametrize("literal", ["07", "2.5"])
+    def test_flag_and_file_line_refused_alike(self, tmp_path, capsys, literal):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"seed = {literal}\n")
+        with pytest.raises(ConfigError) as from_file:
+            load_config("boost", p)
+        args = build_parser().parse_args(["boost", "--seed", literal])
+        with pytest.raises(ConfigError) as from_flag:
+            load_config("boost", None, _overrides_from_args(args))
+        [file_error], [flag_error] = from_file.value.errors, from_flag.value.errors
+        assert file_error.startswith("line 1: seed: ")
+        assert flag_error == "flag for seed: " + file_error.removeprefix("line 1: seed: ")
+        assert main(["boost", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert main(["boost", "--seed", literal, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {file_error}\nconfig error: {flag_error}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_flag_listed_with_every_other_problem(self, tmp_path, capsys):
+        assert main(["boost", "--seed", "abc", "--lambda-list", "1,1,1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: flag for seed: invalid literal for int() with base 0: 'abc'\n" in err
+        assert f"config error: {BAD_AMPLITUDES[-1][1]}\n" in err
+
+    def test_bad_choice_and_order_flags_exit_2(self, tmp_path, capsys):
+        assert main(["verify-fw", "--profile", "bogus", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "config error: flag for profile: must be one of default, negative-result\n"
+        assert main(["verify-algebra", "--order", "x", "--out", str(tmp_path / "o")]) == 2
+        assert "config error: flag for order: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_usage_shows_each_flag_value(self, capsys, monkeypatch, mode):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as done:
+            build_parser().parse_args([mode, "--help"])
+        assert done.value.code == 0
+        usage = capsys.readouterr().out
+        for shown in ("--seed U64", "--profile {default,negative-result}", "--order N"):
+            assert shown in usage
+
+
 class TestOneAmplitudeRule:
     """The config, both lattice sweeps and the boost scan refuse the same amplitude lists."""
 
