@@ -9,8 +9,8 @@ deliberately dropped; their size is measured, not modeled.
 
 The Hamiltonian is written once, as one kernel template. The point kernel
 (H and its parts or the equations of motion, for one particle or an
-ensemble) and one Runge-Kutta step per tableau are generated from it, with
-the field model's source inlined.
+ensemble) and one Runge-Kutta step per tableau are generated from it, the
+model's source inlined, via fields.optimized: exact for finite stage values.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _NAME, Uniform, compiled, field_source, layout, make_source, needed, statements, substitute, to_array
+from .fields import _NAME, Uniform, compiled, field_source, layout, make_source, optimized, statements, substitute, to_array
 from .kinematics import PhaseState
 from .lorentz import bmt_rhs, boost_fields, field_tensor
 from .params import ParticleParams
@@ -94,7 +94,7 @@ spi = s0 * pi0 + s1 * pi1 + s2 * pi2
 sxpi$i = s$j * pi$k - s$k * pi$j
 c2 = b * spi
 # grad = d(H_spin)/dx at fixed pi, H_spin = -a s.B + b (pi.B)(s.pi) + d (s x pi).E
-{G: q$i = -a * s$i + c2 * pi$i + 0.0}
+q$i = -a * s$i + c2 * pi$i + 0.0
 gr$i = {G: q0 * G0$i + q1 * G1$i + q2 * G2$i}{!G: 0.0}{K: + d * (sxpi0 * K0$i + sxpi1 * K1$i + sxpi2 * K2$i) + 0.0}
 {point: if not eom: return H, (gr0, gr1, gr2), (pi0, pi1, pi2), g, (F0, F1, F2), {E: (E0, E1, E2)}{!E: ZERO3}, \
 {B: (B0, B1, B2)}{!B: ZERO3}}
@@ -273,7 +273,7 @@ def _step_source(method, text, names):
     equations of motion; then the next y and, for an embedded pair, the error increment."""
     stages, weights, err_weights = TABLEAUX[method]
     groups, _, field = layout(text)
-    block = "\n".join(needed(statements(field) + statements(_hamiltonian(frozenset(groups))), _EOM))
+    block = "\n".join(optimized(statements(field) + statements(_hamiltonian(frozenset(groups))), _EOM))
     body, read = [", ".join(f"y{i}" for i in range(9)) + " = y"], set(_NAME.findall(block))
     for j, row in enumerate(stages):
         rename = {v: f"k{j}_{i}" for i, v in enumerate(_EOM)}

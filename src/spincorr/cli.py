@@ -197,7 +197,11 @@ def _read_results(cfg: RunConfig) -> tuple[dict, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # "--flag value" as "--flag=value" for each flag with a value, so the value may start with "-"
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        joined += [joined.pop() + "=" + arg] if joined and joined[-1] in ("--config", *_KEY_FLAGS) else [arg]
+    args = build_parser().parse_args(joined)
     try:
         cfg = load_config(args.mode, args.config, _overrides_from_args(args))
         if args.mode == "report":

@@ -12,7 +12,8 @@ or Jacobian row it does not write is the ZERO3 sentinel, a Jacobian with
 none ZERO33, whose terms the kernels skip. `components`, compiled from the
 source, returns a FieldSample of tuples of components, each a float at one
 point or an (N,) array at N points; the classical kernels inline the same
-source, and `sample_field` packs a sample into arrays.
+source, and `sample_field` packs a sample into arrays. Generated code goes
+through `optimized`, exact to the sign of every zero where stage values are finite.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class FieldSample(NamedTuple):
 
 
 # straight-line source, shared with the classical kernels: a name that is read, not an attribute
-_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+_NAME = re.compile(r"((?<![.\w])[A-Za-z_]\w*)")
 # the slot names of each vector (A, E, B, P) and Jacobian (J, K, G) in FieldSample order, row by row
 _SLOTS = {X: [X + i for i in "012"] for X in "AEBP"} | {X: [X + i + j for i in "012" for j in "012"] for X in "JKG"}
 
@@ -68,22 +69,56 @@ def substitute(text, names):
 
 @functools.cache
 def statements(text):
-    """The (target, expression) assignments of straight-line source, one a line, in order; a tuple assignment
-    "a, b = u, v" gives one per element, and no expression holds ", "."""
+    """The (target, expression) assignments of straight-line source in order, (None, line) for another line; a tuple
+    assignment "a, b = u, v" gives one per element, and no expression holds ", "."""
     pairs = []
     for line in text.splitlines():
-        targets, exprs = line.split(" = ")
-        pairs += zip(targets.split(", "), exprs.split(", "), strict=True)
+        targets, _, exprs = line.partition(" = ")
+        pairs += zip(targets.split(", "), exprs.split(", "), strict=True) if exprs else [(None, line)]
     return tuple(pairs)
 
 
-def needed(pairs, keep):
-    """The assignments among (target, expression) pairs that the names in `keep` read, directly or not."""
-    need, lines = set(keep), []
-    for target, expr in reversed(pairs):
-        if target in need:
-            need.update(_NAME.findall(expr))
-            lines.append(f"{target} = {expr}")
+# more than arithmetic on names and numbers; a signed term at most one parenthesis deep; a product by 0.0 or -0.0
+_OPAQUE = re.compile(r"[^\w .+\-*/()]|\*\*|//|\w\(|\.[A-Za-z_]|\b(?:if|else|is|not|and|or|in|lambda|None)\b")
+_TERM = re.compile(r"( [-+] )((?:[^ ()]| (?![-+] )|\([^()]*\))+)")
+_ZERO = re.compile(r"(?:[^ ()/]+ \* )*-?0\.0(?: \* [^ ()/]+)*")
+
+
+def _fold(expr, free):
+    """expr without its zero products outside parentheses (a sum of zeros keeps its last term, and so its shape)
+    and, if free, its closing + 0.0; expr itself if parentheses go deeper than one."""
+    terms, closed = _TERM.findall(" + " + expr), expr.endswith(" + 0.0")
+    if "".join(map("".join, terms)) != " + " + expr:
+        return expr
+    body = terms[: len(terms) - closed]
+    kept = [p for p in body if not _ZERO.fullmatch(p[1])] or body[-1:]
+    expr = "".join(s + t for s, t in kept + terms[-1:] * (closed and not free))
+    return ("-" if expr[1] == "-" else "") + expr[3:]
+
+
+def optimized(pairs, keep):
+    """The (target, expression) pairs, each name assigned once, as lines, `keep` read after them: a name bound to a
+    name or 0.0 reads as that, unread lines go, and zero products and a closing + 0.0 leave sums where every path
+    on runs by +, -, *, unary minus or numerators into a + 0.0. Divisors, opaque lines and `keep` are results."""
+    alias, forward = {}, []
+    for target, expr in pairs:
+        parts = _NAME.split(expr)
+        if not alias.keys().isdisjoint(names := parts[1::2]):
+            parts[1::2] = names = [alias.get(name, name) for name in names]
+            expr = "".join(parts)
+        if target and (expr.isidentifier() or expr == "0.0"):
+            alias[target] = expr
+        forward.append((target, expr, names))
+    # the names read further on, and those of them where the sign of a zero may reach a result
+    read, signed, lines = set(keep), set(keep), []
+    for target, expr, names in reversed(forward):
+        if target is not None and target not in read:
+            continue
+        if target and ((free := target not in signed) or expr.endswith(" + 0.0")) and not _OPAQUE.search(expr):
+            expr, names = _fold(expr, free), None
+        signed.update(names or _NAME.findall(expr.partition(" / ")[2]))
+        read.update(names or _NAME.findall(expr))
+        lines.append(expr if target is None else f"{target} = {expr}")
     return lines[::-1]
 
 
@@ -118,8 +153,8 @@ def make_source(signature, names, body):
 
 def field_source(signature, text, names, head, tail):
     """make_source of a function that runs the lines `head`, a model's source with its zeros and then `tail`."""
-    lib = ["lib = math_of(x0)"] * ("lib." in text)
-    return make_source(signature, names, [*head, *lib, *layout(text)[2].splitlines(), *tail.splitlines()])
+    lib = "lib = math_of(x0)\n" * ("lib." in text)
+    return make_source(signature, names, [*head, *optimized(statements(lib + layout(text)[2] + tail), ())])
 
 
 class _Model:

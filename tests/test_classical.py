@@ -1,5 +1,6 @@
 """Hamiltonians, gradients, integration and covariant diagnostics."""
 
+import dis
 import functools
 import math
 
@@ -1084,6 +1085,154 @@ class TestGeneratedCode:
         for model in (a, b):
             args = (st, model, PARAMS, IntegratorSpec(step=1e-2), 0.5)
             assert_same_trajectory(integrate(*args), slow_integrate(*args))
+
+    def test_stern_gerlach_step_is_optimized(self):
+        # the conservation check's step: fewer binary operations than the 770 of the step before the
+        # optimizing pass, and no more locals than its 124, so no renaming of a value per stage
+        model = SternGerlach(B0=5.0, b=0.01)
+        source = classical._step_source("rk4", *model.source[:2])
+        step = fields.compiled(source)(classical._particle(checks.CANONICAL) + model.source[2])
+        ops = [i.opname for i in dis.get_instructions(step)]
+        assert ops.count("BINARY_OP") < 770
+        assert step.__code__.co_nlocals <= 124
+
+    def test_pass_folds_where_no_zero_sign_reaches_a_result(self):
+        # z and b are read through; u is a divisor, so its zero product stays; q reaches a result only through
+        # r's closing + 0.0, so its product by 0.0 and its own + 0.0 go; r is kept, so its + 0.0 stays; s
+        # reaches a result with no + 0.0 after it; k ends in + 0.0 and is returned; dead is read by nothing
+        source = """\
+z = 0.0
+b = c
+u = m * z + n
+q = a * x + c * z + 0.0
+r = q * b + x * z + 0.0
+s = y - e * z
+d = 1.0 / u
+k = d * x + w * z + 0.0
+dead = q * q
+if flag: return k"""
+        assert fields.optimized(fields.statements(source), ("r", "s")) == [
+            "u = m * 0.0 + n",
+            "q = a * x",
+            "r = q * c + 0.0",
+            "s = y - e * 0.0",
+            "d = 1.0 / u",
+            "k = d * x + 0.0",
+            "if flag: return k",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+    def test_pass_inputs_assign_each_name_once(self, name):
+        # fields.optimized reads a name bound to a name or to 0.0 as that in every later line, so it needs each
+        # name assigned once: in a model's source with its zeros, and with either form of the template after it
+        groups, _, field = fields.layout(FIELD_MODELS[name].source[0])
+        for form in (frozenset(groups), frozenset(groups | {"point"})):
+            pairs = fields.statements(field) + fields.statements(classical._hamiltonian(form))
+            targets = [target for target, _ in pairs if target]
+            assert len(targets) == len(set(targets))
+
+    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
+    def test_overflowing_stage_is_not_finite(self, method):
+        # the pass is exact for finite stage values: where a stage overflows (pi past 1e300), the optimized
+        # step and the slow path's stages both leave a non-finite y
+        model, y, h = SternGerlach(B0=1.0, b=0.2), [1e300, -0.0, 1e300, 0.3, 0.0, -0.0, 0.5, -0.0, 0.8], 1e-3
+        make = fields.compiled(classical._step_source(method, *model.source[:2]))
+        got = make(classical._particle(PARAMS) + model.source[2])(y, h)
+        stages, solution, _ = _steppers(method)
+        rhs, ks = slow_kernel(model, PARAMS), []
+        for stage in stages:
+            ks.append(rhs(stage(y, h, ks)))
+        for y_next in (got[0] if method == "rkf45" else got, solution(y, h, ks)):
+            assert not all(map(math.isfinite, y_next))
+
+
+# a negative charge and a charge of -0.0: ec * 0.0 is -0.0 under both, where under PARAMS it is +0.0
+SIGNED_CHARGES = {
+    "positive": PARAMS,
+    "negative": ParticleParams.from_moment(m=1.0, e=-0.7, mu_prime=0.13),
+    "negative_zero": ParticleParams.from_moment(m=1.0, e=-0.0, mu_prime=0.13),
+}
+
+
+def signed_zero_states(seed, n):
+    """n random rows of y = (x, p, s) with about 30% of their components +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    Y = rng.normal(size=(n, 9))
+    zeros = rng.random(size=(n, 9)) < 0.3
+    Y[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return Y
+
+
+def signed_zero_runs():
+    """(state0, model, params, spec, T) of slow-path comparisons from states with +-0.0 components: every kernel
+    model under each signed charge, rk4 (300 steps) and rkf45. On the axis state a Stern-Gerlach trap keeps
+    x0, x1, p0, p1, s0 and s1 at their zeros for the whole run."""
+    axis = PhaseState(np.array([0.0, -0.0, 0.1]), np.array([-0.0, 0.0, 0.2]), np.array([0.0, -0.0, 0.8]))
+    trap = PhaseState(np.array([0.1, -0.0, 0.0]), np.array([0.3, -0.0, 0.0]), np.array([-0.0, 0.5, 0.8]))
+    runs = {}
+    for charge, params in SIGNED_CHARGES.items():
+        if params is not PARAMS:
+            for name, model in KERNEL_MODELS.items():
+                runs[f"rk4-{name}-{charge}"] = (trap, model, params, IntegratorSpec(step=1e-3), 0.3)
+                rkf45 = IntegratorSpec(method="rkf45", step=0.2, tol=1e-13)
+                runs[f"rkf45-{name}-{charge}"] = (trap, model, params, rkf45, 1.0)
+        runs[f"rk4-axis-{charge}"] = (axis, SternGerlach(B0=1.0, b=0.2), params, IntegratorSpec(step=1e-3), 0.3)
+    return runs
+
+
+class TestSignedCharges:
+    """The generated code against the slow path and the oracle, bit for bit, under a negative charge and a
+    charge of -0.0, on states that hold +0.0 and -0.0 components."""
+
+    @pytest.mark.parametrize("charge", sorted(SIGNED_CHARGES))
+    @pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+    def test_point_kernel_matches_the_slow_kernel(self, name, charge):
+        model, params = FIELD_MODELS[name], SIGNED_CHARGES[charge]
+        Y = signed_zero_states(606, 100)
+        new, old = classical._eom_kernel(model, params), slow_kernel(model, params)
+        for y, shape in [*((row, ()) for row in Y.tolist()), (list(Y.T), (100,))]:
+            for eom in (True, False, None):
+                got, want = new(y, eom), old(y, eom)
+                for a, b in zip(_flat(got), _flat(want), strict=True):
+                    a, b = to_array(a, shape), to_array(b, shape)
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("name", sorted(signed_zero_runs()))
+    def test_integrate_matches_the_slow_path(self, name):
+        args = signed_zero_runs()[name]
+        assert_same_trajectory(integrate(*args), slow_integrate(*args))
+
+    def test_axis_run_keeps_its_zeros(self):
+        # the axis run's zero components stay zeros, so their signs are compared at every row
+        traj = integrate(*signed_zero_runs()["rk4-axis-negative"])
+        assert len(traj) == 301 and not traj.x[:, :2].any() and not traj.p[:, :2].any() and not traj.s[:, :2].any()
+
+    def test_both_charges_in_one_process(self):
+        # one step code serves both charges, its constants bound per run
+        trap = PhaseState(np.array([0.1, -0.0, 0.0]), np.array([0.3, -0.0, 0.0]), np.array([-0.0, 0.5, 0.8]))
+        model = Superposition(SternGerlach(B0=1.0, b=0.2), Uniform(B0=np.array([0.0, 0.3, 0.0])))
+        runs = [(trap, model, p, IntegratorSpec(step=1e-3), 0.3) for p in (PARAMS, SIGNED_CHARGES["negative"])]
+        first = integrate(*runs[0])
+        misses = fields.compiled.cache_info().misses
+        second = integrate(*runs[1])
+        assert fields.compiled.cache_info().misses == misses
+        assert not np.array_equal(first.x, second.x)
+        assert_same_trajectory(first, slow_integrate(*runs[0]))
+        assert_same_trajectory(second, slow_integrate(*runs[1]))
+
+    @pytest.mark.parametrize("charge", sorted(SIGNED_CHARGES))
+    @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+    def test_kernel_matches_oracle(self, name, charge):
+        model, params = KERNEL_MODELS[name], SIGNED_CHARGES[charge]
+        Y = signed_zero_states(707, 300)
+        rhs = classical._eom_kernel(model, params)
+        for y in Y.tolist():
+            x, p, s = y[0:3], y[3:6], y[6:9]
+            dx, dp, ds = oracle_eom_arrays(x, p, s, model, params)
+            assert rhs(y) == list(dx + dp + ds)
+            point = oracle_point(x, p, s, model, params)
+            assert rhs(y, eom=False) == point
+            assert rhs(y, eom=None) == point[0]
 
 
 class TestBmtConsistency:

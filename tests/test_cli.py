@@ -622,6 +622,29 @@ class TestOneParser:
         assert "config error: flag for seed: invalid literal for int() with base 0: 'abc'\n" in err
         assert f"config error: {BAD_AMPLITUDES[-1][1]}\n" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-0x10", "seed: must fit in an unsigned 64-bit integer"),
+            ("--lambda-list", "-1e-2,-1e-3,-1e-4", "amplitudes: must all be positive"),
+        ],
+    )
+    def test_value_starting_with_a_dash(self, tmp_path, capsys, flag, value, message):
+        # "--flag value" reads as "--flag=value": both reach the config parser, which refuses the value
+        out = ["--out", str(tmp_path / "o")]
+        assert main(["boost", flag, value, *out]) == 2
+        spaced = capsys.readouterr().err
+        assert main(["boost", f"{flag}={value}", *out]) == 2
+        assert capsys.readouterr().err == spaced == f"config error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--seed", "--lambda-list"])
+    def test_flag_ending_argv_keeps_the_usage_error(self, capsys, flag):
+        with pytest.raises(SystemExit) as done:
+            main(["boost", flag])
+        assert done.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
     def test_bad_choice_and_order_flags_exit_2(self, tmp_path, capsys):
         assert main(["verify-fw", "--profile", "bogus", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: flag for profile: must be one of default, negative-result\n"
