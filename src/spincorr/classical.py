@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ from .params import ParticleParams
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step underflow; carries the partial trajectory."""
+    """An adaptive run that cannot go on: max steps, step underflow or a NaN error estimate; carries the partial
+    trajectory."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)
@@ -123,7 +125,6 @@ def _particle(params: ParticleParams) -> tuple:
     return e, e / params.c, em, gm, gm - em, (gm - em) / mc ** 2, mc, mc ** 2, params.mc2, 1.0 / params.m
 
 
-@functools.cache
 def _hamiltonian(groups):
     """The template for a frozenset of slot groups (and "point"): its branches resolved, its $i lines written out."""
     text, last, lines = _HAMILTONIAN, None, []
@@ -253,9 +254,6 @@ class Trajectory:
         return PhaseState(self.x[i], self.p[i], self.s[i], float(self.t[i]))
 
 
-# accepted rows held as lists between flushes into integrate's arrays
-ROW_CHUNK = 256
-
 # relative |s| drift beyond which the spin is renormalized; the raw drift
 # is still accumulated in spin_drift so the integrator stays honest
 SPIN_RENORM_THRESHOLD = 1e-12
@@ -300,12 +298,13 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     method without error weights takes round(T/step) equal steps; one
     with them adapts the step to keep the embedded error estimate below
     tol (relative to max(1, |y|)) and raises IntegrationError, carrying
-    the trajectory so far, when it exceeds max_steps or the step
-    underflows: falls below 1e-12 T or the round-off of t.
+    the trajectory so far, when the estimate is NaN, the attempts exceed
+    max_steps or the step underflows: falls below 1e-12 T or the
+    round-off of t.
 
     y = (x, p, s) is carried as nine floats; one generated function per
-    tableau and field-model source takes each step. Accepted rows gather
-    in lists, flushed into the arrays every ROW_CHUNK rows.
+    tableau and field-model source takes each step. Accepted rows (t, y,
+    spin drift) are appended to one float table; the columns are views.
     """
     if T <= 0:
         raise ValueError("duration must be positive")
@@ -318,34 +317,17 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
     text, names, values = model.source
     step = compiled(_step_source(spec.method, text, names))(_particle(params) + values)
 
-    # rows of (t, y = (x, p, s), cumulative spin drift); an adaptive run
-    # accepts at most max_steps steps, and doubles the buffers if it needs
-    # more rows than its initial step suggests
-    size = min(n, spec.max_steps) + 1
-    ts, ys, drifts = np.empty(size), np.empty((size, 9)), np.empty(size)
     y = state0.x.tolist() + state0.p.tolist() + state0.s.tolist()
-    ts[0], ys[0], drifts[0] = state0.t, y, 0.0
+    table = array("d", [state0.t, *y, 0.0])
     rows, t, drift_cum, attempts, rejected = 1, 0.0, 0.0, 0, 0
-    chunk = []  # the accepted rows (t, *y, drift) not yet in the arrays
     mag = s0_mag = _spin_norm(y)
 
-    def flush():
-        nonlocal ts, ys, drifts
-        while rows > len(ts):
-            ts, ys, drifts = (np.concatenate([a, np.empty_like(a)]) for a in (ts, ys, drifts))
-        if chunk:
-            block, start = np.array(chunk), rows - len(chunk)
-            ts[start:rows], ys[start:rows], drifts[start:rows] = block[:, 0], block[:, 1:10], block[:, 10]
-            chunk.clear()
-
     def trajectory():
-        flush()
-        hs = h_total_blocked(ys[:rows], model, params)
-        s = ys[:rows, 6:9]
-        calls = len(stages) * attempts
-        return Trajectory(
-            ts[:rows], ys[:rows, 0:3], ys[:rows, 3:6], s, hs, np.linalg.norm(s, axis=1), drifts[:rows], calls, rejected
-        )
+        # views of the table, which takes no row once viewed
+        ty = np.frombuffer(table).reshape(rows, 11)
+        s = ty[:, 7:10]
+        hs, mags = h_total_blocked(ty[:, 1:10], model, params), np.linalg.norm(s, axis=1)
+        return Trajectory(ty[:, 0], ty[:, 1:4], ty[:, 4:7], s, hs, mags, ty[:, 10], len(stages) * attempts, rejected)
 
     while (rows <= n) if fixed else (t < T * (1.0 - 1e-12)):
         if not fixed:
@@ -358,10 +340,14 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
             if h < max(1e-14 * max(1.0, abs(t)), 1e-12 * T):
                 raise IntegrationError("step size underflow", trajectory())
         accept, factor = True, 1.0
+        attempts += 1
         if fixed:
             y_next = step(y, h)
         else:
             y_next, increment = step(y, h)
+            # max would keep a NaN only where it comes first
+            if any(map(math.isnan, increment)):
+                raise IntegrationError("error estimate is NaN", trajectory())
             # abs drops the sign of a zero
             err = max(map(abs, increment))
             scale = spec.tol * max(1.0, max(map(abs, y)))
@@ -377,14 +363,11 @@ def integrate(state0: PhaseState, model, params: ParticleParams, spec: Integrato
                 r = s0_mag / raw
                 y[6:9] = [c * r for c in y[6:9]]
                 mag = _spin_norm(y)
-            chunk.append([state0.t + t, *y, drift_cum])
+            table.fromlist([state0.t + t, *y, drift_cum])
             rows += 1
-            if len(chunk) == ROW_CHUNK:
-                flush()
         else:
             rejected += 1
         h *= factor
-        attempts += 1
     return trajectory()
 
 

@@ -69,9 +69,9 @@ _KEY_FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags are exact names: a prefix such as --lambda is refused, not read as --lambda-list
     parser = argparse.ArgumentParser(
-        prog="spincorr",
-        description="relativistic spin dynamics and lattice transform verification",
+        prog="spincorr", description="relativistic spin dynamics and lattice transform verification", allow_abbrev=False
     )
     sub = parser.add_subparsers(dest="mode", required=True)
     descriptions = {
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report": "render a previous run's results",
     }
     for mode in MODES:
-        sp = sub.add_parser(mode, help=descriptions[mode])
+        sp = sub.add_parser(mode, help=descriptions[mode], allow_abbrev=False)
         sp.add_argument("--config", metavar="PATH", help="flat key=value config file")
         for flag, (key, options) in _KEY_FLAGS.items():
             sp.add_argument(flag, dest=key, **options)

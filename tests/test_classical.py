@@ -783,6 +783,54 @@ class TestIntegrate:
             integrate(st, SternGerlach(B0=1.0, b=0.2), PARAMS, spec, 10.0)
         assert err.value.partial.rhs_calls < 1000
 
+    def test_nan_error_estimate_ends_the_run(self):
+        # a spin of 1e100 has a finite H, but the first step's stages overflow into NaN, the error
+        # estimate's first component included; such a step used to be retried until max_steps
+        st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5e100, 0.2e100, 0.8e100]))
+        spec = IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12, max_steps=1000)
+        with pytest.raises(IntegrationError, match="^error estimate is NaN$") as err:
+            integrate(st, SternGerlach(B0=1.0, b=0.2), checks.CANONICAL, spec, 10.0)
+        partial = err.value.partial
+        assert (len(partial), partial.rhs_calls, partial.rejected) == (1, 6, 0)
+        assert np.isfinite(partial.h_total).all()
+
+    @pytest.mark.parametrize("index", [0, 4, 8])
+    def test_nan_anywhere_in_the_error_estimate(self, monkeypatch, index):
+        # the step's estimate with one NaN component from the third attempt on: the run ends there with
+        # the two attempts before it, as a run with max_steps = 2 does; max alone drops a NaN after the first
+        real = classical.compiled
+
+        def compiled(source):
+            make = real(source)
+            if "def step(" not in source:
+                return make
+
+            def poisoned(consts):
+                step, attempts = make(consts), []
+
+                def nan_step(y, h):
+                    y_next, increment = step(y, h)
+                    attempts.append(h)
+                    if len(attempts) >= 3:
+                        increment[index] = math.nan
+                    return y_next, increment
+
+                return nan_step
+
+            return poisoned
+
+        st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
+        model, spec = SternGerlach(B0=1.0, b=0.2), IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12, max_steps=2)
+        with pytest.raises(IntegrationError, match="^max step count exceeded$") as ref:
+            integrate(st, model, PARAMS, spec, 10.0)
+        monkeypatch.setattr(classical, "compiled", compiled)
+        with pytest.raises(IntegrationError, match="^error estimate is NaN$") as err:
+            integrate(st, model, PARAMS, IntegratorSpec(method="rkf45", step=1e-3, tol=1e-12, max_steps=1000), 10.0)
+        assert err.value.partial.rhs_calls == ref.value.partial.rhs_calls + 6
+        assert len(err.value.partial) == len(ref.value.partial) == 3
+        for column in ("t", "x", "p", "s", "h_total", "s_mag", "spin_drift"):
+            assert np.array_equal(getattr(err.value.partial, column), getattr(ref.value.partial, column))
+
     def test_energy_conservation_short(self):
         model = SternGerlach(B0=1.0, b=0.2)
         st = PhaseState(np.zeros(3), np.array([0.3, 0, 0]), np.array([0.5, 0.2, 0.8]))
@@ -1005,13 +1053,6 @@ class TestSlowPath:
         if args[3].method == "rkf45":
             assert traj.rejected >= 1
         assert_same_trajectory(traj, slow_integrate(*args))
-
-    @pytest.mark.parametrize("method", ["rk4", "rkf45"])
-    def test_rows_across_many_chunks(self, method, monkeypatch):
-        # 7-row chunks: the flushes cross 85 (rk4) and 347 (rkf45) boundaries, and rkf45's buffer doubles
-        monkeypatch.setattr(classical, "ROW_CHUNK", 7)
-        args = slow_path_runs()[f"{method}-superposition"]
-        assert_same_trajectory(integrate(*args), slow_integrate(*args))
 
     @pytest.mark.parametrize(
         "spec, model, message",

@@ -645,6 +645,26 @@ class TestOneParser:
         assert done.value.code == 2
         assert f"argument {flag}: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["boost", "--see", "7"],
+            ["boost", "--lambda", "1e-2,1e-3,1e-4"],
+            ["boost", "--lambda", "-1e-2,-1e-3,-1e-4"],
+            ["boost", "--lambda=1e-2,1e-3,1e-4"],
+            ["boost", "--conf", "c.cfg"],
+            ["boost", "--hel"],
+            ["--hel", "boost"],
+        ],
+    )
+    def test_flag_prefix_refused(self, tmp_path, capsys, argv):
+        # a flag is its exact name: a prefix of one, help included, is an unrecognized argument
+        with pytest.raises(SystemExit) as done:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert done.value.code == 2
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_choice_and_order_flags_exit_2(self, tmp_path, capsys):
         assert main(["verify-fw", "--profile", "bogus", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "config error: flag for profile: must be one of default, negative-result\n"
